@@ -19,12 +19,16 @@ policy that refuses exterior evaluation until the owning module rebinds it
 A wrong version line raises :class:`CheckpointVersionError`; anything
 truncated or malformed raises :class:`CheckpointCorruptError` without
 building a partial object.  Loading and re-serializing reproduces the file
-byte for byte.
+byte for byte.  Files are written atomically (:func:`atomic_writer`), so an
+interrupted write leaves the previous file in place.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -144,8 +148,24 @@ def loads(text: str) -> Checkpoint:
     return ck
 
 
+@contextmanager
+def atomic_writer(path):
+    """Text handle on a temporary file beside ``path`` that replaces
+    ``path`` only when the block completes; on any error the temporary file
+    is removed and an existing ``path`` is left untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write(ck: Checkpoint, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_writer(path) as fh:
         fh.write(dumps(ck))
 
 

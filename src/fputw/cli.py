@@ -2,8 +2,10 @@
 
 Every subcommand writes deterministic CSV files (17 significant digits) plus
 a manifest listing outputs with their SHA-256 hashes; only the manifest
-timestamp varies between identical runs.  Exit codes: 0 success, 1 numerical
-failure (machine-readable reason on stderr), 2 usage errors.
+timestamp varies between identical runs.  Each file is written to a
+temporary name and renamed into place, so an interrupted run never leaves a
+truncated output.  Exit codes: 0 success, 1 numerical failure
+(machine-readable reason on stderr), 2 usage errors.
 
 Options may come from a flat key-value config file with one section per
 subcommand (``--config``); command-line flags override file values, and the
@@ -37,10 +39,10 @@ def fmt(v) -> str:
 
 
 def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with checkpoint.atomic_writer(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def write_manifest(outdir: Path, subcommand: str, params: dict, files) -> None:
@@ -51,7 +53,8 @@ def write_manifest(outdir: Path, subcommand: str, params: dict, files) -> None:
     for f in sorted(files):
         digest = hashlib.sha256((outdir / f).read_bytes()).hexdigest()
         lines.append(f"file {f} sha256={digest}")
-    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    with checkpoint.atomic_writer(outdir / "manifest.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_config(path) -> dict[str, dict[str, str]]:

@@ -23,6 +23,7 @@ import numpy as np
 from .diatomic import (DiatomicConfig, DiatomicWave, SCALAR_NAMES,
                        refresh_ripple_guess, save_wave, solve_wave)
 from .errors import FputwError, NonConvergenceError, ProblemSizeError
+from .mfde import FactorCache
 from .solution import PiecewiseSolution
 
 BRANCH_COLUMNS = ("kappa", "sigma", "m", "mu", "beta_P", "omega_P", "alpha_P",
@@ -132,7 +133,9 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     solves) or "kappa" (stepped with ``fixed`` naming the per-solve fixed
     scalar, e.g. ("beta_p", 0.0) for solitary branches).  With ``step_in_m``
     a mu driver is stepped uniformly in m = 1/(1+mu); ``target`` is then a
-    mass.  ``stop_when(point)`` halts the trace early.
+    mass.  ``stop_when(point)`` halts the trace early.  All solves of the
+    trace share one sparse LU holder, so each starts with chord steps from
+    the last converged factorization.
     """
     cfg = cfg or DiatomicConfig()
     if driver == "kappa":
@@ -148,6 +151,7 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     from_coord = _m_to_mu if (driver == "mu" and step_in_m) else (lambda v: v)
 
     branch = Branch()
+    factors = FactorCache()
     wave = seed
     prev_wave = None
     cur_driver = driver
@@ -199,9 +203,11 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
                 guess = wave
         try:
             if cur_driver == "kappa":
-                new = solve_wave(value, fixed[0], fixed[1], guess, cfg)
+                new = solve_wave(value, fixed[0], fixed[1], guess, cfg,
+                                 reuse=factors)
             else:
-                new = solve_wave(wave.kappa, cur_driver, value, guess, cfg)
+                new = solve_wave(wave.kappa, cur_driver, value, guess, cfg,
+                                 reuse=factors)
         except ProblemSizeError:
             branch.terminated_reason = "size-cap"
             break
@@ -298,10 +304,12 @@ def classify_branch_segments(branch: Branch, min_mu_extent: float = 0.01):
 
 def bisect_alpha_zero(branch: Branch, index: int,
                       cfg: DiatomicConfig | None = None,
-                      tol: float = 1e-8, max_iter: int = 60) -> DiatomicWave:
+                      tol: float = 1e-8, max_iter: int = 60,
+                      reuse: FactorCache | None = None) -> DiatomicWave:
     """Bisect the driven scalar between points index-1 and index (a marked
     alpha_P sign change) until the bracket is below ``tol``; returns the
-    bracket-midpoint wave (still with beta_P free)."""
+    bracket-midpoint wave (still with beta_P free).  ``reuse`` carries the
+    sparse LU from solve to solve."""
     cfg = cfg or DiatomicConfig()
     if not branch.points[index].sign_change:
         raise ValueError("index does not mark an alpha_P sign change")
@@ -316,7 +324,7 @@ def bisect_alpha_zero(branch: Branch, index: int,
         if abs(b - a) <= tol:
             break
         mid = 0.5 * (a + b)
-        wm = solve_wave(guess.kappa, drv, mid, guess, cfg)
+        wm = solve_wave(guess.kappa, drv, mid, guess, cfg, reuse=reuse)
         guess = wm
         if wm.alpha_p * fa <= 0.0:
             b, fb = mid, wm.alpha_p
@@ -325,9 +333,11 @@ def bisect_alpha_zero(branch: Branch, index: int,
     return guess
 
 
-def freeze_solitary(wave: DiatomicWave, cfg: DiatomicConfig | None = None) -> DiatomicWave:
+def freeze_solitary(wave: DiatomicWave, cfg: DiatomicConfig | None = None,
+                    reuse: FactorCache | None = None) -> DiatomicWave:
     """Re-solve with beta_P frozen at zero: a genuine solitary wave."""
-    return solve_wave(wave.kappa, "beta_p", 0.0, wave, cfg or DiatomicConfig())
+    return solve_wave(wave.kappa, "beta_p", 0.0, wave, cfg or DiatomicConfig(),
+                      reuse=reuse)
 
 
 def find_solitary(branch: Branch, cfg: DiatomicConfig | None = None, *,
@@ -347,8 +357,9 @@ def find_solitary(branch: Branch, cfg: DiatomicConfig | None = None, *,
         if not marks:
             raise ValueError("branch has no alpha_P sign change to bisect")
         idx = marks[0]
-    near = bisect_alpha_zero(branch, idx, cfg, tol=bisect_tol)
-    sol = freeze_solitary(near, cfg)
+    factors = FactorCache()
+    near = bisect_alpha_zero(branch, idx, cfg, tol=bisect_tol, reuse=factors)
+    sol = freeze_solitary(near, cfg, reuse=factors)
     out = Branch()
     out.points.append(_point_from_wave(sol))
     out.waves.append(sol)

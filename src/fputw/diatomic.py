@@ -27,8 +27,9 @@ from . import checkpoint, dispersion
 from .errors import (BranchJumpWarning, CheckpointCorruptError,
                      NoBracketError, OrientationFlipWarning)
 from .mfde import (BoundaryCondition, BoundaryProbe, EquationBlock,
-                   FunctionBlockSpec, MfdeProblem, NewtonConfig, SlotSpec,
-                   assemble_residual, integral_bc, solve_newton, value_bc)
+                   FactorCache, FunctionBlockSpec, MfdeProblem, NewtonConfig,
+                   SlotSpec, assemble_residual, integral_bc, solve_newton,
+                   value_bc)
 from .monatomic import MonatomicConfig, MonatomicWave, solve_profile
 from .solution import Extension, Mesh, PiecewiseSolution
 
@@ -39,7 +40,7 @@ SCALAR_NAMES = ("sigma", "mu", "beta_p")
 # operator conventions yields alpha_P = +K_sigma mu near mu = 0, the opposite
 # of the reported data (alpha_P = -K_sigma mu with K_sigma < 0, and the
 # alpha_P > 0 initial conditions above the solitary mass).  The data
-# convention corresponds to the reversed inequality; see ledger.
+# convention corresponds to the reversed inequality; see LEDGER.md, entry 1.
 ORIENTATION_SIGN = -1.0
 
 RIPPLE_POLICIES = (Extension.periodic_even(), Extension.periodic_odd(),
@@ -340,20 +341,22 @@ def wave_problem(kappa: float, pm: ParamMap, cfg: DiatomicConfig) -> MfdeProblem
 
 def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
                cfg: DiatomicConfig | None = None,
-               jump_tol: float | None = None) -> DiatomicWave:
+               jump_tol: float | None = None,
+               reuse: FactorCache | None = None) -> DiatomicWave:
     """Solve the full diatomic system at fixed kappa and one fixed scalar.
 
     ``guess`` supplies the starting functions and all scalar values (its
     entry for the fixed scalar is replaced by ``value``).  ``jump_tol``
     bounds the acceptable movement of the free scalars; beyond it a
-    BranchJumpWarning is issued (the solve still returns).
+    BranchJumpWarning is issued (the solve still returns).  ``reuse``
+    carries a sparse LU between solves (see :func:`fputw.mfde.solve_newton`).
     """
     cfg = cfg or DiatomicConfig()
     pm = ParamMap(fix, value)
     prob = wave_problem(kappa, pm, cfg)
     params0 = pm.pack(guess.sigma, guess.mu, guess.beta_p, guess.omega_p)
     sols, params, rep = solve_newton(prob, [guess.solitary, guess.ripple],
-                                     params0, cfg.newton)
+                                     params0, cfg.newton, reuse)
     sigma, mu, beta_p, omega_p = pm.unpack(params)
     if ORIENTATION_SIGN * orientation_value(sigma, mu, sols[1]) < 0.0:
         if fix == "beta_p" and value != 0.0:
@@ -362,7 +365,7 @@ def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
             flipped = PiecewiseSolution(sols[1].mesh, -sols[1].coeffs,
                                         RIPPLE_POLICIES)
             sols, params, rep = solve_newton(prob, [sols[0], flipped], params,
-                                             cfg.newton)
+                                             cfg.newton, reuse)
             sigma, mu, beta_p, omega_p = pm.unpack(params)
             if ORIENTATION_SIGN * orientation_value(sigma, mu, sols[1]) < 0.0:
                 warnings.warn("ripple orientation inequality still violated",

@@ -10,7 +10,8 @@ energy sum(m_j p_j^2 / 2 + r_j^2 / 2 + r_j^3 / 3) is monitored between
 recenter events as the discretization-error alarm.  Once per recenter period
 the peak is shifted back to the grid center (by an even number of sites, so
 the alternating mass pattern is preserved) and the right quarter of the grid
-is smoothly windowed to zero by exp(-y^2/(1-y^2)), y = max((i-300)/100, 0).
+is smoothly windowed to zero by exp(-y^2/(1-y^2)),
+y = max((i - 3N/4)/(N/4), 0) (onset 300 and width 100 on the N = 400 grid).
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ class SimConfig:
     dt: float = 1e-3
     horizon: float = 5000.0
     recenter_period: float = 60.0
-    window_onset: int = 300
-    window_width: int = 100
     core_halfwidth: int = 20
     drift_threshold: float = 1e-5
     sample_stride: float = 1.0
@@ -160,14 +159,14 @@ def window_factor(sites, onset: int = 300, width: int = 100) -> np.ndarray:
     return out
 
 
-def recenter_and_window(state: LatticeState, cfg: SimConfig | None = None):
-    """Shift the peak back to the grid center and window the right edge.
+def recenter_and_window(state: LatticeState):
+    """Shift the peak back to the grid center and window the right quarter.
 
     The shift is rounded to an even number of sites so the alternating mass
-    pattern is preserved (the peak lands on center +- 1).  Returns
-    ``(state, shift)``.
+    pattern is preserved (the peak lands on center +- 1).  The window starts
+    at site 3N/4 and reaches zero at site N, so the recentered core is never
+    touched whatever the grid size.  Returns ``(state, shift)``.
     """
-    cfg = cfg or SimConfig()
     n = state.n
     center = n // 2
     peak = int(np.argmax(np.abs(state.r))) + 1
@@ -183,7 +182,7 @@ def recenter_and_window(state: LatticeState, cfg: SimConfig | None = None):
         r[:shift] = state.r[-shift:]
         p[:shift] = state.p[-shift:]
     sites = np.arange(1, n + 1)
-    w = window_factor(sites, cfg.window_onset, cfg.window_width)
+    w = window_factor(sites, 3 * n // 4, n // 4)
     r *= w
     p *= w
     return LatticeState(r, p, state.mass_ratio, state.t), shift
@@ -268,7 +267,7 @@ def run_simulation(state: LatticeState, cfg: SimConfig | None = None) -> Diagnos
                 warnings.warn(f"energy drift {drift:.2e} over the last "
                               f"recenter period at t={state.t}", EnergyDriftWarning)
             if np.any(state.r):
-                state, shift = recenter_and_window(state, cfg)
+                state, shift = recenter_and_window(state)
                 total_shift += shift
             e_segment = energy(state)
         series.update(state, cfg, total_shift, alarm)

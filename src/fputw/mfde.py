@@ -28,6 +28,15 @@ Stacking order of the residual: per block, collocation equations
 (interval-major, then Gauss node, then component) followed by continuity
 conditions; all boundary functionals last.  The residual length equals the
 unknown count.
+
+Newton is a chord (simplified Newton) iteration: once a sparse LU exists, the
+full step from that frozen factorization is tried first and kept only when
+the max-norm residual contracts by at least ``CHORD_RHO``; otherwise the
+Jacobian is assembled and factorized at the current iterate and a damped
+Newton step is taken.  A :class:`FactorCache` carries the last converged
+factorization from one solve to the next, so a continuation that solves a
+sequence of nearby systems factorizes only when the frozen LU stops
+contracting.  The convergence test is always on the true residual.
 """
 
 from __future__ import annotations
@@ -44,6 +53,10 @@ from .errors import (BoundaryCountError, FputwError, NonConvergenceError,
 from .solution import Extension, Mesh, PiecewiseSolution
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+# A chord step from a frozen LU is kept only if it cuts the max-norm residual
+# to at most this fraction; a weaker contraction triggers a refactorization.
+CHORD_RHO = 0.25
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,23 @@ class NewtonConfig:
 
 @dataclass
 class NewtonReport:
-    iterations: int
+    iterations: int             # Newton and chord steps taken
     residual_norm: float
     converged: bool
+    factorizations: int = 0     # sparse LU factorizations made by this solve
+
+
+@dataclass
+class FactorCache:
+    """One-slot holder for the sparse LU of the last converged solve.
+
+    Pass the same holder to consecutive :func:`solve_newton` calls on systems
+    of one size (a continuation) to start each solve with chord steps from
+    the previous factorization.  Only converged solves write to it; an LU of
+    another size is ignored.
+    """
+
+    lu: object = None
 
 
 class Layout:
@@ -415,8 +442,21 @@ def assemble_residual(problem: MfdeProblem, solutions: Sequence[PiecewiseSolutio
 
 
 def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
-                 params, cfg: NewtonConfig = NewtonConfig()):
-    """Damped Newton iteration on the collocation system.
+                 params, cfg: NewtonConfig = NewtonConfig(),
+                 reuse: FactorCache | None = None):
+    """Chord Newton iteration with damped Newton fallback.
+
+    Each iteration first tries the full chord step ``lu.solve(-r)`` from the
+    current factorization (one carried in by ``reuse``, or the one made
+    earlier in this solve) and keeps it when the true max-norm residual drops
+    to at most ``CHORD_RHO`` times its previous value.  Otherwise the
+    Jacobian is assembled and factorized at the current iterate and a Newton
+    step is taken with damping halvings until the residual decreases.  A
+    chord step is tried only from a carried-in LU or after an undamped step,
+    so a solve that needs damping does not pay for chord attempts that
+    cannot contract.  Chord and Newton steps both count toward
+    ``cfg.max_iter`` and the reported iterations.  On convergence the last
+    factorization is stored in ``reuse``.
 
     Returns ``(solutions, params, report)``.  Raises
     :class:`NonConvergenceError` (carrying the final residual norm) when the
@@ -428,47 +468,75 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
     x = lay.pack(guesses, params)
     r = asm.residual(x)
     norm = float(np.max(np.abs(r)))
+    lu = None
+    if reuse is not None and reuse.lu is not None \
+            and reuse.lu.shape == (lay.size, lay.size):
+        lu = reuse.lu
+    try_chord = lu is not None
+    factorizations = 0
+
+    def done(iterations):
+        if reuse is not None and lu is not None:
+            reuse.lu = lu
+        sols, p = lay.unpack(x)
+        return sols, p, NewtonReport(iterations, norm, True, factorizations)
+
     for it in range(cfg.max_iter):
         if norm <= cfg.tol:
-            sols, p = lay.unpack(x)
-            return sols, p, NewtonReport(it, norm, True)
+            return done(it)
+        if try_chord:
+            chord = _try_step(asm, x, lu.solve(-r))
+            if chord is not None and chord[0] <= CHORD_RHO * norm:
+                norm, x, r = chord
+                continue
         _, J = asm.jacobian(x)
         try:
             lu = spla.splu(J)
         except RuntimeError as exc:
             raise SingularJacobianError(f"sparse LU failed: {exc}") from exc
+        factorizations += 1
         step = lu.solve(-r)
         if not np.all(np.isfinite(step)):
             raise SingularJacobianError("linear solve produced non-finite step")
         lam = 1.0
         best = None
         for _ in range(cfg.max_halvings + 1):
-            x_try = x + lam * step
-            try:
-                r_try = asm.residual(x_try)
-                n_try = float(np.max(np.abs(r_try)))
-            except FputwError:
+            trial = _try_step(asm, x, lam * step)
+            if trial is None:
                 # step left the admissible parameter range; retry shorter
                 lam *= 0.5
                 continue
-            if not np.isfinite(n_try):
-                lam *= 0.5
-                continue
-            if best is None or n_try < best[0]:
-                best = (n_try, x_try, r_try)
-            if n_try < norm:
+            if best is None or trial[0] < best[0][0]:
+                best = (trial, lam)
+            if trial[0] < norm:
                 break
             lam *= 0.5
         if best is None:
             raise NonConvergenceError(
                 "no admissible damped step found", norm, it)
-        norm, x, r = best
+        (norm, x, r), lam = best
+        try_chord = lam == 1.0
     if norm <= cfg.tol:
-        sols, p = lay.unpack(x)
-        return sols, p, NewtonReport(cfg.max_iter, norm, True)
+        return done(cfg.max_iter)
     raise NonConvergenceError(
         f"Newton did not reach tol={cfg.tol:g} in {cfg.max_iter} iterations "
         f"(residual {norm:.3e})", norm, cfg.max_iter)
+
+
+def _try_step(asm: _Assembler, x: np.ndarray, step: np.ndarray):
+    """``(norm, x + step, residual)`` of a trial step, or None when the step
+    is not finite or leaves the admissible range."""
+    x_try = x + step
+    if not np.all(np.isfinite(x_try)):
+        return None
+    try:
+        r_try = asm.residual(x_try)
+    except FputwError:
+        return None
+    n_try = float(np.max(np.abs(r_try)))
+    if not np.isfinite(n_try):
+        return None
+    return n_try, x_try, r_try
 
 
 def fd_jacobian(problem: MfdeProblem, solutions: Sequence[PiecewiseSolution],

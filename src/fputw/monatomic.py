@@ -338,7 +338,7 @@ def compute_psi(wave: MonatomicWave, jost: JostSolution, which: str):
 
     The eta phases are sin(omega (tau/kappa +- 1)): the +-1 is the lattice
     shift inside the frequency argument (the interpretation under which the
-    monitor identity holds; see ledger).
+    monitor identity holds; see LEDGER.md, entry 2).
     """
     kappa = wave.kappa
     k2 = kappa * kappa
@@ -390,7 +390,7 @@ def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
     # The eta pairing carries the factor 2 of the quadratic cross-term
     # 2 s1 s2: the ripple-amplitude coefficient in the second component is
     # 2*(2+A)[phi sin], so I_eta = <gamma, 2 eta>.  This is the normalization
-    # under which the analytic monitor holds exactly (see ledger).
+    # under which the analytic monitor holds exactly (see LEDGER.md, entry 3).
     i_eta = 4.0 * kappa * _midpoint_integral(lambda t: gamma_part(t) * psi_eta(t), L, n_quad)
     i_chi = 2.0 * kappa * _midpoint_integral(lambda t: gamma_part(t) * psi_chi(t), L, n_quad)
     i_chi2 = 2.0 * kappa * _midpoint_integral(lambda t: gamma_part(t) * psi_chi(t), L, 2 * n_quad)

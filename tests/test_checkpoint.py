@@ -93,3 +93,15 @@ def test_monatomic_joint_roundtrip(tmp_path):
     p2 = tmp_path / "joint2.ckpt"
     mono.save_joint(w2, j2, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_failed_write_keeps_old_file(sample, tmp_path):
+    p = tmp_path / "w.ckpt"
+    ck.write(sample, p)
+    before = p.read_bytes()
+    # a non-ASCII meta string fails inside the write, after the file is open
+    bad = ck.Checkpoint("test-kind", {"tag": "é"}, sample.blocks)
+    with pytest.raises(UnicodeEncodeError):
+        ck.write(bad, p)
+    assert p.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["w.ckpt"]

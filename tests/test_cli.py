@@ -161,6 +161,22 @@ def test_solitary_cli(tmp_path, mono_ckpt):
     assert (tmp_path / "solitary_000.ckpt").exists()
 
 
+def test_csv_write_interrupted_mid_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    cli.write_csv(path, ("a", "b"), [(1, 2.5)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (3, 4.5)
+        yield (5, 6.5)
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        cli.write_csv(path, ("a", "b"), rows())
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["rows.csv"]
+
+
 def test_fputw_out_env_overrides(tmp_path):
     flag_dir = tmp_path / "flagged"
     env_dir = tmp_path / "env"

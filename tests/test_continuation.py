@@ -6,6 +6,7 @@ from fputw import monatomic as mono
 from fputw.continuation import (Branch, BranchPoint, continue_branch,
                                 find_solitary)
 from fputw.errors import BranchJumpWarning, NonConvergenceError
+from fputw.mfde import FactorCache, solve_newton
 
 CFG = di.DiatomicConfig(solitary_intervals=256)
 
@@ -79,6 +80,38 @@ def test_jump_warning(seed):
         di.solve_wave(1.0, "mu", 0.12, branch.waves[-1], CFG, jump_tol=1e-9)
 
 
+def test_factor_reuse_from_neighbouring_mu(seed):
+    base = continue_branch(seed, "mu", 0.1, 0.05, CFG).waves[-1]
+    factors = FactorCache()
+    near = di.solve_wave(1.0, "mu", 0.1001, base, CFG, reuse=factors)
+    assert factors.lu is not None
+    pm = di.ParamMap("mu", 0.1002)
+    prob = di.wave_problem(1.0, pm, CFG)
+    p0 = pm.pack(near.sigma, near.mu, near.beta_p, near.omega_p)
+    fresh = solve_newton(prob, [near.solitary, near.ripple], p0, CFG.newton)
+    reused = solve_newton(prob, [near.solitary, near.ripple], p0, CFG.newton,
+                          reuse=factors)
+    assert reused[2].factorizations < fresh[2].factorizations
+    for a, b in zip(fresh[0], reused[0]):
+        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-9
+    assert np.max(np.abs(fresh[1] - reused[1])) < 1e-9
+
+
+def test_branch_factorizes_less_than_once_per_point(seed, monkeypatch):
+    import scipy.sparse.linalg as spla
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(J, *args, **kwargs):
+        calls.append(J.shape)
+        return splu(J, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    branch = continue_branch(seed, "mu", 0.05, 0.01, CFG)
+    assert branch.terminated_reason == "target-reached"
+    assert 0 < len(calls) < len(branch.points)
+
+
 def test_find_solitary_needs_sign_change(seed):
     branch = continue_branch(seed, "mu", -0.05, 0.05, CFG)
     with pytest.raises(ValueError):
@@ -113,7 +146,8 @@ def test_driver_switch_and_fold_marking(monkeypatch):
     increments reverse and the fold marker must be set."""
     import fputw.continuation as cont
 
-    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None):
+    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
+                   reuse=None):
         if fix == "sigma":
             if value > 1.5:             # past the fold tip: no solution
                 raise NonConvergenceError("past fold", 1.0, 25)

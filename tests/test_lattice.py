@@ -135,6 +135,23 @@ def test_recenter_windowing_damps_right_edge():
     assert np.all(np.abs(out.r) <= np.abs(st.r) + 1e-15)
 
 
+def test_recenter_keeps_core_on_large_grid():
+    # the window scales with the grid: at N = 1000 it starts at site 750, so
+    # a core recentered to site 500 keeps all of its energy
+    st = make_state(1000, m=0.5)
+    st.r[190:211] = 0.1 * np.hamming(21)
+    st.p[190:211] = -0.05 * np.hamming(21)
+    out, shift = lat.recenter_and_window(st)
+    assert shift == 298          # peak at site 201, even shift toward 500
+    assert abs(int(np.argmax(np.abs(out.r))) + 1 - 500) <= 1
+    assert lat.energy(out) == lat.energy(st)
+    cfg = lat.SimConfig(horizon=2.0, recenter_period=1.0)
+    series = lat.run_simulation(st, cfg)
+    assert series.shift_total[-1] > 0
+    assert not any(series.alarms)
+    assert series.energy_full[-1] == pytest.approx(series.energy_full[0], rel=1e-6)
+
+
 def test_time_reversal_smoke():
     # for the separable structure dr = f(p), dp = g(r), one RK4 step composed
     # with the momentum flip inverts exactly (to rounding) -- strictly

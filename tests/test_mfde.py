@@ -5,8 +5,8 @@ from scipy.special import lambertw
 from fputw.errors import (BoundaryCountError, NonConvergenceError,
                           ProblemSizeError, SingularJacobianError)
 from fputw.mfde import (BoundaryCondition, BoundaryProbe, EquationBlock,
-                        FunctionBlockSpec, MfdeProblem, NewtonConfig, SlotSpec,
-                        assemble_residual, fd_jacobian,
+                        FactorCache, FunctionBlockSpec, MfdeProblem,
+                        NewtonConfig, SlotSpec, assemble_residual, fd_jacobian,
                         refined_collocation_norm, solve_newton,
                         structural_jacobian, value_bc)
 from fputw.solution import Extension, Mesh, PiecewiseSolution
@@ -228,3 +228,58 @@ def test_refined_collocation_norm_smoke():
         (Extension.prescribed_left(delay_exact),))
     sols, params, _ = solve_newton(prob, [guess], [])
     assert refined_collocation_norm(prob, sols, params) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# chord iteration and factorization reuse
+# ---------------------------------------------------------------------------
+
+def delay_guess(mesh):
+    return PiecewiseSolution.from_callables(
+        mesh, [lambda t: np.ones_like(t)],
+        (Extension.prescribed_left(delay_exact),))
+
+
+def test_factor_cache_of_other_size_ignored():
+    small_mesh, small = delay_problem(16)
+    mesh, prob = delay_problem(32)
+    factors = FactorCache()
+    solve_newton(small, [delay_guess(small_mesh)], [], reuse=factors)
+    small_lu = factors.lu
+    assert small_lu.shape == (64, 64)
+    fresh, _, rep_fresh = solve_newton(prob, [delay_guess(mesh)], [])
+    reused, _, rep = solve_newton(prob, [delay_guess(mesh)], [], reuse=factors)
+    assert np.array_equal(fresh[0].coeffs, reused[0].coeffs)
+    assert rep.factorizations == rep_fresh.factorizations >= 1
+    assert factors.lu is not small_lu and factors.lu.shape == (128, 128)
+
+
+def test_failed_solve_leaves_factor_cache():
+    mesh, prob = delay_problem(16)
+    factors = FactorCache()
+    solve_newton(prob, [delay_guess(mesh)], [], reuse=factors)
+    before = factors.lu
+    # same unknown count (64), so the cached LU is tried and then replaced
+    # inside the solve; the blow-up problem never converges
+    blow = scalar_problem(Mesh(4.0, 16, 3), lambda t, s, p: 1.0 + s[0] ** 2,
+                          (value_bc(0, 0, 0.0, 0.0),))
+    zero = PiecewiseSolution.zeros(Mesh(4.0, 16, 3), (Extension.interior_only(),))
+    with pytest.raises(NonConvergenceError):
+        solve_newton(blow, [zero], [], NewtonConfig(max_iter=8), reuse=factors)
+    assert factors.lu is before
+
+
+def test_chord_steps_reuse_one_factorization():
+    # u' = -u^3 with u(0) = 1: nonlinear, so Newton iterates; chord steps
+    # from the first LU carry it to tolerance with fewer factorizations
+    mesh = Mesh(2.0, 16, 3)
+    prob = scalar_problem(mesh, lambda t, s, p: -s[0] ** 3,
+                          (value_bc(0, 0, 0.0, 1.0),))
+    guess = PiecewiseSolution.from_callables(
+        mesh, [lambda t: 1.0 / np.sqrt(1.0 + 2.0 * t) + 0.01 * t],
+        (Extension.interior_only(),))
+    sols, _, rep = solve_newton(prob, [guess], [])
+    assert rep.converged and rep.residual_norm <= 1e-10
+    assert rep.factorizations < rep.iterations
+    exact = 1.0 / np.sqrt(1.0 + 2.0 * mesh.knots)
+    assert np.max(np.abs(sols[0].eval(mesh.knots, 0) - exact)) < 1e-6
