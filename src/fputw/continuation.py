@@ -6,7 +6,12 @@ the step is halved (up to the configured budget) and then the driver is
 switched to the free scalar that moved most over the last accepted step,
 which is how fold points are passed.  A fold is recorded when the previously
 driven scalar reverses direction after such a switch; sign changes of the
-ripple amplitude alpha_P are marked for solitary-wave seeding.
+ripple amplitude alpha_P are marked for solitary-wave seeding.  A halving
+that leaves the attempted driver value unchanged (a step clamped to the
+target) is not re-solved: the solve is deterministic and would fail again, so
+the step keeps halving until the value moves.  Every accepted point, failed
+solve, halving, switch, fold and the termination is logged in
+``Branch.events``.
 
 Solitary branches are found by bisecting a marked sign change in the driven
 parameter (beta_P still free), freezing beta_P = 0, and continuing in kappa
@@ -15,6 +20,8 @@ with (sigma, mu) free.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,11 +62,39 @@ class BranchPoint:
                 self.fixed_param, self.newton_iters, self.resid)
 
 
+EVENT_KINDS = ("accepted", "failed", "halved", "switch", "fold", "terminated")
+
+
+@dataclass(frozen=True)
+class BranchEvent:
+    """One step of a trace, in the order it happened.
+
+    ``value`` is the driver value solved for (accepted, failed), attempted
+    next (halved) or reached (switch, fold); ``step`` is the step size after
+    a halving or switch; ``residual`` and ``iterations`` come from the solve;
+    ``note`` holds the driver left by a switch or the termination reason.
+    """
+
+    kind: str
+    driver: str
+    value: float = math.nan
+    step: float = math.nan
+    residual: float = math.nan
+    iterations: int = 0
+    note: str = ""
+
+
 @dataclass
 class Branch:
     points: list[BranchPoint] = field(default_factory=list)
     waves: list[DiatomicWave] = field(default_factory=list)
     terminated_reason: str | None = None
+    events: list[BranchEvent] = field(default_factory=list)
+
+    def event_counts(self) -> dict[str, int]:
+        """Number of events of each kind (every kind listed)."""
+        seen = Counter(e.kind for e in self.events)
+        return {kind: seen[kind] for kind in EVENT_KINDS}
 
     @property
     def folds(self):
@@ -163,6 +198,9 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     pre_switch_incr: dict[str, float] = {}
     watch_fold: str | None = None
 
+    def event(kind, value=math.nan, **info):
+        branch.events.append(BranchEvent(kind, cur_driver, value, **info))
+
     def record(w: DiatomicWave, fold=False):
         pt = _point_from_wave(w)
         pt.fold = fold
@@ -174,19 +212,21 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
         if checkpoint_dir is not None:
             save_wave(w, Path(checkpoint_dir) / f"point{len(branch.points)-1:04d}.ckpt")
 
+    def attempt(h):
+        """Driver value of a step of size h from the current wave."""
+        if cur_driver != driver:
+            return _get_scalar(wave, cur_driver) + h
+        nxt = to_coord(_get_scalar(wave, driver)) + direction * h
+        overshoot = (nxt - target) * direction > 0
+        return from_coord(target if overshoot else nxt)
+
     record(wave)
     while len(branch.points) < max_points:
         # termination on target (in the original driver coordinate)
-        coord_now = to_coord(_get_scalar(wave, driver))
-        if (coord_now - target) * direction >= -1e-12:
+        if (to_coord(_get_scalar(wave, driver)) - target) * direction >= -1e-12:
             branch.terminated_reason = "target-reached"
             break
-        if cur_driver == driver:
-            nxt = coord_now + direction * h
-            overshoot = (nxt - target) * direction > 0
-            value = from_coord(target if overshoot else nxt)
-        else:
-            value = _get_scalar(wave, cur_driver) + h
+        value = attempt(h)
         guess = wave
         if prev_wave is not None and prev_wave.fixed_param == wave.fixed_param == cur_driver:
             d_last = _get_scalar(wave, cur_driver) - _get_scalar(prev_wave, cur_driver)
@@ -211,9 +251,18 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
         except ProblemSizeError:
             branch.terminated_reason = "size-cap"
             break
-        except NonConvergenceError:
-            if abs(h) > policy.floor():
+        except NonConvergenceError as exc:
+            event("failed", value, residual=exc.residual_norm,
+                  iterations=exc.iterations)
+            # Solves are deterministic and a failed one leaves the LU holder
+            # as it was, so retrying the same value (a step clamped to the
+            # target) would fail again: halve until the value moves.
+            failed = value
+            while abs(h) > policy.floor() and value == failed:
                 h *= 0.5
+                value = attempt(h)
+                event("halved", value, step=h)
+            if value != failed:
                 continue
             if not switchable or cur_driver == "kappa":
                 branch.terminated_reason = "step-floor"
@@ -224,18 +273,22 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
                 branch.terminated_reason = "step-floor"
                 break
             pre_switch_incr[cur_driver] = _last_increment(branch, cur_driver)
-            watch_fold = cur_driver
+            watch_fold = left = cur_driver
             cur_driver, h = cand
             policy = StepPolicy(abs(h) if h else policy.initial)
             h = h or policy.initial
+            event("switch", _get_scalar(wave, cur_driver), step=h, note=left)
             continue
         # accepted
+        event("accepted", value, residual=new.residual_norm,
+              iterations=new.iterations)
         fold = False
         if watch_fold is not None:
             incr = _get_scalar(new, watch_fold) - _get_scalar(wave, watch_fold)
             pre = pre_switch_incr.get(watch_fold, 0.0)
             if pre != 0.0 and incr * pre < 0.0:
                 fold = True
+                event("fold", _get_scalar(new, watch_fold), note=watch_fold)
                 watch_fold = None
         prev_wave, wave = wave, new
         record(wave, fold=fold)
@@ -243,10 +296,9 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             branch.terminated_reason = "stop-condition"
             break
         h = min(abs(h) * policy.growth, policy.initial)
-    else:
-        branch.terminated_reason = branch.terminated_reason or "max-points"
     if branch.terminated_reason is None:
         branch.terminated_reason = "max-points"
+    event("terminated", note=branch.terminated_reason)
     return branch
 
 

@@ -237,26 +237,69 @@ class Layout:
         return mask
 
 
-def _slot_structure(sol: PiecewiseSolution, pts: np.ndarray, comp: int):
-    """Resolve points through the policy; return eval structure.
+def _make_plan(sol: PiecewiseSolution, pts: np.ndarray, comp: int):
+    """Fold points through the component's policy into its mesh.
 
-    Returns (idx, s, sign, offset) so that the value is
-    ``sign * sum_j coeffs[comp, idx, j] s^j + offset``.
+    Returns ``(idx, s, sign, terms)``: the value at the points is
+    ``sign * sum_j coeffs[comp, idx, j] s^j + offset``, where the offset is
+    ``sol.fold_offset(comp, terms, s.shape)`` (zero unless the policy is
+    affine).
     """
-    q, sign, off = sol.resolve(pts, comp)
+    q, sign, terms = sol.fold(pts, comp)
     mesh = sol.mesh
     idx = np.clip((q / mesh.h).astype(int), 0, mesh.intervals - 1)
     s = q / mesh.h - idx
-    return idx, s, sign, off
+    return idx, s, sign, terms
 
 
-def _slot_values(sol: PiecewiseSolution, idx, s, sign, off, comp: int):
+def _plan_values(sol: PiecewiseSolution, plan, comp: int):
+    idx, s, sign, terms = plan
     c = sol.coeffs[comp]
     k = sol.mesh.gauss_order
     vals = np.zeros_like(s)
     for j in range(k, -1, -1):
         vals = vals * s + c[idx, j]
-    return sign * vals + off
+    return sign * vals + sol.fold_offset(comp, terms, s.shape)
+
+
+class _PlanCache:
+    """Evaluation plans of one assembler, keyed by slot or boundary probe.
+
+    A plan (see :func:`_make_plan`) depends only on the evaluation points and
+    on the component's :class:`Extension`, so it is kept while the points of
+    its key stay exactly equal, and components with equal policies share it.
+    Affine offsets are not part of a plan: ``left_offset`` is excluded from
+    policy equality and may depend on the free parameters, so it is
+    re-evaluated from the fold terms at every use.  Each key keeps its two
+    most recent point sets, so the shifted points of a finite-difference
+    parameter column (or of a rejected trial step) do not evict the plan of
+    the current iterate.
+    """
+
+    DEPTH = 2
+
+    def __init__(self):
+        self._entries: dict[object, list] = {}
+
+    def plans(self, key, pts: np.ndarray) -> dict:
+        """The per-policy plans of ``pts`` under ``key``."""
+        entries = self._entries.setdefault(key, [])
+        for i, (known, plans) in enumerate(entries):
+            if np.array_equal(known, pts):
+                if i:
+                    entries.insert(0, entries.pop(i))
+                return plans
+        entries.insert(0, (pts, {}))
+        del entries[self.DEPTH:]
+        return entries[0][1]
+
+    @staticmethod
+    def plan(plans: dict, sol: PiecewiseSolution, pts: np.ndarray, comp: int):
+        policy = sol.policies[comp]
+        plan = plans.get(policy)
+        if plan is None:
+            plan = plans[policy] = _make_plan(sol, pts, comp)
+        return plan
 
 
 class _Assembler:
@@ -268,6 +311,7 @@ class _Assembler:
         if self.layout.size > cfg.max_unknowns:
             raise ProblemSizeError(
                 f"{self.layout.size} unknowns exceed the cap {cfg.max_unknowns}")
+        self._plans = _PlanCache()
 
     # -- residual ---------------------------------------------------------
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -299,18 +343,19 @@ class _Assembler:
 
             # slot values (and structure for the jacobian chain)
             slot_vals = []
-            slot_struct = []
-            for slot in eq.slots:
+            slot_plans = []
+            for si, slot in enumerate(eq.slots):
                 src = sols[slot.block]
                 pts = tau if slot.locate is None else slot.locate(tau, params)
+                plans = self._plans.plans(("slot", b, si), pts)
                 vals = np.empty((src.ncomp, npts))
                 struct = []
                 for c in range(src.ncomp):
-                    idx, s, sign, off = _slot_structure(src, pts, c)
-                    vals[c] = _slot_values(src, idx, s, sign, off, c)
-                    struct.append((idx, s, sign))
+                    plan = self._plans.plan(plans, src, pts, c)
+                    vals[c] = _plan_values(src, plan, c)
+                    struct.append(plan)
                 slot_vals.append(vals)
-                slot_struct.append(struct)
+                slot_plans.append(struct)
 
             F = np.asarray(eq.rhs(tau, slot_vals, params))
             # own derivative values at the collocation points
@@ -345,7 +390,7 @@ class _Assembler:
                         sens = (F2 - F) / h  # (n, npts)
                         if not np.any(sens):
                             continue
-                        idx, s, sign = slot_struct[si][c]
+                        idx, s, sign, _ = slot_plans[si][c]
                         for ct in range(n):
                             row_ct = base_rows + ct
                             sc = sens[ct]
@@ -423,8 +468,10 @@ class _Assembler:
                 data = np.tile(mesh.h / (np.arange(k + 1) + 1.0), mesh.intervals)
             else:
                 pts = np.array([probe.tau])
-                idx, s, sign, off = _slot_structure(sol, pts, probe.comp)
-                vals[pi] = float(_slot_values(sol, idx, s, sign, off, probe.comp)[0])
+                plans = self._plans.plans(("probe", probe.block, probe.tau), pts)
+                plan = self._plans.plan(plans, sol, pts, probe.comp)
+                idx, s, sign, _ = plan
+                vals[pi] = float(_plan_values(sol, plan, probe.comp)[0])
                 cols = lay.coeff_index(probe.block, np.repeat(idx, k + 1),
                                        probe.comp, np.arange(k + 1))
                 data = sign[0] * s[0] ** np.arange(k + 1)

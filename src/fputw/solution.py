@@ -218,13 +218,25 @@ class PiecewiseSolution:
         Returns ``(q, sign, offset)`` such that u(tau) = sign * u(q) + offset
         with q inside the mesh.  ``sign`` is 0 where a zero rule applied.
         """
+        q, sign, terms = self.fold(tau, comp)
+        return q, sign, self.fold_offset(comp, terms, q.shape)
+
+    def fold(self, tau: np.ndarray, comp: int):
+        """Fold geometry of :meth:`resolve` without the affine offset.
+
+        Returns ``(q, sign, terms)``; ``terms`` lists ``(where, x, sign)`` for
+        every left fold through an affine rule, from which
+        :meth:`fold_offset` builds the offset.  The result depends only on
+        the points and the equality fields of the component's policy, never
+        on its ``left_offset``.
+        """
         ext = self.policies[comp]
         L = self.mesh.length
         x = np.array(tau, dtype=float, copy=True)
         sign = np.ones_like(x)
-        off = np.zeros_like(x)
+        terms = []
         if x.size == 0:
-            return x, sign, off
+            return x, sign, terms
         max_folds = int(np.max(np.abs(x)) / L) + 4
         for _ in range(max_folds):
             left = (x < 0.0) & (sign != 0.0)
@@ -236,11 +248,7 @@ class PiecewiseSolution:
                     raise ExtensionCoverageError(
                         f"component {comp} evaluated at tau < 0 without a left policy")
                 if ext.left == "affine":
-                    if ext.left_offset is None:
-                        raise ExtensionCoverageError(
-                            f"affine policy {ext.label!r} needs its offset rebound "
-                            "before exterior evaluation")
-                    off[left] += sign[left] * ext.left_offset(x[left])
+                    terms.append((left, x[left], sign[left]))
                 sign[left] *= ext.left_sign
                 x[left] = -x[left]
                 right = (x > L) & (sign != 0.0)
@@ -257,7 +265,20 @@ class PiecewiseSolution:
         else:
             if (((x < 0.0) | (x > L)) & (sign != 0.0)).any():
                 raise ExtensionCoverageError("extension folding did not terminate")
-        return x, sign, off
+        return x, sign, terms
+
+    def fold_offset(self, comp: int, terms, shape) -> np.ndarray:
+        """Affine offset of folded points: ``sum sign * left_offset(x)``
+        over the ``terms`` of :meth:`fold`, with this solution's policy."""
+        off = np.zeros(shape)
+        ext = self.policies[comp]
+        for where, x, sign in terms:
+            if ext.left_offset is None:
+                raise ExtensionCoverageError(
+                    f"affine policy {ext.label!r} needs its offset rebound "
+                    "before exterior evaluation")
+            off[where] += sign * ext.left_offset(x)
+        return off
 
     # -- evaluation ---------------------------------------------------------
     def _interior(self, q: np.ndarray, comp: int, deriv: int = 0) -> np.ndarray:
