@@ -45,11 +45,14 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def write_manifest(outdir: Path, subcommand: str, params: dict, files) -> None:
+def write_manifest(outdir: Path, subcommand: str, params: dict, files,
+                   events: dict[str, int] | None = None) -> None:
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}",
              f"subcommand {subcommand}"]
     for k in sorted(params):
         lines.append(f"param {k}={params[k]}")
+    for kind, count in (events or {}).items():
+        lines.append(f"events {kind}={count}")
     for f in sorted(files):
         digest = hashlib.sha256((outdir / f).read_bytes()).hexdigest()
         lines.append(f"file {f} sha256={digest}")
@@ -304,7 +307,7 @@ def cmd_branch(args) -> int:
     write_manifest(out, "branch",
                    {"kappa": args.kappa, "driver": args.driver, "to": args.to,
                     "step": args.step, "reason": branch.terminated_reason},
-                   files)
+                   files, continuation.event_counts(branch))
     print(f"{len(branch.points)} points, terminated: {branch.terminated_reason}; "
           f"folds at {branch.folds}, sign changes at {branch.sign_changes}")
     return 0
@@ -333,8 +336,11 @@ def cmd_solitary(args) -> int:
         name = f"solitary_{i:03d}.ckpt"
         diatomic.save_wave(w, out / name)
         files.append(name)
+    # events of the mu branch to the sign change and, with --scan-to, of the
+    # kappa continuation of the solitary wave
     write_manifest(out, "solitary",
-                   {"kappa": args.kappa, "mu_to": args.mu_to}, files)
+                   {"kappa": args.kappa, "mu_to": args.mu_to}, files,
+                   continuation.event_counts(branch, sol))
     p0 = sol.points[0]
     print(f"solitary at kappa={p0.kappa}: m={p0.m:.10g} sigma={p0.sigma:.10g}")
     return 0
@@ -353,19 +359,22 @@ def cmd_cross_section(args) -> int:
     mono_wave = monatomic.solve_profile(kap, mcfg)
     seed = diatomic.seed_from_monatomic(mono_wave, cfg)
     seed = diatomic.solve_wave(kap, "sigma", sigma, seed, cfg)
+    traces = []
     if args.from_ is not None and abs(args.from_ - kap) > 1e-9:
         lead = continuation.continue_branch(
             seed, "kappa", args.from_, args.step, cfg, fixed=("sigma", sigma))
         seed = lead.waves[-1]
+        traces.append(lead)
     branch = continuation.continue_branch(
         seed, "kappa", args.to, args.step, cfg, fixed=("sigma", sigma),
         keep_waves=False)
+    traces.append(branch)
     write_csv(out / "cross_section.csv", continuation.BRANCH_COLUMNS,
               [p.values() for p in branch.points])
     write_manifest(out, "cross-section",
                    {"sigma": sigma, "from": kap, "to": args.to,
                     "step": args.step, "reason": branch.terminated_reason},
-                   ["cross_section.csv"])
+                   ["cross_section.csv"], continuation.event_counts(*traces))
     print(f"{len(branch.points)} points, terminated: {branch.terminated_reason}")
     return 0
 

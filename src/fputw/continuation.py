@@ -91,11 +91,6 @@ class Branch:
     terminated_reason: str | None = None
     events: list[BranchEvent] = field(default_factory=list)
 
-    def event_counts(self) -> dict[str, int]:
-        """Number of events of each kind (every kind listed)."""
-        seen = Counter(e.kind for e in self.events)
-        return {kind: seen[kind] for kind in EVENT_KINDS}
-
     @property
     def folds(self):
         return [i for i, p in enumerate(self.points) if p.fold]
@@ -106,6 +101,13 @@ class Branch:
 
     def scalar(self, name: str) -> np.ndarray:
         return np.array([getattr(p, name) for p in self.points])
+
+
+def event_counts(*branches: Branch) -> dict[str, int]:
+    """Number of events of each kind over the given traces (every kind
+    listed, in ``EVENT_KINDS`` order)."""
+    seen = Counter(e.kind for b in branches for e in b.events)
+    return {kind: seen[kind] for kind in EVENT_KINDS}
 
 
 def _point_from_wave(w: DiatomicWave) -> BranchPoint:
@@ -227,8 +229,11 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             branch.terminated_reason = "target-reached"
             break
         value = attempt(h)
+        # the secant predictor needs the last two waves solved with the
+        # scalar this solve holds fixed (not kappa, for a kappa driver)
+        held = fixed[0] if cur_driver == "kappa" else cur_driver
         guess = wave
-        if prev_wave is not None and prev_wave.fixed_param == wave.fixed_param == cur_driver:
+        if prev_wave is not None and prev_wave.fixed_param == wave.fixed_param == held:
             d_last = _get_scalar(wave, cur_driver) - _get_scalar(prev_wave, cur_driver)
             if d_last != 0.0:
                 guess = _extrapolate(wave, prev_wave,
@@ -421,6 +426,7 @@ def find_solitary(branch: Branch, cfg: DiatomicConfig | None = None, *,
                               fixed=("beta_p", 0.0))
         out.points.extend(sub.points[1:])
         out.waves.extend(sub.waves[1:])
+        out.events = sub.events
         out.terminated_reason = sub.terminated_reason
     else:
         out.terminated_reason = "target-reached"

@@ -148,6 +148,21 @@ def test_branch_cli(tmp_path, mono_ckpt):
     assert "branch_ckpts/point0000.ckpt" in manifest
 
 
+def test_branch_manifest_counts_events(tmp_path, mono_ckpt):
+    code = cli.main(["branch", "--kappa", "1.0", "--driver", "mu", "--to", "0.1",
+                     "--step", "0.05", "--mesh", "256",
+                     "--seed-ckpt", str(mono_ckpt), "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    events = dict(ln.split(" ", 1)[1].split("=") for ln in lines
+                  if ln.startswith("events "))
+    assert events == {"accepted": "2", "failed": "0", "halved": "0",
+                      "switch": "0", "fold": "0", "terminated": "1"}
+    # the CSV carries no event data
+    header, _ = read_csv(tmp_path / "branch.csv")
+    assert header == list(cli.WAVE_COLUMNS)
+
+
 def test_solitary_cli(tmp_path, mono_ckpt):
     res = run_cli(["solitary", "--kappa", "2.5", "--mu-to", "2.3",
                    "--step", "0.1", "--mesh", "256",

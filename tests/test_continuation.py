@@ -190,3 +190,131 @@ def test_branch_point_values_schema():
     vals = p.values()
     assert len(vals) == 11
     assert vals[2] == pytest.approx(1.0 / 1.5)
+
+
+# ---------------------------------------------------------------------------
+# step halving, predictor and events on stubbed solves
+# ---------------------------------------------------------------------------
+
+TINY_CFG = di.DiatomicConfig(length=4.0, solitary_intervals=4,
+                             ripple_intervals=4, gauss_order=2)
+
+
+def _stub_wave(kappa, sigma, mu, fix):
+    return di.DiatomicWave(kappa, sigma, mu, 1e-3, 10.0, _dummy_solution(),
+                           _dummy_solution(), 1e-12, 2, fixed_param=fix)
+
+
+def _recording_solve(calls, fails):
+    """Stub solve_wave: records every call, raises when ``fails(kappa, fix,
+    value, guess)`` holds, otherwise returns a wave with mu = (kappa - 1)^2/2
+    on a kappa trace (sigma fixed) and sigma = 1.5 - mu^2 on a mu trace."""
+
+    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
+                   reuse=None):
+        calls.append((kappa, fix, value, guess.kappa, guess.sigma, guess.mu))
+        if fails(kappa, fix, value, guess):
+            raise NonConvergenceError("stub failure", 0.5, 25)
+        if fix == "sigma":
+            return _stub_wave(kappa, value, 0.5 * (kappa - 1.0) ** 2, fix)
+        return _stub_wave(kappa, 1.5 - value * value, value, fix)
+
+    return fake_solve
+
+
+def _no_repeated_solve(calls):
+    return all(a != b for a, b in zip(calls, calls[1:]))
+
+
+def test_clamped_failed_step_is_not_resolved(monkeypatch):
+    """A step clamped to the target fails; halvings that still clamp to the
+    target leave the attempted value unchanged and are not re-solved."""
+    import fputw.continuation as cont
+
+    calls = []
+    # a kappa step longer than 0.004 fails
+    monkeypatch.setattr(cont, "solve_wave", _recording_solve(
+        calls, lambda kappa, fix, value, guess: abs(kappa - guess.kappa) > 0.004))
+    k0 = 1.57059
+    seed = _stub_wave(k0, 1.1, 0.5 * (k0 - 1.0) ** 2, "sigma")
+    branch = cont.continue_branch(seed, "kappa", 1.565, 0.05, TINY_CFG,
+                                  fixed=("sigma", 1.1))
+    assert branch.terminated_reason == "target-reached"
+    assert _no_repeated_solve(calls)
+    # h = 0.05, 0.025, 0.0125, 0.00625 all clamp to 1.565; one solve for the
+    # four, then h = 0.003125 moves the value, then the regrown step lands
+    # on the target
+    k1 = k0 + -1.0 * 0.003125
+    assert [c[0] for c in calls] == [1.565, k1, 1.565]
+    assert [p.kappa for p in branch.points] == [k0, k1, 1.565]
+    kinds = [e.kind for e in branch.events]
+    assert kinds == ["failed"] + ["halved"] * 4 + ["accepted"] * 2 + ["terminated"]
+    failed = branch.events[0]
+    assert (failed.value, failed.residual, failed.iterations) == (1.565, 0.5, 25)
+    assert [e.step for e in branch.events[1:5]] == [0.025, 0.0125, 0.00625, 0.003125]
+    assert branch.events[-1].note == "target-reached"
+    assert cont.event_counts(branch) == {"accepted": 2, "failed": 1, "halved": 4,
+                                         "switch": 0, "fold": 0, "terminated": 1}
+
+
+def test_all_failing_kappa_trace_ends_at_step_floor(monkeypatch):
+    import fputw.continuation as cont
+
+    calls = []
+    monkeypatch.setattr(cont, "solve_wave",
+                        _recording_solve(calls, lambda *args: True))
+    seed = _stub_wave(1.57059, 1.1, 0.1, "sigma")
+    branch = cont.continue_branch(seed, "kappa", 1.565, 0.05, TINY_CFG,
+                                  fixed=("sigma", 1.1))
+    assert branch.terminated_reason == "step-floor"
+    assert len(branch.points) == 1
+    assert _no_repeated_solve(calls)
+    # the target, then h = 0.05/16, 0.05/32 and the floor 0.05/64
+    assert len(calls) == 4
+    assert [e.kind for e in branch.events].count("failed") == 4
+
+
+def test_all_failing_mu_steps_switch_driver(monkeypatch):
+    import fputw.continuation as cont
+
+    calls = []
+    monkeypatch.setattr(cont, "solve_wave", _recording_solve(
+        calls, lambda kappa, fix, value, guess: fix == "mu" and value > 0.2 + 1e-12))
+    seed = _stub_wave(1.0, 1.5, 0.0, "mu")
+    branch = cont.continue_branch(seed, "mu", 0.25, 0.1, TINY_CFG,
+                                  max_points=5)
+    assert _no_repeated_solve(calls)
+    mu_calls = [c[2] for c in calls if c[1] == "mu"]
+    # 0.1 and 0.2 converge; 0.25 (clamped) fails and its first halving
+    # still clamps to 0.25, so the next solve is at 0.225
+    assert mu_calls[:4] == [0.1, 0.2, 0.25, 0.225]
+    switches = [e for e in branch.events if e.kind == "switch"]
+    assert len(switches) == 1
+    assert switches[0].note == "mu" and switches[0].driver == "sigma"
+    assert calls[len(mu_calls)][1] == "sigma"     # first solve after the switch
+    assert branch.points[-1].fixed_param == "sigma"
+
+
+def test_kappa_trace_uses_secant_predictor(monkeypatch):
+    """On a kappa trace every solve holds sigma fixed, so once two points
+    are known the next guess is the secant extrapolation in kappa."""
+    import fputw.continuation as cont
+
+    calls = []
+    monkeypatch.setattr(cont, "solve_wave",
+                        _recording_solve(calls, lambda *args: False))
+    k0 = 1.5
+    seed = _stub_wave(k0, 1.1, 0.5 * (k0 - 1.0) ** 2, "sigma")
+    branch = cont.continue_branch(seed, "kappa", 1.2, 0.1, TINY_CFG,
+                                  fixed=("sigma", 1.1))
+    assert branch.terminated_reason == "target-reached"
+    assert len(calls) == 3
+    # first solve: no previous point, the guess is the seed itself
+    assert calls[0][5] == seed.mu
+    for n in (1, 2):
+        prev, last = branch.points[n - 1], branch.points[n]
+        r = (calls[n][0] - last.kappa) / (last.kappa - prev.kappa)
+        guess_mu = calls[n][5]
+        assert guess_mu != last.mu
+        assert guess_mu == pytest.approx(last.mu + r * (last.mu - prev.mu),
+                                         rel=1e-12)

@@ -283,3 +283,99 @@ def test_chord_steps_reuse_one_factorization():
     assert rep.factorizations < rep.iterations
     exact = 1.0 / np.sqrt(1.0 + 2.0 * mesh.knots)
     assert np.max(np.abs(sols[0].eval(mesh.knots, 0) - exact)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# evaluation-plan cache of the assembler
+# ---------------------------------------------------------------------------
+
+def _mixed_state(rng, params=(1.3, 1.1)):
+    from fputw.mfde import _Assembler
+    mesh, pol, prob = mixed_problem()
+    cand = PiecewiseSolution(mesh, 0.1 * rng.standard_normal((2, 6, 3)), pol(None))
+    asm = _Assembler(prob, NewtonConfig())
+    return prob, asm, asm.layout.pack([cand], np.array(params))
+
+
+def _fresh(prob):
+    from fputw.mfde import _Assembler
+    return _Assembler(prob, NewtonConfig())
+
+
+def test_plan_cache_hit_is_bitwise_fresh(rng):
+    prob, asm, x = _mixed_state(rng)
+    r_first = asm.residual(x)
+    _, J_first = asm.jacobian(x)
+    r_hit = asm.residual(x)
+    _, J_hit = asm.jacobian(x)
+    r_new = _fresh(prob).residual(x)
+    _, J_new = _fresh(prob).jacobian(x)
+    assert np.array_equal(r_first, r_new) and np.array_equal(r_hit, r_new)
+    assert np.array_equal(J_first.toarray(), J_new.toarray())
+    assert np.array_equal(J_hit.toarray(), J_new.toarray())
+
+
+def test_plan_follows_parameter_dependent_shift(rng):
+    # slots 1 and 2 are shifted by 0.7 * p[1]: a new p[1] needs a new plan
+    prob, asm, x = _mixed_state(rng)
+    r_old = asm.residual(x)
+    x2 = x.copy()
+    x2[-1] += 0.05
+    r_cached = asm.residual(x2)
+    assert np.array_equal(r_cached, _fresh(prob).residual(x2))
+    assert not np.array_equal(r_cached, r_old)
+    # and the first point set is still served exactly
+    assert np.array_equal(asm.residual(x), r_old)
+
+
+def test_plans_shared_and_kept_across_parameter_columns(rng, monkeypatch):
+    import fputw.mfde as mfde
+    made = []
+    make_plan = mfde._make_plan
+
+    def counting(sol, pts, comp):
+        made.append(comp)
+        return make_plan(sol, pts, comp)
+
+    monkeypatch.setattr(mfde, "_make_plan", counting)
+    mesh = Mesh(3.0, 6, 2)
+    pol = lambda p: (Extension.even_zero(),) * 2
+    blk = FunctionBlockSpec("v", mesh, 2, pol)
+    eq = EquationBlock(0, (SlotSpec(0), SlotSpec(0, lambda t, p: t + p[0])),
+                       lambda t, s, p: np.stack([s[0][1], -s[1][0]]))
+    bcs = (value_bc(0, 0, 0.0, 1.0), value_bc(0, 1, 0.0, 0.0),
+           value_bc(0, 0, 3.0, 0.0))
+    prob = MfdeProblem((blk,), (eq,), 1, bcs)
+    cand = PiecewiseSolution(mesh, 0.1 * rng.standard_normal((2, 6, 3)), pol(None))
+    asm = mfde._Assembler(prob, NewtonConfig())
+    x = asm.layout.pack([cand], [0.5])
+    asm.residual(x)
+    # one plan per slot (shared by both components) and per probe point
+    assert len(made) == 2 + 2
+    asm.jacobian(x)     # the p[0] column shifts slot 1 once more
+    assert len(made) == 2 + 2 + 1
+    asm.residual(x)     # the unperturbed plans survived that column
+    assert len(made) == 5
+
+
+def test_jost_affine_plan_picks_up_new_offsets():
+    from fputw import monatomic as mono
+    from fputw.mfde import _Assembler
+    cfg = mono.MonatomicConfig(length=8.0, intervals=32)
+    prob = mono.joint_problem(1.0, cfg)
+    mesh = cfg.mesh
+    sol = PiecewiseSolution.from_callables(
+        mesh, [lambda t: 0.125 / np.cosh(t) ** 2, lambda t: -0.25 * np.tanh(t) / np.cosh(t) ** 2,
+               lambda t: t * np.exp(-t), lambda t: (1.0 - t) * np.exp(-t)],
+        (Extension.even_zero(),) * 4)
+    asm = _Assembler(prob, NewtonConfig())
+    x = asm.layout.pack([sol], [1.05, 0.8, 0.3])
+    r_a = asm.residual(x)
+    # psi and theta change only the affine offsets of the Jost components,
+    # not the fold geometry, so the cached plans are reused with new offsets
+    x2 = x.copy()
+    x2[-2:] = [0.6, 0.4]
+    r_b = asm.residual(x2)
+    assert np.array_equal(r_b, _Assembler(prob, NewtonConfig()).residual(x2))
+    assert not np.array_equal(r_a, r_b)
+    assert np.array_equal(asm.residual(x), r_a)
