@@ -37,6 +37,13 @@ Newton step is taken.  A :class:`FactorCache` carries the last converged
 factorization from one solve to the next, so a continuation that solves a
 sequence of nearby systems factorizes only when the frozen LU stops
 contracting.  The convergence test is always on the true residual.
+
+Each assembler (one per :func:`solve_newton` call) caches evaluation plans:
+for every slot and boundary probe, where its points fold into the mesh under
+each extension policy.  Plans depend only on the points and the policy, so
+constant shifts are folded once per solve, parameter-dependent shifts again
+only when their points change, and components with equal policies share one
+plan.  Affine offsets are not cached; they are re-evaluated at every use.
 """
 
 from __future__ import annotations
@@ -341,7 +348,7 @@ class _Assembler:
             npts = tau.size
             n = blk.ncomp
 
-            # slot values (and structure for the jacobian chain)
+            # slot values (and plans for the jacobian chain)
             slot_vals = []
             slot_plans = []
             for si, slot in enumerate(eq.slots):
@@ -349,13 +356,13 @@ class _Assembler:
                 pts = tau if slot.locate is None else slot.locate(tau, params)
                 plans = self._plans.plans(("slot", b, si), pts)
                 vals = np.empty((src.ncomp, npts))
-                struct = []
+                comp_plans = []
                 for c in range(src.ncomp):
                     plan = self._plans.plan(plans, src, pts, c)
                     vals[c] = _plan_values(src, plan, c)
-                    struct.append(plan)
+                    comp_plans.append(plan)
                 slot_vals.append(vals)
-                slot_plans.append(struct)
+                slot_plans.append(comp_plans)
 
             F = np.asarray(eq.rhs(tau, slot_vals, params))
             # own derivative values at the collocation points
