@@ -7,9 +7,11 @@ temporary name and renamed into place, so an interrupted run never leaves a
 truncated output.  Exit codes: 0 success, 1 numerical failure
 (machine-readable reason on stderr), 2 usage errors.
 
-Options may come from a flat key-value config file with one section per
-subcommand (``--config``); command-line flags override file values, and the
-environment variable FPUTW_OUT overrides ``--out``.
+Any option may also come from a flat key-value config file (``--config``)
+with a [global] section and one section per subcommand; a key is the option
+name without its dashes, and a flag is written ``key = true``.  Command-line
+flags override file values, and the environment variable FPUTW_OUT overrides
+``--out``.
 """
 
 from __future__ import annotations
@@ -78,40 +80,31 @@ def read_config(path) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _subcommand_actions(parser: argparse.ArgumentParser, command: str):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]._actions
-    return []
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if not getattr(args, "config", None):
-        return args
-    sections = read_config(args.config)
-    merged = {}
-    merged.update(sections.get("global", {}))
-    merged.update(sections.get(args.command, {}))
-    actions = _subcommand_actions(parser, args.command)
-    for key, val in merged.items():
-        attr = key.replace("-", "_")
-        if attr == "from":
-            attr = "from_"
-        if not hasattr(args, attr):
-            raise ValueError(f"unknown config key {key!r} for {args.command}")
-        if getattr(args, attr) is None:
-            for action in actions:
-                if action.dest == attr and action.type is not None:
-                    val = action.type(val)
-                    break
-            setattr(args, attr, val)
-    return args
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` (subcommand first) with the [global] and [<subcommand>]
+    entries of its ``--config`` file inserted after the subcommand as
+    ``--key=value`` flags (``key = true`` gives the bare ``--key``), so
+    argparse types and checks them like any flag and later flags win."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        path = None         # the full parser reports the malformed flag
+    if path is None:
+        return argv
+    sections = read_config(path)
+    entries = {**sections.get("global", {}), **sections.get(argv[0], {})}
+    return argv[:1] + [f"--{key}" if val == "true" else f"--{key}={val}"
+                       for key, val in entries.items()] + argv[1:]
 
 
 def _resolve_mu(args) -> float | None:
     if getattr(args, "mu", None) is not None and getattr(args, "m", None) is not None:
         raise ValueError("give exactly one of --mu / --m")
     if getattr(args, "mu", None) is not None:
+        if args.mu <= -1:
+            raise ValueError("--mu must exceed -1 (mass m = 1/(1+mu) > 0)")
         return args.mu
     if getattr(args, "m", None) is not None:
         if args.m <= 0:
@@ -127,12 +120,17 @@ def _outdir(args) -> Path:
     return path
 
 
+def _given(args, **options) -> dict:
+    """``{name: args.<option>}`` for the options given on the command line
+    or in the config file, so each default lives only with its callee."""
+    return {name: getattr(args, opt) for name, opt in options.items()
+            if getattr(args, opt) is not None}
+
+
 def _dia_config(args) -> diatomic.DiatomicConfig:
-    return diatomic.DiatomicConfig(
-        length=args.L if args.L is not None else 32.0,
-        solitary_intervals=args.mesh if args.mesh is not None else 512,
-        ripple_intervals=args.ripple_mesh if args.ripple_mesh is not None else 32,
-        gauss_order=args.gauss if args.gauss is not None else 3)
+    return diatomic.DiatomicConfig(**_given(
+        args, length="L", solitary_intervals="mesh",
+        ripple_intervals="ripple_mesh", gauss_order="gauss"))
 
 
 def _mono_config(args) -> monatomic.MonatomicConfig:
@@ -151,20 +149,33 @@ def _parse_fix(text: str) -> tuple[str, float]:
     return name, float(val)
 
 
-def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
-    """Seed from a diatomic checkpoint, a monatomic checkpoint, or 'auto'."""
-    if path is None or path == "auto":
-        mono_wave = monatomic.solve_profile(kappa, cfg.monatomic())
-        return diatomic.seed_from_monatomic(mono_wave, cfg)
-    ck = checkpoint.read(path)
-    if ck.kind == "diatomic-wave":
+def _load_wave(path):
+    """The traveling wave of a diatomic-wave, monatomic-wave or
+    monatomic-joint checkpoint."""
+    kind = checkpoint.read(path).kind
+    if kind == "diatomic-wave":
         return diatomic.load_wave(path)
-    if ck.kind == "monatomic-wave":
-        return diatomic.seed_from_monatomic(monatomic.load_wave(path), cfg)
-    if ck.kind == "monatomic-joint":
-        wave, _ = monatomic.load_joint(path)
-        return diatomic.seed_from_monatomic(wave, cfg)
-    raise ValueError(f"cannot seed a wave from checkpoint kind {ck.kind!r}")
+    if kind == "monatomic-wave":
+        return monatomic.load_wave(path)
+    if kind == "monatomic-joint":
+        return monatomic.load_joint(path)[0]
+    raise ValueError(f"checkpoint kind {kind!r} holds no traveling wave")
+
+
+def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
+    """Seed from a diatomic checkpoint, a monatomic checkpoint, or 'auto'.
+    A checkpoint seed must be at ``kappa``."""
+    if path is None or path == "auto":
+        wave = monatomic.solve_profile(kappa, cfg.monatomic())
+    else:
+        wave = _load_wave(path)
+        # continuation leaves kappas a few ulps off the typed decimal
+        if abs(wave.kappa - kappa) > 1e-9 * max(1.0, abs(kappa)):
+            raise ValueError(f"seed checkpoint is at kappa={wave.kappa!r}, "
+                             f"not --kappa {kappa!r}")
+    if isinstance(wave, diatomic.DiatomicWave):
+        return wave
+    return diatomic.seed_from_monatomic(wave, cfg)
 
 
 WAVE_COLUMNS = continuation.BRANCH_COLUMNS
@@ -398,23 +409,13 @@ def _load_lattice_ic(args) -> lattice.LatticeState:
     path = args.ic
     if path is None:
         raise ValueError("simulate needs --ic (checkpoint or two-column text)")
-    n = args.sites if args.sites is not None else 400
-    peak = args.peak_site if args.peak_site is not None else 200
     try:
-        ck = checkpoint.read(path)
+        checkpoint.read(path)
     except FputwError:
-        ck = None
-    if ck is not None:
-        if ck.kind == "diatomic-wave":
-            return lattice.sample_initial_condition(diatomic.load_wave(path),
-                                                    peak_site=peak, n=n)
-        if ck.kind == "monatomic-wave":
-            return lattice.sample_initial_condition(monatomic.load_wave(path),
-                                                    peak_site=peak, n=n)
-        if ck.kind == "monatomic-joint":
-            wave, _ = monatomic.load_joint(path)
-            return lattice.sample_initial_condition(wave, peak_site=peak, n=n)
-        raise ValueError(f"cannot build an initial condition from {ck.kind!r}")
+        pass
+    else:
+        return lattice.sample_initial_condition(
+            _load_wave(path), **_given(args, peak_site="peak_site", n="sites"))
     # plain text: 2N rows of "site value", r block then p block
     data = np.loadtxt(path)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] % 2:
@@ -429,10 +430,8 @@ def _load_lattice_ic(args) -> lattice.LatticeState:
 def cmd_simulate(args) -> int:
     out = _outdir(args)
     state = _load_lattice_ic(args)
-    cfg = lattice.SimConfig(
-        dt=args.dt if args.dt is not None else 1e-3,
-        horizon=args.T if args.T is not None else 5000.0,
-        recenter_period=args.recenter_period if args.recenter_period is not None else 60.0)
+    cfg = lattice.SimConfig(**_given(args, dt="dt", horizon="T",
+                                     recenter_period="recenter_period"))
     series = lattice.run_simulation(state, cfg)
     rows = zip(series.times, series.energy_full, series.energy_core,
                series.gamma_core, series.a_out, series.shift_total,
@@ -577,9 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _apply_config(args, parser)
+        args = parser.parse_args(_with_config(argv))
         return args.func(args)
     except FputwError as exc:
         print(f"FPUTW-ERROR kind={type(exc).__name__} message={exc}",

@@ -2,11 +2,13 @@
 
 A branch fixes kappa and traces the one-parameter family of waves by stepping
 one scalar (the driver) and solving with it held fixed.  On Newton failure
-the step is halved (up to the configured budget) and then the driver is
-switched to the free scalar that moved most over the last accepted step,
-which is how fold points are passed.  A fold is recorded when the previously
-driven scalar reverses direction after such a switch; sign changes of the
-ripple amplitude alpha_P are marked for solitary-wave seeding.  A halving
+the step is halved (down to ``MIN_STEP_FACTOR`` of its largest size) and
+then the driver is switched to the free scalar that moved most over the last
+accepted step, which is how fold points are passed; that scalar is then
+stepped in the direction in which it was moving.  A fold is recorded when the
+previously driven scalar reverses direction after such a switch; sign
+changes of the ripple amplitude alpha_P are marked for solitary-wave
+seeding.  A halving
 that leaves the attempted driver value unchanged (a step clamped to the
 target) is not re-solved: the solve is deterministic and would fail again, so
 the step keeps halving until the value moves.  Every accepted point, failed
@@ -32,6 +34,11 @@ from .diatomic import (DiatomicConfig, DiatomicWave, SCALAR_NAMES,
 from .errors import FputwError, NonConvergenceError, ProblemSizeError
 from .mfde import FactorCache
 from .solution import PiecewiseSolution
+
+# Step control: a failed solve halves the step down to MIN_STEP_FACTOR times
+# the largest step, an accepted one regrows it by STEP_GROWTH up to that size.
+MIN_STEP_FACTOR = 2.0 ** -6
+STEP_GROWTH = 1.3
 
 BRANCH_COLUMNS = ("kappa", "sigma", "m", "mu", "beta_P", "omega_P", "alpha_P",
                   "class", "fixed_param", "newton_iters", "resid")
@@ -144,18 +151,6 @@ def _extrapolate(last: DiatomicWave, prev: DiatomicWave, r: float) -> DiatomicWa
                         last.residual_norm, 0, last.fixed_param)
 
 
-@dataclass
-class StepPolicy:
-    """Adaptive step control: halve on failure, regrow on success."""
-
-    initial: float
-    min_factor: float = 2.0 ** -6
-    growth: float = 1.3
-
-    def floor(self) -> float:
-        return abs(self.initial) * self.min_factor
-
-
 def continue_branch(seed: DiatomicWave, driver: str, target: float,
                     step: float, cfg: DiatomicConfig | None = None, *,
                     fixed: tuple[str, float] | None = None,
@@ -194,8 +189,7 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     cur_driver = driver
     coord = to_coord(_get_scalar(seed, driver))
     direction = np.sign(target - coord) or 1.0
-    policy = StepPolicy(abs(step))
-    h = abs(step)
+    h = h_max = abs(step)
     # bookkeeping for fold detection after driver switches
     pre_switch_incr: dict[str, float] = {}
     watch_fold: str | None = None
@@ -263,7 +257,7 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             # as it was, so retrying the same value (a step clamped to the
             # target) would fail again: halve until the value moves.
             failed = value
-            while abs(h) > policy.floor() and value == failed:
+            while abs(h) > h_max * MIN_STEP_FACTOR and value == failed:
                 h *= 0.5
                 value = attempt(h)
                 event("halved", value, step=h)
@@ -279,9 +273,8 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
                 break
             pre_switch_incr[cur_driver] = _last_increment(branch, cur_driver)
             watch_fold = left = cur_driver
-            cur_driver, h = cand
-            policy = StepPolicy(abs(h) if h else policy.initial)
-            h = h or policy.initial
+            cur_driver, h = cand    # signed: the scalar keeps its direction
+            h_max = abs(h)
             event("switch", _get_scalar(wave, cur_driver), step=h, note=left)
             continue
         # accepted
@@ -300,7 +293,7 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
         if stop_when is not None and stop_when(branch.points[-1]):
             branch.terminated_reason = "stop-condition"
             break
-        h = min(abs(h) * policy.growth, policy.initial)
+        h = math.copysign(min(abs(h) * STEP_GROWTH, h_max), h)
     if branch.terminated_reason is None:
         branch.terminated_reason = "max-points"
     event("terminated", note=branch.terminated_reason)

@@ -62,7 +62,6 @@ class SimConfig:
     dt: float = 1e-3
     horizon: float = 5000.0
     recenter_period: float = 60.0
-    core_halfwidth: int = 20
     drift_threshold: float = 1e-5
     sample_stride: float = 1.0
     baseline_time: float = 100.0
@@ -79,9 +78,8 @@ def spring_force(r):
     return r + r * r
 
 
-def rhs(state: LatticeState):
+def _rhs(r, p, inv_mass):
     """Time derivatives (dr, dp) with zero ghost values at both ends."""
-    r, p = state.r, state.p
     dr = np.empty_like(r)
     dr[:-1] = p[1:] - p[:-1]
     dr[-1] = -p[-1]
@@ -89,42 +87,38 @@ def rhs(state: LatticeState):
     dp = np.empty_like(p)
     dp[0] = F[0]
     dp[1:] = F[1:] - F[:-1]
-    dp /= state.masses
-    return dr, dp
-
-
-def _rhs_arrays(r, p, inv_mass):
-    dr = np.empty_like(r)
-    dr[:-1] = p[1:] - p[:-1]
-    dr[-1] = -p[-1]
-    F = r + r * r
-    dp = np.empty_like(p)
-    dp[0] = F[0]
-    dp[1:] = F[1:] - F[:-1]
     dp *= inv_mass
     return dr, dp
+
+
+def _rk4(r, p, inv_mass, dt, steps, t):
+    """``steps`` classical RK4 steps of size dt from time t; raises
+    :class:`NonFiniteStateError` when the result is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1r, k1p = _rhs(r, p, inv_mass)
+            k2r, k2p = _rhs(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p, inv_mass)
+            k3r, k3p = _rhs(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p, inv_mass)
+            k4r, k4p = _rhs(r + dt * k3r, p + dt * k3p, inv_mass)
+            r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
+        raise NonFiniteStateError(f"state became non-finite between t={t} "
+                                  f"and t={t + steps * dt}")
+    return r, p
+
+
+def rhs(state: LatticeState):
+    """Time derivatives (dr, dp) of a state."""
+    return _rhs(state.r, state.p, 1.0 / state.masses)
 
 
 def rk4_step(state: LatticeState, dt: float) -> LatticeState:
     """One classical fourth-order Runge-Kutta step."""
     if dt > DT_CAP:
         raise ValueError(f"dt={dt} exceeds the cap {DT_CAP}")
-    inv_mass = 1.0 / state.masses
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, p = _rk4_arrays(state.r, state.p, inv_mass, dt)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
-        raise NonFiniteStateError(f"state became non-finite at t={state.t + dt}")
+    r, p = _rk4(state.r, state.p, 1.0 / state.masses, dt, 1, state.t)
     return LatticeState(r, p, state.mass_ratio, state.t + dt)
-
-
-def _rk4_arrays(r, p, inv_mass, dt):
-    k1r, k1p = _rhs_arrays(r, p, inv_mass)
-    k2r, k2p = _rhs_arrays(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p, inv_mass)
-    k3r, k3p = _rhs_arrays(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p, inv_mass)
-    k4r, k4p = _rhs_arrays(r + dt * k3r, p + dt * k3p, inv_mass)
-    rn = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    pn = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return rn, pn
 
 
 def energy(state: LatticeState, sites=None) -> float:
@@ -206,7 +200,7 @@ class DiagnosticSeries:
         all-zero diagnostics; otherwise gamma stays deferred (NaN) until the
         baseline sample exists."""
         e_full = energy(state)
-        core = core_window(state, cfg.core_halfwidth) if np.any(state.r) else None
+        core = core_window(state) if np.any(state.r) else None
         e_core = energy(state, core) if core is not None else 0.0
         if self.baseline is None and state.t >= cfg.baseline_time and core is not None:
             self.baseline = e_core
@@ -251,11 +245,7 @@ def run_simulation(state: LatticeState, cfg: SimConfig | None = None) -> Diagnos
     e_segment = energy(state)
     series.update(state, cfg, total_shift)
     for s in range(1, n_samples + 1):
-        r, p = state.r, state.p
-        for _ in range(steps_per_sample):
-            r, p = _rk4_arrays(r, p, inv_mass, cfg.dt)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
-            raise NonFiniteStateError(f"integration blew up near t={state.t}")
+        r, p = _rk4(state.r, state.p, inv_mass, cfg.dt, steps_per_sample, state.t)
         state = LatticeState(r, p, state.mass_ratio,
                              round(state.t + cfg.sample_stride, 12))
         alarm = False

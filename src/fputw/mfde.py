@@ -59,7 +59,12 @@ from .errors import (BoundaryCountError, FputwError, NonConvergenceError,
                      ProblemSizeError, SingularJacobianError)
 from .solution import Extension, Mesh, PiecewiseSolution
 
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+# Relative finite-difference step of the slot, boundary and parameter
+# Jacobian entries (and of the dense oracle).
+FD_STEP = float(np.sqrt(np.finfo(float).eps))
+
+# Step halvings a damped Newton step tries before taking its best trial.
+MAX_HALVINGS = 6
 
 # A chord step from a frozen LU is kept only if it cuts the max-norm residual
 # to at most this fraction; a weaker contraction triggers a refactorization.
@@ -159,8 +164,6 @@ class MfdeProblem:
 class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 25
-    fd_step: float = _SQRT_EPS
-    max_halvings: int = 6
     max_unknowns: int = 30_000
 
 
@@ -244,37 +247,13 @@ class Layout:
         return mask
 
 
-def _make_plan(sol: PiecewiseSolution, pts: np.ndarray, comp: int):
-    """Fold points through the component's policy into its mesh.
-
-    Returns ``(idx, s, sign, terms)``: the value at the points is
-    ``sign * sum_j coeffs[comp, idx, j] s^j + offset``, where the offset is
-    ``sol.fold_offset(comp, terms, s.shape)`` (zero unless the policy is
-    affine).
-    """
-    q, sign, terms = sol.fold(pts, comp)
-    mesh = sol.mesh
-    idx = np.clip((q / mesh.h).astype(int), 0, mesh.intervals - 1)
-    s = q / mesh.h - idx
-    return idx, s, sign, terms
-
-
-def _plan_values(sol: PiecewiseSolution, plan, comp: int):
-    idx, s, sign, terms = plan
-    c = sol.coeffs[comp]
-    k = sol.mesh.gauss_order
-    vals = np.zeros_like(s)
-    for j in range(k, -1, -1):
-        vals = vals * s + c[idx, j]
-    return sign * vals + sol.fold_offset(comp, terms, s.shape)
-
-
 class _PlanCache:
     """Evaluation plans of one assembler, keyed by slot or boundary probe.
 
-    A plan (see :func:`_make_plan`) depends only on the evaluation points and
-    on the component's :class:`Extension`, so it is kept while the points of
-    its key stay exactly equal, and components with equal policies share it.
+    A plan (see :meth:`PiecewiseSolution.plan`) depends only on the
+    evaluation points and on the component's :class:`Extension`, so it is
+    kept while the points of its key stay exactly equal, and components with
+    equal policies share it.
     Affine offsets are not part of a plan: ``left_offset`` is excluded from
     policy equality and may depend on the free parameters, so it is
     re-evaluated from the fold terms at every use.  Each key keeps its two
@@ -305,7 +284,7 @@ class _PlanCache:
         policy = sol.policies[comp]
         plan = plans.get(policy)
         if plan is None:
-            plan = plans[policy] = _make_plan(sol, pts, comp)
+            plan = plans[policy] = sol.plan(pts, comp)
         return plan
 
 
@@ -359,7 +338,7 @@ class _Assembler:
                 comp_plans = []
                 for c in range(src.ncomp):
                     plan = self._plans.plan(plans, src, pts, c)
-                    vals[c] = _plan_values(src, plan, c)
+                    vals[c] = src.plan_values(plan, c)
                     comp_plans.append(plan)
                 slot_vals.append(vals)
                 slot_plans.append(comp_plans)
@@ -389,7 +368,7 @@ class _Assembler:
                     src_n = prob.blocks[slot.block].ncomp
                     for c in range(src_n):
                         u = slot_vals[si][c]
-                        h = self.cfg.fd_step * np.maximum(1.0, np.abs(u))
+                        h = FD_STEP * np.maximum(1.0, np.abs(u))
                         pert = [v.copy() if t == si else v for t, v in enumerate(slot_vals)]
                         pert[si] = slot_vals[si].copy()
                         pert[si][c] = u + h
@@ -432,7 +411,7 @@ class _Assembler:
             r[row] = g
             if want_jac:
                 for pi, (probe, vstruct) in enumerate(zip(bc.probes, structs)):
-                    hv = self.cfg.fd_step * max(1.0, abs(vals[pi]))
+                    hv = FD_STEP * max(1.0, abs(vals[pi]))
                     v2 = vals.copy()
                     v2[pi] += hv
                     dg = (float(bc.func(v2, params)) - g) / hv
@@ -446,7 +425,7 @@ class _Assembler:
 
         # free-parameter columns by finite differences of the full residual
         for pj in range(prob.nparams):
-            hp = self.cfg.fd_step * max(1.0, abs(x[lay.param_offset + pj]))
+            hp = FD_STEP * max(1.0, abs(x[lay.param_offset + pj]))
             xp = x.copy()
             xp[lay.param_offset + pj] += hp
             rp = self._assemble(xp, want_jac=False)[0]
@@ -478,7 +457,7 @@ class _Assembler:
                 plans = self._plans.plans(("probe", probe.block, probe.tau), pts)
                 plan = self._plans.plan(plans, sol, pts, probe.comp)
                 idx, s, sign, _ = plan
-                vals[pi] = float(_plan_values(sol, plan, probe.comp)[0])
+                vals[pi] = float(sol.plan_values(plan, probe.comp)[0])
                 cols = lay.coeff_index(probe.block, np.repeat(idx, k + 1),
                                        probe.comp, np.arange(k + 1))
                 data = sign[0] * s[0] ** np.arange(k + 1)
@@ -554,7 +533,7 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
             raise SingularJacobianError("linear solve produced non-finite step")
         lam = 1.0
         best = None
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = _try_step(asm, x, lam * step)
             if trial is None:
                 # step left the admissible parameter range; retry shorter
@@ -597,7 +576,7 @@ def fd_jacobian(problem: MfdeProblem, solutions: Sequence[PiecewiseSolution],
                 params, cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
     """Dense column-by-column finite-difference Jacobian (test oracle).
 
-    Step per column: ``fd_step * max(1, |x_i|)``.  Intended for small
+    Step per column: ``FD_STEP * max(1, |x_i|)``.  Intended for small
     problems; cost is one residual evaluation per unknown.
     """
     asm = _Assembler(problem, cfg)
@@ -605,7 +584,7 @@ def fd_jacobian(problem: MfdeProblem, solutions: Sequence[PiecewiseSolution],
     r0 = asm.residual(x)
     J = np.empty((x.size, x.size))
     for i in range(x.size):
-        h = cfg.fd_step * max(1.0, abs(x[i]))
+        h = FD_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] += h
         J[:, i] = (asm.residual(xp) - r0) / h

@@ -15,6 +15,7 @@ several periods away fold back correctly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -65,11 +66,6 @@ class Mesh:
         """Gauss-Legendre nodes mapped to the unit interval (0, 1)."""
         x, _ = np.polynomial.legendre.leggauss(self.gauss_order)
         return 0.5 * (x + 1.0)
-
-    @cached_property
-    def gauss_weights(self) -> np.ndarray:
-        _, w = np.polynomial.legendre.leggauss(self.gauss_order)
-        return 0.5 * w
 
     @cached_property
     def collocation_points(self) -> np.ndarray:
@@ -208,27 +204,16 @@ class PiecewiseSolution:
     def copy(self) -> "PiecewiseSolution":
         return PiecewiseSolution(self.mesh, self.coeffs.copy(), self.policies)
 
-    def with_policies(self, policies: Sequence[Extension]) -> "PiecewiseSolution":
-        return PiecewiseSolution(self.mesh, self.coeffs, tuple(policies))
-
     # -- point resolution --------------------------------------------------
-    def resolve(self, tau: np.ndarray, comp: int):
-        """Fold exterior points into [0, L].
-
-        Returns ``(q, sign, offset)`` such that u(tau) = sign * u(q) + offset
-        with q inside the mesh.  ``sign`` is 0 where a zero rule applied.
-        """
-        q, sign, terms = self.fold(tau, comp)
-        return q, sign, self.fold_offset(comp, terms, q.shape)
-
     def fold(self, tau: np.ndarray, comp: int):
-        """Fold geometry of :meth:`resolve` without the affine offset.
+        """Fold exterior points into [0, L] through the component's policy.
 
-        Returns ``(q, sign, terms)``; ``terms`` lists ``(where, x, sign)`` for
-        every left fold through an affine rule, from which
-        :meth:`fold_offset` builds the offset.  The result depends only on
-        the points and the equality fields of the component's policy, never
-        on its ``left_offset``.
+        Returns ``(q, sign, terms)`` with q inside the mesh and
+        u(tau) = sign * u(q) + offset; ``sign`` is 0 where a zero rule
+        applied.  ``terms`` lists ``(where, x, sign)`` for every left fold
+        through an affine rule, from which :meth:`fold_offset` builds the
+        offset.  The result depends only on the points and the equality
+        fields of the component's policy, never on its ``left_offset``.
         """
         ext = self.policies[comp]
         L = self.mesh.length
@@ -281,19 +266,40 @@ class PiecewiseSolution:
         return off
 
     # -- evaluation ---------------------------------------------------------
-    def _interior(self, q: np.ndarray, comp: int, deriv: int = 0) -> np.ndarray:
+    def _locate(self, q: np.ndarray):
+        """Interval index and local coordinate s in [0, 1] of interior points."""
         mesh = self.mesh
         idx = np.clip((q / mesh.h).astype(int), 0, mesh.intervals - 1)
-        s = q / mesh.h - idx
+        return idx, q / mesh.h - idx
+
+    def _horner(self, comp: int, idx: np.ndarray, s: np.ndarray,
+                deriv: int = 0) -> np.ndarray:
+        """d^deriv/ds^deriv of the interval polynomials at (idx, s)."""
         c = self.coeffs[comp]
-        k = mesh.gauss_order
-        vals = np.zeros_like(q)
-        for j in range(k, deriv - 1, -1):
-            fac = 1.0
-            for d in range(deriv):
-                fac *= (j - d)
-            vals = vals * s + fac * c[idx, j]
-        return vals / mesh.h ** deriv
+        vals = np.zeros_like(s)
+        for j in range(self.mesh.gauss_order, deriv - 1, -1):
+            term = c[idx, j]
+            if deriv:
+                term = math.prod(range(j - deriv + 1, j + 1)) * term
+            vals = vals * s + term
+        return vals
+
+    def _interior(self, q: np.ndarray, comp: int, deriv: int = 0) -> np.ndarray:
+        return self._horner(comp, *self._locate(q), deriv) / self.mesh.h ** deriv
+
+    def plan(self, tau: np.ndarray, comp: int):
+        """``(idx, s, sign, terms)``: the interval, local coordinate, sign and
+        affine terms of :meth:`fold` at the points.  Like the fold, it serves
+        every solution on this mesh with an equal policy."""
+        q, sign, terms = self.fold(tau, comp)
+        idx, s = self._locate(q)
+        return idx, s, sign, terms
+
+    def plan_values(self, plan, comp: int) -> np.ndarray:
+        """Values of one component at the points of a :meth:`plan`, with the
+        affine offset evaluated from this solution's policy."""
+        idx, s, sign, terms = plan
+        return sign * self._horner(comp, idx, s) + self.fold_offset(comp, terms, s.shape)
 
     def eval(self, tau, comp: int, deriv: int = 0):
         """Evaluate one component, resolving exterior points via its policy.
@@ -305,8 +311,7 @@ class PiecewiseSolution:
         arr = np.asarray(tau, dtype=float)
         x = np.atleast_1d(arr).ravel().astype(float)
         if deriv == 0:
-            q, sign, off = self.resolve(x, comp)
-            vals = sign * self._interior(q, comp) + off
+            vals = self.plan_values(self.plan(x, comp), comp)
         else:
             if ((x < 0.0) | (x > self.mesh.length)).any():
                 raise ExtensionCoverageError("derivative evaluation requires interior points")

@@ -233,3 +233,87 @@ def test_determinism_byte_identical(tmp_path):
     m1 = (outs[1] / "manifest.txt").read_text().splitlines()
     assert m0[1:] == m1[1:]
     assert m0[0].startswith("# generated")
+
+
+def test_config_file_sets_options_with_parser_defaults(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[kc]\nn-quad = 20000\n")
+    code = cli.main(["kc", "--kappa", "0.5", "--mesh", "64",
+                     "--config", str(cfgfile), "--out", str(tmp_path / "kc")])
+    assert code == 0
+    manifest = (tmp_path / "kc" / "manifest.txt").read_text().splitlines()
+    assert "param n_quad=20000" in manifest
+
+
+def test_config_entries_become_flags(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[global]\nmesh = 64\n[branch]\nstep-in-m = true\n"
+                       "to = 0.5\n")
+    argv = cli._with_config(["branch", "--kappa", "1", "--to", "0.1",
+                             "--step", "0.05", "--config", str(cfgfile)])
+    assert argv[1:4] == ["--mesh=64", "--step-in-m", "--to=0.5"]
+    args = cli.build_parser().parse_args(argv)
+    # the file's flag applies, the command line's --to wins
+    assert (args.mesh, args.step_in_m, args.to) == (64, True, 0.1)
+    # a required option may come from the file alone
+    cfgfile.write_text("[branch]\nkappa = 1\nto = 0.1\nstep = 0.05\n")
+    args = cli.build_parser().parse_args(
+        cli._with_config(["branch", "--config", str(cfgfile)]))
+    assert (args.kappa, args.to, args.step) == (1.0, 0.1, 0.05)
+    cfgfile.write_text("[kc]\nbogus = 1\n")
+    # an unknown key is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kc", "--kappa", "0.5", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+
+
+def test_seed_at_another_kappa_is_usage_error(tmp_path, mono_ckpt):
+    # mono_ckpt holds the kappa = 1 wave
+    for argv in (["wave", "--kappa", "2.0", "--fix", "mu=0"],
+                 ["branch", "--kappa", "2.0", "--to", "0.1", "--step", "0.05"]):
+        res = run_cli([*argv, "--mesh", "256", "--seed-ckpt", str(mono_ckpt),
+                       "--out", str(tmp_path)])
+        assert res.returncode == 2
+        assert "kappa" in res.stderr
+
+
+def test_mu_at_or_below_minus_one_is_usage_error(tmp_path):
+    txt = tmp_path / "ic.txt"
+    txt.write_text("".join(f"{j} 0.0\n" for j in (1, 2, 1, 2)))
+    for mu in ("-1", "-1.5"):
+        res = run_cli(["simulate", "--ic", str(txt), "--T", "1", "--mu", mu,
+                       "--out", str(tmp_path / "sim")])
+        assert res.returncode == 2, res.stderr
+        assert "--mu" in res.stderr
+
+
+@pytest.fixture(scope="module")
+def joint_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("joint") / "joint.ckpt"
+    wave, jost = mono.solve_joint(1.0, mono.MonatomicConfig(intervals=256))
+    mono.save_joint(wave, jost, path)
+    return path
+
+
+def test_joint_checkpoint_seeds_wave_and_simulate(tmp_path, joint_ckpt):
+    assert cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0", "--mesh", "256",
+                     "--seed-ckpt", str(joint_ckpt),
+                     "--out", str(tmp_path / "wave")]) == 0
+    _, rows = read_csv(tmp_path / "wave" / "wave.csv")
+    assert float(rows[0][0]) == 1.0 and float(rows[0][2]) == pytest.approx(1.0)
+    assert cli.main(["simulate", "--ic", str(joint_ckpt), "--T", "2",
+                     "--out", str(tmp_path / "sim")]) == 0
+    _, rows = read_csv(tmp_path / "sim" / "diagnostics.csv")
+    assert len(rows) == 3 and float(rows[0][1]) > 0
+
+
+def test_non_wave_checkpoint_is_usage_error(tmp_path):
+    res = run_cli(["periodic", "--sigma", "1.5", "--m", "0.8",
+                   "--beta-P", "0.01", "--out", str(tmp_path / "rip")])
+    assert res.returncode == 0, res.stderr
+    ripple = str(tmp_path / "rip" / "periodic.ckpt")
+    for argv in (["wave", "--kappa", "1.0", "--fix", "mu=0", "--seed-ckpt", ripple],
+                 ["simulate", "--ic", ripple, "--T", "1"]):
+        res = run_cli([*argv, "--out", str(tmp_path / "out")])
+        assert res.returncode == 2
+        assert "periodic-ripple" in res.stderr

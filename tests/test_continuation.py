@@ -179,6 +179,44 @@ def test_driver_switch_and_fold_marking(monkeypatch):
     assert abs(fold_pt.sigma - 1.5) < 0.01                   # near the tip
 
 
+def test_switch_keeps_step_direction(monkeypatch):
+    """Mirror of the fold test, approached from mu > 0: after the switch mu
+    decreases through the fold tip, and the regrown step must keep that
+    sign instead of turning the trace around."""
+    import fputw.continuation as cont
+
+    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
+                   reuse=None):
+        if fix == "sigma":
+            if value > 1.5:
+                raise NonConvergenceError("past fold", 1.0, 25)
+            root = np.sqrt(1.5 - value)
+            mu = root if abs(root - guess.mu) < abs(-root - guess.mu) else -root
+            sigma = value
+        else:
+            mu = value
+            sigma = 1.5 - mu * mu
+        return di.DiatomicWave(kappa, sigma, mu, 0.0, guess.omega_p,
+                               guess.solitary, guess.ripple, 1e-12, 2,
+                               fixed_param=fix)
+
+    monkeypatch.setattr(cont, "solve_wave", fake_solve)
+    cfg = di.DiatomicConfig(length=4.0, solitary_intervals=4,
+                            ripple_intervals=4, gauss_order=2)
+    seed_wave = di.DiatomicWave(1.0, 1.5 - 0.04, 0.2, 0.0, 10.0,
+                                _dummy_solution(), _dummy_solution(4),
+                                1e-12, 0, fixed_param="mu")
+    warm = cont.continue_branch(seed_wave, "mu", 0.05, 0.01, cfg)
+    branch = cont.continue_branch(warm.waves[-1], "sigma", 1.6, 0.01, cfg,
+                                  max_points=15)
+    fixed = [p.fixed_param for p in branch.points]
+    switched = len(fixed) - fixed[::-1].index("sigma") - 1   # last sigma point
+    mus = branch.scalar("mu")[switched:]
+    assert set(fixed[switched + 1:]) == {"mu"} and len(mus) > 10
+    assert np.all(np.diff(mus) < 0.0)                        # monotone
+    assert branch.folds
+
+
 def _dummy_solution(ncomp=4):
     from fputw.solution import Extension, Mesh, PiecewiseSolution
     mesh = Mesh(4.0, 4, 2)

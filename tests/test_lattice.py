@@ -211,6 +211,35 @@ def test_nonfinite_aborts():
             st = lat.rk4_step(st, 1e-3)
 
 
+def test_run_simulation_is_rk4_steps_bitwise(monkeypatch):
+    # one sample stride of the run loop is 1000 rk4_step calls, bit for bit
+    st = make_state(60, m=0.5)
+    st.r[25:36] = 0.2 * np.hanning(11)
+    st.p[25:36] = -0.1 * np.hanning(11)
+    sampled = []
+    update = lat.DiagnosticSeries.update
+
+    def recording(self, state, *args, **kwargs):
+        sampled.append(state)
+        return update(self, state, *args, **kwargs)
+
+    monkeypatch.setattr(lat.DiagnosticSeries, "update", recording)
+    lat.run_simulation(st, lat.SimConfig(horizon=1.0))
+    stepped = st
+    for _ in range(1000):
+        stepped = lat.rk4_step(stepped, 1e-3)
+    assert np.array_equal(sampled[-1].r, stepped.r)
+    assert np.array_equal(sampled[-1].p, stepped.p)
+    assert not np.array_equal(stepped.r, st.r)
+
+
+def test_run_simulation_nonfinite_aborts():
+    st = make_state(8)
+    st.r[:] = -1e12
+    with pytest.raises(NonFiniteStateError):
+        lat.run_simulation(st, lat.SimConfig(horizon=1.0))
+
+
 @pytest.fixture(scope="module")
 def mono_wave():
     return mono.solve_profile(2.5, mono.MonatomicConfig())

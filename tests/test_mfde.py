@@ -331,13 +331,13 @@ def test_plan_follows_parameter_dependent_shift(rng):
 def test_plans_shared_and_kept_across_parameter_columns(rng, monkeypatch):
     import fputw.mfde as mfde
     made = []
-    make_plan = mfde._make_plan
+    make_plan = PiecewiseSolution.plan
 
     def counting(sol, pts, comp):
         made.append(comp)
         return make_plan(sol, pts, comp)
 
-    monkeypatch.setattr(mfde, "_make_plan", counting)
+    monkeypatch.setattr(PiecewiseSolution, "plan", counting)
     mesh = Mesh(3.0, 6, 2)
     pol = lambda p: (Extension.even_zero(),) * 2
     blk = FunctionBlockSpec("v", mesh, 2, pol)
