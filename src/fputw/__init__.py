@@ -5,9 +5,8 @@ from .solution import Extension, Mesh, PiecewiseSolution
 from .mfde import (BoundaryCondition, BoundaryProbe, EquationBlock,
                    FactorCache, FunctionBlockSpec, MfdeProblem, NewtonConfig,
                    SlotSpec, assemble_residual, solve_newton)
-from .dispersion import (CriticalMode, DispersionPoint, b_pm, b_plus_prime,
-                         critical_frequency, jost_frequency, lambda_pm,
-                         sound_speed)
+from .dispersion import (CriticalMode, b_pm, b_plus_prime, critical_frequency,
+                         jost_frequency, lambda_pm, sound_speed)
 from .monatomic import (AmplitudeCoefficient, JostSolution, MonatomicConfig,
                         MonatomicWave, amplitude_coefficient, compute_psi,
                         kappa_scan, solve_jost, solve_joint, solve_profile)

@@ -13,8 +13,8 @@ Layout (line-oriented, self-describing, exact float round-trip via repr):
 
 Affine extension policies serialize as ``affine<sign>:<label>`` tokens; their
 offset closures cannot travel through text, so loading yields a placeholder
-policy that refuses exterior evaluation until the owning module rebinds it
-(pass an ``affine_resolver`` or rebuild policies from the meta entries).
+policy that refuses exterior evaluation until the owning module replaces it
+with policies rebuilt from the meta entries.
 
 A wrong version line raises :class:`CheckpointVersionError`; anything
 truncated or malformed raises :class:`CheckpointCorruptError` without
@@ -184,7 +184,7 @@ def solution_to_block(name: str, sol: PiecewiseSolution) -> CheckpointBlock:
                            sol.coeffs.copy())
 
 
-def _policy_from_tokens(lt: str, rt: str, affine_resolver=None) -> Extension:
+def _policy_from_tokens(lt: str, rt: str) -> Extension:
     if rt == "zero":
         right, rsign = "zero", 1.0
     elif rt == "reflect+":
@@ -203,18 +203,12 @@ def _policy_from_tokens(lt: str, rt: str, affine_resolver=None) -> Extension:
         return Extension(left="none", right=right, right_sign=rsign)
     if lt.startswith("affine"):
         sig, label = lt[len("affine"):].split(":", 1)
-        ext = None
-        if affine_resolver is not None:
-            ext = affine_resolver(label, float(sig), right, rsign)
-        if ext is None:
-            # placeholder: exterior evaluation fails until rebound
-            ext = Extension(left="affine", left_sign=float(sig), left_offset=None,
-                            right=right, right_sign=rsign, label=label)
-        return ext
+        # placeholder: exterior evaluation fails until rebound
+        return Extension(left="affine", left_sign=float(sig), left_offset=None,
+                         right=right, right_sign=rsign, label=label)
     raise CheckpointCorruptError(f"unknown left policy token {lt!r}")
 
 
-def block_to_solution(blk: CheckpointBlock, affine_resolver=None) -> PiecewiseSolution:
-    policies = tuple(_policy_from_tokens(lt, rt, affine_resolver)
-                     for lt, rt in blk.policy_tokens)
+def block_to_solution(blk: CheckpointBlock) -> PiecewiseSolution:
+    policies = tuple(_policy_from_tokens(lt, rt) for lt, rt in blk.policy_tokens)
     return PiecewiseSolution(blk.mesh, blk.coeffs.copy(), policies)

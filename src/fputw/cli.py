@@ -5,7 +5,8 @@ a manifest listing outputs with their SHA-256 hashes; only the manifest
 timestamp varies between identical runs.  Each file is written to a
 temporary name and renamed into place, so an interrupted run never leaves a
 truncated output.  Exit codes: 0 success, 1 numerical failure
-(machine-readable reason on stderr), 2 usage errors.
+(machine-readable reason on stderr), 2 usage errors (a missing input file
+among them).
 
 Any option may also come from a flat key-value config file (``--config``)
 with a [global] section and one section per subcommand; a key is the option
@@ -149,17 +150,16 @@ def _parse_fix(text: str) -> tuple[str, float]:
     return name, float(val)
 
 
-def _load_wave(path):
-    """The traveling wave of a diatomic-wave, monatomic-wave or
+def _load_wave(ck: checkpoint.Checkpoint):
+    """The traveling wave of a parsed diatomic-wave, monatomic-wave or
     monatomic-joint checkpoint."""
-    kind = checkpoint.read(path).kind
-    if kind == "diatomic-wave":
-        return diatomic.load_wave(path)
-    if kind == "monatomic-wave":
-        return monatomic.load_wave(path)
-    if kind == "monatomic-joint":
-        return monatomic.load_joint(path)[0]
-    raise ValueError(f"checkpoint kind {kind!r} holds no traveling wave")
+    if ck.kind == "diatomic-wave":
+        return diatomic.wave_from_checkpoint(ck)
+    if ck.kind == "monatomic-wave":
+        return monatomic.wave_from_checkpoint(ck)
+    if ck.kind == "monatomic-joint":
+        return monatomic.joint_from_checkpoint(ck)[0]
+    raise ValueError(f"checkpoint kind {ck.kind!r} holds no traveling wave")
 
 
 def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
@@ -168,7 +168,7 @@ def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
     if path is None or path == "auto":
         wave = monatomic.solve_profile(kappa, cfg.monatomic())
     else:
-        wave = _load_wave(path)
+        wave = _load_wave(checkpoint.read(path))
         # continuation leaves kappas a few ulps off the typed decimal
         if abs(wave.kappa - kappa) > 1e-9 * max(1.0, abs(kappa)):
             raise ValueError(f"seed checkpoint is at kappa={wave.kappa!r}, "
@@ -410,12 +410,12 @@ def _load_lattice_ic(args) -> lattice.LatticeState:
     if path is None:
         raise ValueError("simulate needs --ic (checkpoint or two-column text)")
     try:
-        checkpoint.read(path)
+        ck = checkpoint.read(path)
     except FputwError:
         pass
     else:
         return lattice.sample_initial_condition(
-            _load_wave(path), **_given(args, peak_site="peak_site", n="sites"))
+            _load_wave(ck), **_given(args, peak_site="peak_site", n="sites"))
     # plain text: 2N rows of "site value", r block then p block
     data = np.loadtxt(path)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] % 2:
@@ -584,7 +584,7 @@ def main(argv=None) -> int:
         print(f"FPUTW-ERROR kind={type(exc).__name__} message={exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
 
 

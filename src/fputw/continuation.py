@@ -5,9 +5,10 @@ one scalar (the driver) and solving with it held fixed.  On Newton failure
 the step is halved (down to ``MIN_STEP_FACTOR`` of its largest size) and
 then the driver is switched to the free scalar that moved most over the last
 accepted step, which is how fold points are passed; that scalar is then
-stepped in the direction in which it was moving.  A fold is recorded when the
-previously driven scalar reverses direction after such a switch; sign
-changes of the ripple amplitude alpha_P are marked for solitary-wave
+stepped in the direction in which it was moving.  A point is a fold when the
+traced scalar (the driver the trace started with) reverses direction there;
+every reversal is marked, so an S-shaped branch shows both of its folds.
+Sign changes of the ripple amplitude alpha_P are marked for solitary-wave
 seeding.  A halving
 that leaves the attempted driver value unchanged (a step clamped to the
 target) is not re-solved: the solve is deterministic and would fail again, so
@@ -123,11 +124,6 @@ def _point_from_wave(w: DiatomicWave) -> BranchPoint:
                        w.residual_norm)
 
 
-def _get_scalar(wave: DiatomicWave, name: str) -> float:
-    return {"sigma": wave.sigma, "mu": wave.mu, "beta_p": wave.beta_p,
-            "kappa": wave.kappa}[name]
-
-
 def _mu_to_m(mu):
     return 1.0 / (1.0 + mu)
 
@@ -173,10 +169,7 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     if driver == "kappa":
         if fixed is None:
             raise ValueError("kappa driver needs the per-solve fixed scalar")
-        switchable = False
-    elif driver in SCALAR_NAMES:
-        switchable = True
-    else:
+    elif driver not in SCALAR_NAMES:
         raise ValueError(f"unknown driver {driver!r}")
 
     to_coord = _mu_to_m if (driver == "mu" and step_in_m) else (lambda v: v)
@@ -187,21 +180,24 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     wave = seed
     prev_wave = None
     cur_driver = driver
-    coord = to_coord(_get_scalar(seed, driver))
+    coord = to_coord(getattr(seed, driver))
     direction = np.sign(target - coord) or 1.0
     h = h_max = abs(step)
-    # bookkeeping for fold detection after driver switches
-    pre_switch_incr: dict[str, float] = {}
-    watch_fold: str | None = None
 
     def event(kind, value=math.nan, **info):
         branch.events.append(BranchEvent(kind, cur_driver, value, **info))
 
-    def record(w: DiatomicWave, fold=False):
+    def record(w: DiatomicWave):
         pt = _point_from_wave(w)
-        pt.fold = fold
-        if branch.points and branch.points[-1].alpha_p * pt.alpha_p < 0.0:
-            pt.sign_change = True
+        if branch.points:
+            last = branch.points[-1]
+            if last.alpha_p * pt.alpha_p < 0.0:
+                pt.sign_change = True
+            # a fold: the traced scalar reverses direction at this point
+            incr = getattr(pt, driver) - getattr(last, driver)
+            if incr * _last_increment(branch, driver) < 0.0:
+                pt.fold = True
+                event("fold", getattr(pt, driver), note=driver)
         branch.points.append(pt)
         if keep_waves:
             branch.waves.append(w)
@@ -211,15 +207,15 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     def attempt(h):
         """Driver value of a step of size h from the current wave."""
         if cur_driver != driver:
-            return _get_scalar(wave, cur_driver) + h
-        nxt = to_coord(_get_scalar(wave, driver)) + direction * h
+            return getattr(wave, cur_driver) + h
+        nxt = to_coord(getattr(wave, driver)) + direction * h
         overshoot = (nxt - target) * direction > 0
         return from_coord(target if overshoot else nxt)
 
     record(wave)
     while len(branch.points) < max_points:
         # termination on target (in the original driver coordinate)
-        if (to_coord(_get_scalar(wave, driver)) - target) * direction >= -1e-12:
+        if (to_coord(getattr(wave, driver)) - target) * direction >= -1e-12:
             branch.terminated_reason = "target-reached"
             break
         value = attempt(h)
@@ -228,10 +224,10 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
         held = fixed[0] if cur_driver == "kappa" else cur_driver
         guess = wave
         if prev_wave is not None and prev_wave.fixed_param == wave.fixed_param == held:
-            d_last = _get_scalar(wave, cur_driver) - _get_scalar(prev_wave, cur_driver)
+            d_last = getattr(wave, cur_driver) - getattr(prev_wave, cur_driver)
             if d_last != 0.0:
                 guess = _extrapolate(wave, prev_wave,
-                                     (value - _get_scalar(wave, cur_driver)) / d_last)
+                                     (value - getattr(wave, cur_driver)) / d_last)
         elif prev_wave is None and wave.beta_p == 0.0:
             # fresh start from a ripple-free seed: rebuild the linear mode at
             # the target mass so the first Newton step does not crawl
@@ -263,33 +259,22 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
                 event("halved", value, step=h)
             if value != failed:
                 continue
-            if not switchable or cur_driver == "kappa":
-                branch.terminated_reason = "step-floor"
-                break
-            # switch the fixed parameter to the scalar that moved most
-            cand = _pick_switch(branch, wave, prev_wave, cur_driver, driver)
+            # kappa traces never switch; the others switch the fixed
+            # parameter to the scalar that moved most
+            cand = None if driver == "kappa" else _pick_switch(branch, cur_driver)
             if cand is None:
                 branch.terminated_reason = "step-floor"
                 break
-            pre_switch_incr[cur_driver] = _last_increment(branch, cur_driver)
-            watch_fold = left = cur_driver
+            left = cur_driver
             cur_driver, h = cand    # signed: the scalar keeps its direction
             h_max = abs(h)
-            event("switch", _get_scalar(wave, cur_driver), step=h, note=left)
+            event("switch", getattr(wave, cur_driver), step=h, note=left)
             continue
         # accepted
         event("accepted", value, residual=new.residual_norm,
               iterations=new.iterations)
-        fold = False
-        if watch_fold is not None:
-            incr = _get_scalar(new, watch_fold) - _get_scalar(wave, watch_fold)
-            pre = pre_switch_incr.get(watch_fold, 0.0)
-            if pre != 0.0 and incr * pre < 0.0:
-                fold = True
-                event("fold", _get_scalar(new, watch_fold), note=watch_fold)
-                watch_fold = None
         prev_wave, wave = wave, new
-        record(wave, fold=fold)
+        record(wave)
         if stop_when is not None and stop_when(branch.points[-1]):
             branch.terminated_reason = "stop-condition"
             break
@@ -306,9 +291,9 @@ def _last_increment(branch: Branch, name: str) -> float:
     return getattr(branch.points[-1], name) - getattr(branch.points[-2], name)
 
 
-def _pick_switch(branch: Branch, wave, prev_wave, cur_driver: str, orig: str):
+def _pick_switch(branch: Branch, cur_driver: str):
     """Choose the next driver: the free scalar with the largest recent move."""
-    if prev_wave is None or len(branch.points) < 2:
+    if len(branch.points) < 2:
         return None
     best = None
     for name in SCALAR_NAMES:
@@ -324,11 +309,15 @@ def _pick_switch(branch: Branch, wave, prev_wave, cur_driver: str, orig: str):
     return best[1], best[2]
 
 
-def classify_branch_segments(branch: Branch, min_mu_extent: float = 0.01):
+MIN_SMALL_RIPPLE_EXTENT = 0.01
+BISECT_MAX_SOLVES = 60
+
+
+def classify_branch_segments(branch: Branch):
     """Branch-level ripple classes: contiguous runs of points below the
     small-ripple threshold keep the "small-ripple" label only when the run
-    spans at least ``min_mu_extent`` in mu; shorter runs fall back to the
-    sign class.  Returns one class string per point."""
+    spans at least ``MIN_SMALL_RIPPLE_EXTENT`` in mu; shorter runs fall back
+    to the sign class.  Returns one class string per point."""
     classes = [p.ripple_class for p in branch.points]
     out = list(classes)
     i = 0
@@ -340,7 +329,7 @@ def classify_branch_segments(branch: Branch, min_mu_extent: float = 0.01):
         while j + 1 < len(classes) and classes[j + 1] == "small-ripple":
             j += 1
         extent = abs(branch.points[j].mu - branch.points[i].mu)
-        if extent < min_mu_extent:
+        if extent < MIN_SMALL_RIPPLE_EXTENT:
             for k in range(i, j + 1):
                 a = branch.points[k].alpha_p
                 out[k] = "positive" if a > 0 else ("negative" if a < 0 else "solitary")
@@ -354,12 +343,14 @@ def classify_branch_segments(branch: Branch, min_mu_extent: float = 0.01):
 
 def bisect_alpha_zero(branch: Branch, index: int,
                       cfg: DiatomicConfig | None = None,
-                      tol: float = 1e-8, max_iter: int = 60,
+                      tol: float = 1e-8,
                       reuse: FactorCache | None = None) -> DiatomicWave:
     """Bisect the driven scalar between points index-1 and index (a marked
-    alpha_P sign change) until the bracket is below ``tol``; returns the
-    bracket-midpoint wave (still with beta_P free).  ``reuse`` carries the
-    sparse LU from solve to solve."""
+    alpha_P sign change) until the bracket is below ``tol`` or after
+    ``BISECT_MAX_SOLVES`` solves; returns the wave of the last midpoint
+    solved (still with beta_P free), or point ``index``'s wave when the
+    bracket is already below ``tol``.  ``reuse`` carries the sparse LU from
+    solve to solve."""
     cfg = cfg or DiatomicConfig()
     if not branch.points[index].sign_change:
         raise ValueError("index does not mark an alpha_P sign change")
@@ -367,17 +358,17 @@ def bisect_alpha_zero(branch: Branch, index: int,
         raise ValueError("branch must retain waves for bisection")
     wa, wb = branch.waves[index - 1], branch.waves[index]
     drv = wb.fixed_param
-    a, fa = _get_scalar(wa, drv), wa.alpha_p
-    b, fb = _get_scalar(wb, drv), wb.alpha_p
+    a, fa = getattr(wa, drv), wa.alpha_p
+    b = getattr(wb, drv)
     guess = wb
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_SOLVES):
         if abs(b - a) <= tol:
             break
         mid = 0.5 * (a + b)
         wm = solve_wave(guess.kappa, drv, mid, guess, cfg, reuse=reuse)
         guess = wm
         if wm.alpha_p * fa <= 0.0:
-            b, fb = mid, wm.alpha_p
+            b = mid
         else:
             a, fa = mid, wm.alpha_p
     return guess

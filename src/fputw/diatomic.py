@@ -127,13 +127,23 @@ def ripple_amplitude(beta_p: float, profile: PiecewiseSolution) -> float:
     return beta_p * np.hypot(profile.sup_norm(0), profile.sup_norm(2))
 
 
-def orientation_value(sigma, mu, profile: PiecewiseSolution,
-                      reference=None) -> float:
+def orientation_value(sigma, mu, profile: PiecewiseSolution) -> float:
     """The sign-convention quantity nu1 P1(0) + nu2 L P2'(0) / (pi omega)."""
-    mode = dispersion.critical_frequency(sigma, mu, reference=reference)
+    mode = dispersion.critical_frequency(sigma, mu)
     L = profile.mesh.length
     return (mode.nu1 * profile.eval(0.0, 0)
             + mode.nu2 * L * profile.eval(0.0, 3) / (np.pi * mode.omega))
+
+
+def _signed_orientation(sigma, mu, profile: PiecewiseSolution) -> float:
+    """``orientation_value`` in the data convention: positive on the
+    convention branch, negative on its mirror image."""
+    return ORIENTATION_SIGN * orientation_value(sigma, mu, profile)
+
+
+def _flip(profile: PiecewiseSolution) -> PiecewiseSolution:
+    """The negated ripple profile (the mirror orientation)."""
+    return PiecewiseSolution(profile.mesh, -profile.coeffs, RIPPLE_POLICIES)
 
 
 def _ripple_bcs(block: int, L: float):
@@ -170,10 +180,10 @@ def _ripple_rhs_factory(get_scalars):
     return rhs
 
 
-def ripple_mode_seed(sigma: float, mu: float, mesh: Mesh,
-                     reference=None) -> tuple[PiecewiseSolution, float]:
+def ripple_mode_seed(sigma: float, mu: float,
+                     mesh: Mesh) -> tuple[PiecewiseSolution, float]:
     """Linearized-mode seed scaled to the normalization P1(0)^2 + P2'(0)^2 = 1."""
-    mode = dispersion.critical_frequency(sigma, mu, reference=reference)
+    mode = dispersion.critical_frequency(sigma, mu)
     L = mesh.length
     q = np.pi / L
     rho = ORIENTATION_SIGN / np.hypot(mode.nu1, q * mode.nu2)
@@ -208,15 +218,14 @@ def solve_periodic(sigma: float, mu: float, beta_p: float,
     else:
         seed, omega_p0 = ripple_mode_seed(sigma, mu, mesh)
     sols, params, rep = solve_newton(prob, [seed], [omega_p0], cfg.newton)
-    if ORIENTATION_SIGN * orientation_value(sigma, mu, sols[0]) < 0.0:
+    if _signed_orientation(sigma, mu, sols[0]) < 0.0:
         # converged to the mirrored orientation; at fixed beta_P the
         # convention-satisfying branch is approached from the negated profile
-        flipped = PiecewiseSolution(mesh, -sols[0].coeffs, RIPPLE_POLICIES)
-        sols, params, rep = solve_newton(prob, [flipped], [float(params[0])],
-                                         cfg.newton)
+        sols, params, rep = solve_newton(prob, [_flip(sols[0])],
+                                         [float(params[0])], cfg.newton)
     ripple = PeriodicRipple(sigma, mu, beta_p, float(params[0]), sols[0],
                             rep.residual_norm, rep.iterations)
-    if ORIENTATION_SIGN * orientation_value(sigma, mu, ripple.profile) <= 0.0:
+    if _signed_orientation(sigma, mu, ripple.profile) <= 0.0:
         ripple.orientation_ok = False
         warnings.warn("periodic ripple orientation inequality violated",
                       OrientationFlipWarning)
@@ -254,9 +263,6 @@ class DiatomicWave:
     @property
     def ripple_class(self) -> str:
         return classify_ripple(self)
-
-    def scalars(self):
-        return {"sigma": self.sigma, "mu": self.mu, "beta_p": self.beta_p}
 
     def s_components(self, include_ripple: bool = True):
         """Callables (s1, s2) with s_i(xi) = kappa^2 V_i(kappa xi) + beta_P P_i(omega_P xi)."""
@@ -358,23 +364,20 @@ def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
     sols, params, rep = solve_newton(prob, [guess.solitary, guess.ripple],
                                      params0, cfg.newton, reuse)
     sigma, mu, beta_p, omega_p = pm.unpack(params)
-    if ORIENTATION_SIGN * orientation_value(sigma, mu, sols[1]) < 0.0:
+    if _signed_orientation(sigma, mu, sols[1]) < 0.0:
         if fix == "beta_p" and value != 0.0:
             # beta_P pinned: move to the convention branch by re-solving from
             # the mirrored ripple profile
-            flipped = PiecewiseSolution(sols[1].mesh, -sols[1].coeffs,
-                                        RIPPLE_POLICIES)
-            sols, params, rep = solve_newton(prob, [sols[0], flipped], params,
-                                             cfg.newton, reuse)
+            sols, params, rep = solve_newton(prob, [sols[0], _flip(sols[1])],
+                                             params, cfg.newton, reuse)
             sigma, mu, beta_p, omega_p = pm.unpack(params)
-            if ORIENTATION_SIGN * orientation_value(sigma, mu, sols[1]) < 0.0:
+            if _signed_orientation(sigma, mu, sols[1]) < 0.0:
                 warnings.warn("ripple orientation inequality still violated",
                               OrientationFlipWarning)
         else:
             # (beta_P, Ptilde) -> (-beta_P, -Ptilde) is the same wave in the
             # canonical representation
-            sols[1] = PiecewiseSolution(sols[1].mesh, -sols[1].coeffs,
-                                        RIPPLE_POLICIES)
+            sols[1] = _flip(sols[1])
             beta_p = -beta_p
     wave = DiatomicWave(kappa, sigma, mu, beta_p, omega_p, sols[0], sols[1],
                         rep.residual_norm, rep.iterations, fixed_param=fix)
@@ -395,7 +398,7 @@ def wave_residual_norm(wave: DiatomicWave, cfg: DiatomicConfig | None = None) ->
                                 ripple_intervals=wave.ripple.mesh.intervals,
                                 gauss_order=wave.solitary.mesh.gauss_order)
     fix = wave.fixed_param or "mu"
-    pm = ParamMap(fix, wave.scalars()[fix])
+    pm = ParamMap(fix, getattr(wave, fix))
     prob = wave_problem(wave.kappa, pm, cfg)
     params = pm.pack(wave.sigma, wave.mu, wave.beta_p, wave.omega_p)
     r = assemble_residual(prob, [wave.solitary, wave.ripple], params, cfg.newton)
@@ -438,8 +441,7 @@ def seed_from_monatomic(mono: MonatomicWave, cfg: DiatomicConfig | None = None) 
 
 
 def seed_from_small_mass(kappa: float, mu: float,
-                         cfg: DiatomicConfig | None = None,
-                         kappa_mono_hint: float | None = None) -> DiatomicWave:
+                         cfg: DiatomicConfig | None = None) -> DiatomicWave:
     """Nanopteron-side seed from the small-mass limit profiles.
 
     At m = 0 the diatomic wave reduces to the monatomic profile at speed
@@ -455,7 +457,7 @@ def seed_from_small_mass(kappa: float, mu: float,
         w = solve_profile(km, mcfg)
         return w, w.kappa ** 2 * (w.phi(w.kappa / 2.0) + 0.125) / 2.0
 
-    km = kappa_mono_hint or kappa
+    km = kappa
     w0, a0 = center_amp(km)
     km2 = km * (target / a0) ** 0.5
     for _ in range(8):
@@ -518,10 +520,9 @@ def symmetry_transform(wave: DiatomicWave) -> DiatomicWave:
     rip[3] *= -1.0
     beta2 = wave.beta_p
     profile = PiecewiseSolution(wave.ripple.mesh, rip, RIPPLE_POLICIES)
-    if ORIENTATION_SIGN * orientation_value(sigma2, mu2, profile) < 0.0:
-        rip *= -1.0
+    if _signed_orientation(sigma2, mu2, profile) < 0.0:
+        profile = _flip(profile)
         beta2 = -beta2
-        profile = PiecewiseSolution(wave.ripple.mesh, rip, RIPPLE_POLICIES)
     return DiatomicWave(wave.kappa, float(sigma2), float(mu2), beta2,
                         wave.omega_p,
                         PiecewiseSolution(wave.solitary.mesh, sol, SOLITARY_POLICIES),
@@ -553,7 +554,10 @@ def save_wave(wave: DiatomicWave, path) -> None:
 
 
 def load_wave(path) -> DiatomicWave:
-    ck = checkpoint.read(path)
+    return wave_from_checkpoint(checkpoint.read(path))
+
+
+def wave_from_checkpoint(ck: checkpoint.Checkpoint) -> DiatomicWave:
     if ck.kind != "diatomic-wave":
         raise CheckpointCorruptError(f"expected a diatomic-wave checkpoint, got {ck.kind!r}")
     fixed = ck.meta["fixed_param"]

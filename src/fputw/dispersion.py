@@ -76,26 +76,6 @@ def det_char(omega, c, mu):
 
 
 @dataclass(frozen=True)
-class DispersionPoint:
-    """An admissible (omega, c, mu) triple; c must exceed the sound speed."""
-
-    omega: float
-    c: float
-    mu: float
-
-    def __post_init__(self):
-        if self.mu <= -1.0:
-            raise DispersionRangeError("mu must exceed -1")
-        if self.c < sound_speed(self.mu) - _BOUNDARY_SLACK:
-            raise DispersionRangeError(
-                f"c={self.c} below the sound speed C_mu={sound_speed(self.mu):.6f}")
-
-    @property
-    def sound_speed(self) -> float:
-        return sound_speed(self.mu)
-
-
-@dataclass(frozen=True)
 class CriticalMode:
     """Positive root of B_+ with its unit real eigenvector."""
 
@@ -104,7 +84,6 @@ class CriticalMode:
     nu2: float
     c: float
     mu: float
-    orientation: int = 1
 
     @property
     def nu(self) -> np.ndarray:
@@ -162,16 +141,13 @@ def critical_frequency(c, mu, reference=None) -> CriticalMode:
     row = r1 if np.dot(r1, r1) >= np.dot(r2, r2) else r2
     nu = np.array([-row[1], row[0]])
     nu /= np.linalg.norm(nu)
-    orientation = 1
     if reference is not None:
         if np.dot(nu, np.asarray(reference)) < 0.0:
             nu = -nu
-            orientation = -1
     elif nu[1] < 0.0 or (nu[1] == 0.0 and nu[0] < 0.0):
         nu = -nu
-        orientation = -1
     return CriticalMode(float(omega), float(nu[0]), float(nu[1]), float(c),
-                        float(mu), orientation)
+                        float(mu))
 
 
 def jost_frequency(sigma) -> float:

@@ -132,13 +132,16 @@ def energy(state: LatticeState, sites=None) -> float:
     return float(np.sum(0.5 * m * p * p + 0.5 * r * r + r ** 3 / 3.0))
 
 
-def core_window(state: LatticeState, halfwidth: int = 20) -> np.ndarray:
-    """Sites within ``halfwidth`` of the |r| peak (ties break to the lowest
-    site), clipped to the grid."""
+CORE_HALFWIDTH = 20
+
+
+def core_window(state: LatticeState) -> np.ndarray:
+    """Sites within ``CORE_HALFWIDTH`` of the |r| peak (ties break to the
+    lowest site), clipped to the grid."""
     if not np.any(state.r):
         raise ValueError("core window of an all-zero state is undefined")
     peak = int(np.argmax(np.abs(state.r))) + 1
-    lo, hi = max(1, peak - halfwidth), min(state.n, peak + halfwidth)
+    lo, hi = max(1, peak - CORE_HALFWIDTH), min(state.n, peak + CORE_HALFWIDTH)
     return np.arange(lo, hi + 1)
 
 

@@ -370,7 +370,6 @@ class _Assembler:
                         u = slot_vals[si][c]
                         h = FD_STEP * np.maximum(1.0, np.abs(u))
                         pert = [v.copy() if t == si else v for t, v in enumerate(slot_vals)]
-                        pert[si] = slot_vals[si].copy()
                         pert[si][c] = u + h
                         F2 = np.asarray(eq.rhs(tau, pert, params))
                         sens = (F2 - F) / h  # (n, npts)
@@ -601,16 +600,15 @@ def structural_jacobian(problem: MfdeProblem, solutions, params,
 
 
 def refined_collocation_norm(problem: MfdeProblem, solutions, params,
-                             factor: int = 2,
                              cfg: NewtonConfig = NewtonConfig()) -> float:
     """Infinity norm of the collocation residual re-evaluated on meshes with
-    ``factor`` times as many intervals (discretization-error monitor)."""
+    twice as many intervals (discretization-error monitor)."""
     fine_blocks = tuple(
-        replace(b, mesh=Mesh(b.mesh.length, b.mesh.intervals * factor,
+        replace(b, mesh=Mesh(b.mesh.length, b.mesh.intervals * 2,
                              b.mesh.gauss_order))
         for b in problem.blocks)
     fine = replace(problem, blocks=fine_blocks)
     fine_sols = [sol.resample(blk.mesh) for sol, blk in zip(solutions, fine_blocks)]
-    asm = _Assembler(fine, replace(cfg, max_unknowns=cfg.max_unknowns * factor * 2))
+    asm = _Assembler(fine, replace(cfg, max_unknowns=cfg.max_unknowns * 4))
     r = asm.residual(asm.layout.pack(fine_sols, params))
     return float(np.max(np.abs(r[asm.layout.collocation_rows()[:r.size]])))

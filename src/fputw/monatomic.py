@@ -92,9 +92,6 @@ class JostSolution:
     residual_norm: float
     iterations: int
 
-    def upsilon(self, tau):
-        return self.remainder.eval(tau, 0)
-
     def gamma(self, xi):
         """Reconstructed Jost function sin(omega (xi+theta)) + beta Y(kappa xi)."""
         xi = np.asarray(xi, dtype=float)
@@ -465,7 +462,10 @@ def save_wave(wave: MonatomicWave, path) -> None:
 
 
 def load_wave(path) -> MonatomicWave:
-    ck = checkpoint.read(path)
+    return wave_from_checkpoint(checkpoint.read(path))
+
+
+def wave_from_checkpoint(ck: checkpoint.Checkpoint) -> MonatomicWave:
     if ck.kind != "monatomic-wave":
         raise CheckpointCorruptError(f"expected a monatomic-wave checkpoint, got {ck.kind!r}")
     sol = checkpoint.block_to_solution(ck.blocks[0])
@@ -486,18 +486,19 @@ def save_joint(wave: MonatomicWave, jost: JostSolution, path) -> None:
 
 
 def load_joint(path) -> tuple[MonatomicWave, JostSolution]:
-    ck = checkpoint.read(path)
+    return joint_from_checkpoint(checkpoint.read(path))
+
+
+def joint_from_checkpoint(ck: checkpoint.Checkpoint) -> tuple[MonatomicWave, JostSolution]:
+    """The (wave, jost) pair of a monatomic-joint checkpoint, with the Jost
+    extension policies rebuilt from the stored scalars."""
     if ck.kind != "monatomic-joint":
         raise CheckpointCorruptError(f"expected a monatomic-joint checkpoint, got {ck.kind!r}")
     kappa, sigma = ck.meta["kappa"], ck.meta["sigma"]
     theta, beta = ck.meta["theta"], ck.meta["beta"]
-    pols = jost_policies(kappa, sigma, 1.0 / beta, theta)
-
-    def resolver(label, sign, right, rsign):
-        return {"jost-ups": pols[0], "jost-upsp": pols[1]}.get(label)
-
     profile = checkpoint.block_to_solution(ck.blocks[0])
-    remainder = checkpoint.block_to_solution(ck.blocks[1], affine_resolver=resolver)
+    remainder = replace(checkpoint.block_to_solution(ck.blocks[1]),
+                        policies=jost_policies(kappa, sigma, 1.0 / beta, theta))
     wave = MonatomicWave(kappa, sigma, profile, ck.meta["wave_resid"],
                          ck.meta["wave_iters"])
     jost = JostSolution(kappa, sigma, ck.meta["omega"], theta, beta, remainder,

@@ -114,15 +114,15 @@ class Extension:
         return Extension(left="reflect", left_sign=-1.0, right="reflect", right_sign=-1.0)
 
     @staticmethod
-    def affine(sign: float, offset: Callable, label: str = "", right: str = "zero") -> "Extension":
+    def affine(sign: float, offset: Callable, label: str = "") -> "Extension":
         return Extension(left="affine", left_sign=sign, left_offset=offset,
-                         right=right, label=label)
+                         right="zero", label=label)
 
     @staticmethod
-    def prescribed_left(history: Callable, right: str = "zero", label: str = "history") -> "Extension":
+    def prescribed_left(history: Callable) -> "Extension":
         """Explicit history on tau < 0 (delay-equation style)."""
         return Extension(left="affine", left_sign=0.0, left_offset=history,
-                         right=right, label=label)
+                         right="zero", label="history")
 
     @staticmethod
     def interior_only() -> "Extension":
@@ -326,8 +326,9 @@ class PiecewiseSolution:
         inv = 1.0 / (np.arange(k + 1) + 1.0)
         return float(self.mesh.h * np.sum(self.coeffs[comp] @ inv))
 
-    def sup_norm(self, comp: int, samples_per_interval: int = 12) -> float:
-        s = np.linspace(0.0, 1.0, samples_per_interval)
+    def sup_norm(self, comp: int) -> float:
+        """Largest |value| over 12 equispaced samples per interval."""
+        s = np.linspace(0.0, 1.0, 12)
         pts = ((np.arange(self.mesh.intervals)[:, None] + s[None, :]) * self.mesh.h).ravel()
         return float(np.max(np.abs(self._interior(pts, comp))))
 

@@ -317,3 +317,34 @@ def test_non_wave_checkpoint_is_usage_error(tmp_path):
         res = run_cli([*argv, "--out", str(tmp_path / "out")])
         assert res.returncode == 2
         assert "periodic-ripple" in res.stderr
+
+
+def test_checkpoint_inputs_are_read_once(tmp_path, mono_ckpt, monkeypatch):
+    from fputw import checkpoint
+    reads = []
+    read = checkpoint.read
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(checkpoint, "read", counting_read)
+    assert cli.main(["simulate", "--ic", str(mono_ckpt), "--T", "1",
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert len(reads) == 1
+    reads.clear()
+    assert cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0", "--mesh", "256",
+                     "--seed-ckpt", str(mono_ckpt),
+                     "--out", str(tmp_path / "wave")]) == 0
+    assert len(reads) == 1
+
+
+def test_missing_input_file_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.ckpt")
+    for argv in (["simulate", "--ic", missing, "--T", "1"],
+                 ["kc", "--kappa", "0.5", "--config", missing]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "missing.ckpt" in err

@@ -217,6 +217,51 @@ def test_switch_keeps_step_direction(monkeypatch):
     assert branch.folds
 
 
+def test_s_shaped_branch_marks_both_folds(monkeypatch):
+    """Stubbed S-shaped branch sigma(mu) = mu^3 - mu, folds at mu = -+1/sqrt(3).
+    Driving sigma upward stalls at the first fold tip 2/(3 sqrt 3) and
+    switches to mu once; mu then steps through both folds, and each reversal
+    of sigma is a fold."""
+    import fputw.continuation as cont
+
+    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
+                   reuse=None):
+        if fix == "sigma":
+            roots = np.roots([1.0, 0.0, -1.0, -value])
+            real = roots[np.abs(roots.imag) < 1e-12].real
+            mu = real[np.argmin(np.abs(real - guess.mu))]
+            if abs(mu - guess.mu) > 0.2:    # no solution near the guess
+                raise NonConvergenceError("past fold", 1.0, 25)
+            sigma = value
+        else:
+            mu = value
+            sigma = mu ** 3 - mu
+        return di.DiatomicWave(kappa, sigma, float(mu), 0.0, guess.omega_p,
+                               guess.solitary, guess.ripple, 1e-12, 2,
+                               fixed_param=fix)
+
+    monkeypatch.setattr(cont, "solve_wave", fake_solve)
+    cfg = di.DiatomicConfig(length=4.0, solitary_intervals=4,
+                            ripple_intervals=4, gauss_order=2)
+    mu0 = -0.8
+    seed_wave = di.DiatomicWave(1.0, mu0 ** 3 - mu0, mu0, 0.0, 10.0,
+                                _dummy_solution(), _dummy_solution(4),
+                                1e-12, 0, fixed_param="sigma")
+    branch = cont.continue_branch(seed_wave, "sigma", 0.5, 0.02, cfg,
+                                  max_points=400)
+    assert branch.terminated_reason == "target-reached"
+    assert [e.note for e in branch.events if e.kind == "switch"] == ["sigma"]
+    assert len(branch.folds) == 2
+    tip = 1.0 / np.sqrt(3.0)
+    mus = branch.scalar("mu")
+    step = np.max(np.abs(np.diff(mus)))
+    assert abs(mus[branch.folds[0]] + tip) <= step
+    assert abs(mus[branch.folds[1]] - tip) <= step
+    folds = [e for e in branch.events if e.kind == "fold"]
+    assert [e.note for e in folds] == ["sigma", "sigma"]
+    assert [e.value for e in folds] == [branch.points[i].sigma for i in branch.folds]
+
+
 def _dummy_solution(ncomp=4):
     from fputw.solution import Extension, Mesh, PiecewiseSolution
     mesh = Mesh(4.0, 4, 2)
