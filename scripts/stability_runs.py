@@ -16,14 +16,6 @@ from fputw.continuation import continue_branch, find_solitary
 MASSES = (0.33797458, 0.32800968, 0.32711659, 0.32702829, 0.32701947)
 
 
-def diagnostics_csv(path, series):
-    rows = zip(series.times, series.energy_full, series.energy_core,
-               series.gamma_core, series.a_out, series.shift_total,
-               series.alarms)
-    write_csv(path, ("t", "E_full", "E_core", "Gamma_core", "A_out",
-                     "shift_total", "alarm"), rows)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kappa", type=float, default=2.5)
@@ -53,7 +45,8 @@ def main():
         state = lat.sample_initial_condition(wave, resolution=512)
         series = lat.run_simulation(state, sim)
         tag = f"m{wave.m:.8f}"
-        diagnostics_csv(out / f"diatomic_{tag}.csv", series)
+        write_csv(out / f"diatomic_{tag}.csv", lat.DiagnosticSeries.COLUMNS,
+                  series.rows())
         summary.append((wave.m, wave.alpha_p, series.gamma_at(args.T),
                         max(series.a_out)))
         print(f"m={wave.m:.8f} alpha_P={wave.alpha_p:+.3e} "
@@ -61,7 +54,8 @@ def main():
 
     state = lat.sample_initial_condition(mw, resolution=512)
     series = lat.run_simulation(state, sim)
-    diagnostics_csv(out / "monatomic_baseline.csv", series)
+    write_csv(out / "monatomic_baseline.csv", lat.DiagnosticSeries.COLUMNS,
+              series.rows())
     print(f"monatomic baseline Gamma({args.T:g})={series.gamma_at(args.T):+.3e}")
     write_csv(out / "summary.csv", ("m", "alpha_P", "Gamma_final", "A_out_max"),
               summary)

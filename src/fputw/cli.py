@@ -181,11 +181,6 @@ def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
 WAVE_COLUMNS = continuation.BRANCH_COLUMNS
 
 
-def _wave_row(w: diatomic.DiatomicWave):
-    return (w.kappa, w.sigma, w.m, w.mu, w.beta_p, w.omega_p, w.alpha_p,
-            w.ripple_class, w.fixed_param, w.iterations, w.residual_norm)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -291,7 +286,8 @@ def cmd_wave(args) -> int:
             mu_guess = fix_value if fix_name == "mu" else seed.mu
             seed = diatomic.refresh_ripple_guess(seed, mu_guess, cfg)
         wave = diatomic.solve_wave(args.kappa, fix_name, fix_value, seed, cfg)
-    write_csv(out / "wave.csv", WAVE_COLUMNS, [_wave_row(wave)])
+    write_csv(out / "wave.csv", WAVE_COLUMNS,
+              [continuation.point_from_wave(wave).values()])
     diatomic.save_wave(wave, out / "wave.ckpt")
     write_manifest(out, "wave",
                    {"kappa": args.kappa, "fix": f"{fix_name}={fix_value}"},
@@ -433,12 +429,8 @@ def cmd_simulate(args) -> int:
     cfg = lattice.SimConfig(**_given(args, dt="dt", horizon="T",
                                      recenter_period="recenter_period"))
     series = lattice.run_simulation(state, cfg)
-    rows = zip(series.times, series.energy_full, series.energy_core,
-               series.gamma_core, series.a_out, series.shift_total,
-               series.alarms)
-    write_csv(out / "diagnostics.csv",
-              ("t", "E_full", "E_core", "Gamma_core", "A_out", "shift_total",
-               "alarm"), rows)
+    write_csv(out / "diagnostics.csv", lattice.DiagnosticSeries.COLUMNS,
+              series.rows())
     write_manifest(out, "simulate",
                    {"T": cfg.horizon, "dt": cfg.dt,
                     "recenter_period": cfg.recenter_period,
@@ -457,7 +449,8 @@ def cmd_transform(args) -> int:
     mirrored = diatomic.symmetry_transform(wave)
     diatomic.save_wave(mirrored, out / "transformed.ckpt")
     write_csv(out / "transform.csv", WAVE_COLUMNS,
-              [_wave_row(wave), _wave_row(mirrored)])
+              [continuation.point_from_wave(w).values()
+               for w in (wave, mirrored)])
     write_manifest(out, "transform", {"ckpt": str(args.ckpt)},
                    ["transform.csv", "transformed.ckpt"])
     print(f"(m={wave.m:.6g}, sigma={wave.sigma:.6g}) -> "
@@ -517,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--fix", required=True, help="sigma|mu|beta_p=value")
-    p.add_argument("--seed-ckpt", "--guess", dest="seed_ckpt",
+    p.add_argument("--seed-ckpt", dest="seed_ckpt",
                    help="seed checkpoint (or 'auto')")
     p.set_defaults(func=cmd_wave)
 

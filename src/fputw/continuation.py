@@ -5,16 +5,17 @@ one scalar (the driver) and solving with it held fixed.  On Newton failure
 the step is halved (down to ``MIN_STEP_FACTOR`` of its largest size) and
 then the driver is switched to the free scalar that moved most over the last
 accepted step, which is how fold points are passed; that scalar is then
-stepped in the direction in which it was moving.  A point is a fold when the
-traced scalar (the driver the trace started with) reverses direction there;
-every reversal is marked, so an S-shaped branch shows both of its folds.
-Sign changes of the ripple amplitude alpha_P are marked for solitary-wave
-seeding.  A halving
-that leaves the attempted driver value unchanged (a step clamped to the
-target) is not re-solved: the solve is deterministic and would fail again, so
-the step keeps halving until the value moves.  Every accepted point, failed
-solve, halving, switch, fold and the termination is logged in
-``Branch.events``.
+stepped on by its last increment.  Steps are signed and taken in the
+coordinate of the scalar being stepped (m for a mu driver stepped in m), so
+a switch back to the first driver keeps its direction.  A point is a fold
+when the traced scalar (the driver the trace started with) reverses
+direction there; every reversal is marked, so an S-shaped branch shows both
+of its folds.  Sign changes of the ripple amplitude alpha_P are marked for
+solitary-wave seeding.  A halving that leaves the attempted driver value
+unchanged (a step clamped to the target) is not re-solved: the solve is
+deterministic and would fail again, so the step keeps halving until the
+value moves.  Every accepted point, failed solve, halving, switch, fold and
+the termination is logged in ``Branch.events``.
 
 Solitary branches are found by bisecting a marked sign change in the driven
 parameter (beta_P still free), freezing beta_P = 0, and continuing in kappa
@@ -79,8 +80,9 @@ class BranchEvent:
 
     ``value`` is the driver value solved for (accepted, failed), attempted
     next (halved) or reached (switch, fold); ``step`` is the step size after
-    a halving or switch; ``residual`` and ``iterations`` come from the solve;
-    ``note`` holds the driver left by a switch or the termination reason.
+    a halving, or the signed step a switch hands over; ``residual`` and
+    ``iterations`` come from the solve; ``note`` holds the driver left by a
+    switch or the termination reason.
     """
 
     kind: str
@@ -118,18 +120,11 @@ def event_counts(*branches: Branch) -> dict[str, int]:
     return {kind: seen[kind] for kind in EVENT_KINDS}
 
 
-def _point_from_wave(w: DiatomicWave) -> BranchPoint:
+def point_from_wave(w: DiatomicWave) -> BranchPoint:
+    """The branch point of a wave: ``values()`` is its BRANCH_COLUMNS row."""
     return BranchPoint(w.kappa, w.sigma, w.mu, w.beta_p, w.omega_p, w.alpha_p,
                        w.ripple_class, w.fixed_param, w.iterations,
                        w.residual_norm)
-
-
-def _mu_to_m(mu):
-    return 1.0 / (1.0 + mu)
-
-
-def _m_to_mu(m):
-    return 1.0 / m - 1.0
 
 
 def _extrapolate(last: DiatomicWave, prev: DiatomicWave, r: float) -> DiatomicWave:
@@ -172,23 +167,28 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     elif driver not in SCALAR_NAMES:
         raise ValueError(f"unknown driver {driver!r}")
 
-    to_coord = _mu_to_m if (driver == "mu" and step_in_m) else (lambda v: v)
-    from_coord = _m_to_mu if (driver == "mu" and step_in_m) else (lambda v: v)
+    in_m = driver == "mu" and step_in_m
+
+    def coord(name, w):
+        """Scalar ``name`` of ``w`` in the coordinate it is stepped in."""
+        return w.m if in_m and name == "mu" else getattr(w, name)
 
     branch = Branch()
     factors = FactorCache()
     wave = seed
     prev_wave = None
     cur_driver = driver
-    coord = to_coord(getattr(seed, driver))
-    direction = np.sign(target - coord) or 1.0
-    h = h_max = abs(step)
+    # h is signed, in the coordinate of the scalar being stepped; direction
+    # only clamps the first driver to the target and ends the trace there
+    direction = np.sign(target - coord(driver, seed)) or 1.0
+    h_max = abs(step)
+    h = direction * h_max
 
     def event(kind, value=math.nan, **info):
         branch.events.append(BranchEvent(kind, cur_driver, value, **info))
 
     def record(w: DiatomicWave):
-        pt = _point_from_wave(w)
+        pt = point_from_wave(w)
         if branch.points:
             last = branch.points[-1]
             if last.alpha_p * pt.alpha_p < 0.0:
@@ -205,17 +205,16 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             save_wave(w, Path(checkpoint_dir) / f"point{len(branch.points)-1:04d}.ckpt")
 
     def attempt(h):
-        """Driver value of a step of size h from the current wave."""
-        if cur_driver != driver:
-            return getattr(wave, cur_driver) + h
-        nxt = to_coord(getattr(wave, driver)) + direction * h
-        overshoot = (nxt - target) * direction > 0
-        return from_coord(target if overshoot else nxt)
+        """Driver value of a step h from the current wave."""
+        nxt = coord(cur_driver, wave) + h
+        if cur_driver == driver and (nxt - target) * direction > 0:
+            nxt = target
+        return 1.0 / nxt - 1.0 if in_m and cur_driver == "mu" else nxt
 
     record(wave)
     while len(branch.points) < max_points:
         # termination on target (in the original driver coordinate)
-        if (to_coord(getattr(wave, driver)) - target) * direction >= -1e-12:
+        if (coord(driver, wave) - target) * direction >= -1e-12:
             branch.terminated_reason = "target-reached"
             break
         value = attempt(h)
@@ -256,7 +255,7 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             while abs(h) > h_max * MIN_STEP_FACTOR and value == failed:
                 h *= 0.5
                 value = attempt(h)
-                event("halved", value, step=h)
+                event("halved", value, step=abs(h))
             if value != failed:
                 continue
             # kappa traces never switch; the others switch the fixed
@@ -265,8 +264,9 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             if cand is None:
                 branch.terminated_reason = "step-floor"
                 break
-            left = cur_driver
-            cur_driver, h = cand    # signed: the scalar keeps its direction
+            left, cur_driver = cur_driver, cand
+            # the last increment: the scalar keeps its direction
+            h = coord(cand, wave) - coord(cand, prev_wave)
             h_max = abs(h)
             event("switch", getattr(wave, cur_driver), step=h, note=left)
             continue
@@ -303,10 +303,10 @@ def _pick_switch(branch: Branch, cur_driver: str):
         scale = max(1e-9, abs(getattr(branch.points[-1], name)))
         rel = abs(incr) / scale
         if best is None or rel > best[0]:
-            best = (rel, name, incr)
+            best = (rel, name)
     if best is None or best[0] == 0.0:
         return None
-    return best[1], best[2]
+    return best[1]
 
 
 MIN_SMALL_RIPPLE_EXTENT = 0.01
@@ -402,7 +402,7 @@ def find_solitary(branch: Branch, cfg: DiatomicConfig | None = None, *,
     near = bisect_alpha_zero(branch, idx, cfg, tol=bisect_tol, reuse=factors)
     sol = freeze_solitary(near, cfg, reuse=factors)
     out = Branch()
-    out.points.append(_point_from_wave(sol))
+    out.points.append(point_from_wave(sol))
     out.waves.append(sol)
     if kappa_range is not None:
         k0, k1, dk = kappa_range

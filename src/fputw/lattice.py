@@ -5,9 +5,11 @@ F(r) = r + r^2; both r and p vanish identically outside the grid:
 
     dr_j/dt = p_{j+1} - p_j,        m_j dp_j/dt = F(r_j) - F(r_{j-1}).
 
-The classical RK4 scheme with a fixed step advances the state; the full-grid
-energy sum(m_j p_j^2 / 2 + r_j^2 / 2 + r_j^3 / 3) is monitored between
-recenter events as the discretization-error alarm.  Once per recenter period
+A state is one (2, N) array whose rows are r and p, so each RK4 stage, the
+recenter shift and the window act on both at once.  The classical RK4 scheme
+with a fixed step advances the state; the full-grid energy
+sum(m_j p_j^2 / 2 + r_j^2 / 2 + r_j^3 / 3) is monitored between recenter
+events as the discretization-error alarm.  Once per recenter period
 the peak is shifted back to the grid center (by an even number of sites, so
 the alternating mass pattern is preserved) and the right quarter of the grid
 is smoothly windowed to zero by exp(-y^2/(1-y^2)),
@@ -28,24 +30,29 @@ from .monatomic import MonatomicWave
 DT_CAP = 1e-3
 
 
-@dataclass
 class LatticeState:
-    """Relative displacements and momenta on sites 1..n."""
+    """Relative displacements r and momenta p on sites 1..n, held as the
+    rows of one (2, n) array ``y``; ``r`` and ``p`` are views of it."""
 
-    r: np.ndarray
-    p: np.ndarray
-    mass_ratio: float = 1.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.r.shape != self.p.shape or self.r.ndim != 1:
+    def __init__(self, r, p, mass_ratio: float = 1.0, t: float = 0.0):
+        r, p = np.asarray(r, dtype=float), np.asarray(p, dtype=float)
+        if r.shape != p.shape or r.ndim != 1:
             raise ValueError("r and p must be 1-d arrays of equal length")
+        self.y = np.stack((r, p))
+        self.mass_ratio = mass_ratio
+        self.t = t
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.y[0]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.y[1]
 
     @property
     def n(self) -> int:
-        return self.r.size
+        return self.y.shape[1]
 
     @property
     def masses(self) -> np.ndarray:
@@ -54,7 +61,7 @@ class LatticeState:
         return m
 
     def copy(self) -> "LatticeState":
-        return LatticeState(self.r.copy(), self.p.copy(), self.mass_ratio, self.t)
+        return LatticeState(*self.y, self.mass_ratio, self.t)
 
 
 @dataclass(frozen=True)
@@ -78,47 +85,47 @@ def spring_force(r):
     return r + r * r
 
 
-def _rhs(r, p, inv_mass):
-    """Time derivatives (dr, dp) with zero ghost values at both ends."""
-    dr = np.empty_like(r)
-    dr[:-1] = p[1:] - p[:-1]
-    dr[-1] = -p[-1]
+def _rhs(y, inv_mass):
+    """Time derivatives (dr, dp), stacked like ``y``, with zero ghost values
+    at both ends."""
+    r, p = y
+    dy = np.empty_like(y)
+    dy[0, :-1] = p[1:] - p[:-1]
+    dy[0, -1] = -p[-1]
     F = spring_force(r)
-    dp = np.empty_like(p)
-    dp[0] = F[0]
-    dp[1:] = F[1:] - F[:-1]
-    dp *= inv_mass
-    return dr, dp
+    dy[1, 0] = F[0]
+    dy[1, 1:] = F[1:] - F[:-1]
+    dy[1] *= inv_mass
+    return dy
 
 
-def _rk4(r, p, inv_mass, dt, steps, t):
+def _rk4(y, inv_mass, dt, steps, t):
     """``steps`` classical RK4 steps of size dt from time t; raises
     :class:`NonFiniteStateError` when the result is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            k1r, k1p = _rhs(r, p, inv_mass)
-            k2r, k2p = _rhs(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p, inv_mass)
-            k3r, k3p = _rhs(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p, inv_mass)
-            k4r, k4p = _rhs(r + dt * k3r, p + dt * k3p, inv_mass)
-            r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
+            k1 = _rhs(y, inv_mass)
+            k2 = _rhs(y + 0.5 * dt * k1, inv_mass)
+            k3 = _rhs(y + 0.5 * dt * k2, inv_mass)
+            k4 = _rhs(y + dt * k3, inv_mass)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(y)):
         raise NonFiniteStateError(f"state became non-finite between t={t} "
                                   f"and t={t + steps * dt}")
-    return r, p
+    return y
 
 
 def rhs(state: LatticeState):
-    """Time derivatives (dr, dp) of a state."""
-    return _rhs(state.r, state.p, 1.0 / state.masses)
+    """Time derivatives of a state as one (2, n) array (dr, dp)."""
+    return _rhs(state.y, 1.0 / state.masses)
 
 
 def rk4_step(state: LatticeState, dt: float) -> LatticeState:
     """One classical fourth-order Runge-Kutta step."""
     if dt > DT_CAP:
         raise ValueError(f"dt={dt} exceeds the cap {DT_CAP}")
-    r, p = _rk4(state.r, state.p, 1.0 / state.masses, dt, 1, state.t)
-    return LatticeState(r, p, state.mass_ratio, state.t + dt)
+    y = _rk4(state.y, 1.0 / state.masses, dt, 1, state.t)
+    return LatticeState(*y, state.mass_ratio, state.t + dt)
 
 
 def energy(state: LatticeState, sites=None) -> float:
@@ -169,24 +176,24 @@ def recenter_and_window(state: LatticeState):
     peak = int(np.argmax(np.abs(state.r))) + 1
     shift = center - peak
     shift -= shift % 2          # even shift keeps site parity
-    r = np.zeros_like(state.r)
-    p = np.zeros_like(state.p)
+    y = np.zeros_like(state.y)
     if shift >= 0:
-        if shift < n:
-            r[shift:] = state.r[:n - shift]
-            p[shift:] = state.p[:n - shift]
+        y[:, shift:] = state.y[:, :n - shift]
     else:
-        r[:shift] = state.r[-shift:]
-        p[:shift] = state.p[-shift:]
-    sites = np.arange(1, n + 1)
-    w = window_factor(sites, 3 * n // 4, n // 4)
-    r *= w
-    p *= w
-    return LatticeState(r, p, state.mass_ratio, state.t), shift
+        y[:, :shift] = state.y[:, -shift:]
+    y *= window_factor(np.arange(1, n + 1), 3 * n // 4, n // 4)
+    return LatticeState(*y, state.mass_ratio, state.t), shift
 
 
 @dataclass
 class DiagnosticSeries:
+    """Diagnostics sampled along a run, one list per column.  ``COLUMNS``
+    is the diagnostics schema and ``rows()`` yields the samples in its
+    order."""
+
+    COLUMNS = ("t", "E_full", "E_core", "Gamma_core", "A_out", "shift_total",
+               "alarm")
+
     times: list = field(default_factory=list)
     energy_full: list = field(default_factory=list)
     energy_core: list = field(default_factory=list)
@@ -227,6 +234,10 @@ class DiagnosticSeries:
         self.shift_total.append(total_shift)
         self.alarms.append(bool(alarm))
 
+    def rows(self):
+        return zip(self.times, self.energy_full, self.energy_core,
+                   self.gamma_core, self.a_out, self.shift_total, self.alarms)
+
     def gamma_at(self, t: float) -> float:
         i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
         return self.gamma_core[i]
@@ -248,8 +259,8 @@ def run_simulation(state: LatticeState, cfg: SimConfig | None = None) -> Diagnos
     e_segment = energy(state)
     series.update(state, cfg, total_shift)
     for s in range(1, n_samples + 1):
-        r, p = _rk4(state.r, state.p, inv_mass, cfg.dt, steps_per_sample, state.t)
-        state = LatticeState(r, p, state.mass_ratio,
+        y = _rk4(state.y, inv_mass, cfg.dt, steps_per_sample, state.t)
+        state = LatticeState(*y, state.mass_ratio,
                              round(state.t + cfg.sample_stride, 12))
         alarm = False
         if s % samples_per_recenter == 0:

@@ -349,12 +349,8 @@ class _Assembler:
             s_of_pt = np.tile(mesh.gauss_nodes, mesh.intervals)
             base_rows = lay.colloc_offsets[b] + np.arange(npts) * n
             for c in range(n):
-                cpows = sols[b].coeffs[c][i_of_pt]  # (npts, k+1)
-                dvals = np.zeros(npts)
-                for j in range(k, 0, -1):
-                    dvals = dvals * s_of_pt + j * cpows[:, j]
-                dvals /= mesh.h
-                r[base_rows + c] = dvals - F[c]
+                r[base_rows + c] = (sols[b]._horner(c, i_of_pt, s_of_pt, 1)
+                                    / mesh.h - F[c])
 
             if want_jac:
                 # d(u'_c)/d coeffs

@@ -401,3 +401,68 @@ def test_kappa_trace_uses_secant_predictor(monkeypatch):
         assert guess_mu != last.mu
         assert guess_mu == pytest.approx(last.mu + r * (last.mu - prev.mu),
                                          rel=1e-12)
+
+
+def _valley_solve(calls, mu_fails, mu_limit=np.inf):
+    """Stub solve_wave on the branch sigma = 1 + mu^2, which folds once, at
+    mu = 0.  A sigma solve takes the root nearest its guess and fails below
+    the fold or beyond |mu| > ``mu_limit``; a mu solve fails when
+    ``mu_fails(value)``.  Every call is recorded."""
+
+    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
+                   reuse=None):
+        calls.append((fix, value))
+        if fix == "sigma":
+            root = np.sqrt(max(value - 1.0, 0.0))
+            mu = root if abs(root - guess.mu) < abs(-root - guess.mu) else -root
+            if value < 1.0 or abs(mu) > mu_limit:
+                raise NonConvergenceError("stub failure", 1.0, 25)
+            return _stub_wave(kappa, value, mu, fix)
+        if mu_fails(value):
+            raise NonConvergenceError("stub failure", 1.0, 25)
+        return _stub_wave(kappa, 1.0 + value * value, value, fix)
+
+    return fake_solve
+
+
+def test_switch_back_while_stepping_down_keeps_direction(monkeypatch):
+    """sigma driven from mu = -0.2 down toward 0.5 stalls at the fold, mu
+    takes over and fails above 0.1, and sigma, rising by now, takes over
+    again.  The trace must go on up the branch instead of turning around
+    over the part it has already traced."""
+    import fputw.continuation as cont
+
+    calls = []
+    monkeypatch.setattr(cont, "solve_wave",
+                        _valley_solve(calls, lambda mu: mu > 0.1))
+    seed = _stub_wave(1.0, 1.04, -0.2, "sigma")
+    branch = cont.continue_branch(seed, "sigma", 0.5, 0.01, TINY_CFG,
+                                  max_points=60)
+    assert [e.note for e in branch.events if e.kind == "switch"] == ["sigma", "mu"]
+    assert len(branch.folds) == 1
+    mus = branch.scalar("mu")
+    assert np.all(np.diff(mus[branch.folds[0]:]) >= 0.0)
+    assert mus[-1] > 0.1
+
+
+def test_switch_back_to_mu_steps_in_m(monkeypatch):
+    """With step_in_m, a switch back to the mu driver hands over its last
+    increment in m: the first mu solve after it lies at the last accepted
+    m plus that increment."""
+    import fputw.continuation as cont
+
+    calls = []
+    monkeypatch.setattr(cont, "solve_wave", _valley_solve(
+        calls, lambda mu: 0.112 < mu < 0.3, mu_limit=0.35))
+    seed = _stub_wave(1.0, 1.0, 0.0, "mu")
+    branch = cont.continue_branch(seed, "mu", 0.5, 0.1, TINY_CFG,
+                                  step_in_m=True, max_points=30)
+    assert [e.note for e in branch.events if e.kind == "switch"] == ["mu", "sigma"]
+    fixed = [c[0] for c in calls]
+    back = len(fixed) - fixed[::-1].index("sigma")     # first mu solve after
+    held = [p.fixed_param for p in branch.points]
+    last_sigma = len(held) - held[::-1].index("sigma") - 1
+    prev, last = branch.points[last_sigma - 1], branch.points[last_sigma]
+    assert calls[back][0] == "mu"
+    assert calls[back][1] == pytest.approx(1.0 / (2.0 * last.m - prev.m) - 1.0,
+                                           rel=1e-12)
