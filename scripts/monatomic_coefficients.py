@@ -9,7 +9,7 @@ import argparse
 from pathlib import Path
 
 from fputw import monatomic as mono
-from fputw.cli import fmt, write_csv
+from fputw.cli import N_QUAD_HELP, fmt, write_csv
 
 
 def main():
@@ -17,7 +17,7 @@ def main():
     ap.add_argument("--from", dest="from_", type=float, default=0.5)
     ap.add_argument("--to", type=float, default=3.0)
     ap.add_argument("--step", type=float, default=0.125)
-    ap.add_argument("--n-quad", type=int, default=10 ** 6)
+    ap.add_argument("--n-quad", type=int, default=10 ** 6, help=N_QUAD_HELP)
     ap.add_argument("--out", default="results/monatomic")
     args = ap.parse_args()
 

@@ -31,6 +31,9 @@ from .errors import FputwError
 
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
+N_QUAD_HELP = ("points of the midpoint sum that cross-checks I_chi for the "
+               "reliable flag; I_eta, I_chi and K come from Gauss quadrature "
+               "on the integrand's breakpoints")
 
 
 def fmt(v) -> str:
@@ -484,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--step", type=float, default=0.25)
-    p.add_argument("--n-quad", dest="n_quad", type=int, default=10 ** 6)
+    p.add_argument("--n-quad", dest="n_quad", type=int, default=10 ** 6,
+                   help=N_QUAD_HELP)
     p.set_defaults(func=cmd_mono_scan)
 
     p = sub.add_parser("jost", help="solve the joint wave + Jost system")
@@ -495,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kc", help="ripple-amplitude coefficient K_sigma")
     common(p)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--n-quad", dest="n_quad", type=int, default=10 ** 6)
+    p.add_argument("--n-quad", dest="n_quad", type=int, default=10 ** 6,
+                   help=N_QUAD_HELP)
     p.set_defaults(func=cmd_kc)
 
     p = sub.add_parser("periodic", help="nonlinear periodic ripple")

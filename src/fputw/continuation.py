@@ -15,7 +15,8 @@ solitary-wave seeding.  A halving that leaves the attempted driver value
 unchanged (a step clamped to the target) is not re-solved: the solve is
 deterministic and would fail again, so the step keeps halving until the
 value moves.  Every accepted point, failed solve, halving, switch, fold and
-the termination is logged in ``Branch.events``.
+the termination is logged in ``Branch.events``.  A trace that must switch
+again before any point is accepted after a switch ends at the step floor.
 
 Solitary branches are found by bisecting a marked sign change in the driven
 parameter (beta_P still free), freezing beta_P = 0, and continuing in kappa
@@ -178,6 +179,9 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     wave = seed
     prev_wave = None
     cur_driver = driver
+    # a switch with no point accepted since the previous one ends the trace:
+    # the drivers would otherwise hand it back and forth without end
+    switched = False
     # h is signed, in the coordinate of the scalar being stepped; direction
     # only clamps the first driver to the target and ends the trace there
     direction = np.sign(target - coord(driver, seed)) or 1.0
@@ -261,19 +265,21 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             # kappa traces never switch; the others switch the fixed
             # parameter to the scalar that moved most
             cand = None if driver == "kappa" else _pick_switch(branch, cur_driver)
-            if cand is None:
+            if cand is None or switched:
                 branch.terminated_reason = "step-floor"
                 break
             left, cur_driver = cur_driver, cand
             # the last increment: the scalar keeps its direction
             h = coord(cand, wave) - coord(cand, prev_wave)
             h_max = abs(h)
+            switched = True
             event("switch", getattr(wave, cur_driver), step=h, note=left)
             continue
         # accepted
         event("accepted", value, residual=new.residual_norm,
               iterations=new.iterations)
         prev_wave, wave = wave, new
+        switched = False
         record(wave)
         if stop_when is not None and stop_when(branch.points[-1]):
             branch.terminated_reason = "stop-condition"

@@ -364,15 +364,50 @@ def _midpoint_integral(f, length: float, n: int) -> float:
     return float(np.sum(f(tau)) * (length / n))
 
 
+def _breakpoints(wave: MonatomicWave, jost: JostSolution) -> np.ndarray:
+    """Sorted points of [0, L] between which the projection integrands are
+    smooth: the knots of the profile and remainder meshes, and the profile
+    knots, reflected through 0 by the even extension, shifted by +-kappa.
+    Points closer than 1e-12 L to their left neighbour are merged into it."""
+    kappa, L = wave.kappa, wave.length
+    knots = wave.profile.mesh.knots
+    mirrored = np.concatenate([-knots[::-1], knots])
+    pts = np.unique(np.clip(np.concatenate(
+        [knots, jost.remainder.mesh.knots, mirrored + kappa, mirrored - kappa]),
+        0.0, L))
+    pts = pts[np.concatenate([[True], np.diff(pts) > 1e-12 * L])]
+    pts[-1] = L
+    return pts
+
+
+def _piecewise_gauss(f, breaks: np.ndarray, nodes: int) -> float:
+    """Composite Gauss-Legendre with ``nodes`` nodes on each piece between
+    consecutive ``breaks``: exact for piecewise polynomials of degree up to
+    2 * nodes - 1 whose pieces join at the breaks."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(breaks)
+    tau = (breaks[:-1] + half)[:, None] + half[:, None] * x[None, :]
+    return float(np.sum((f(tau.ravel()).reshape(tau.shape) @ w) * half))
+
+
 def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
                           n_quad: int = 10 ** 6,
                           require_reliable: bool = False) -> AmplitudeCoefficient:
-    """Midpoint-rule evaluation of the projection integrals and
-    K = -I_chi / I_eta, with the analytic monitor for I_eta.
+    """Projection integrals I_eta, I_chi and K = -I_chi / I_eta, with the
+    analytic monitor for I_eta.
 
-    The record carries the reliability flag (kappa >= 0.3 and a doubled-grid
-    stability check on I_chi within 0.1%); ``require_reliable=True`` raises
-    :class:`UnreliableQuadratureError` carrying both quadrature values.
+    Both integrals are composite Gauss-Legendre on the pieces between the
+    integrand's breakpoints (:func:`_breakpoints`).  On each piece the
+    polynomial factors (remainder times profile, or times profile squared)
+    have degree at most 3 k for collocation order k, and the node count is
+    chosen to integrate that degree exactly, so only the smooth sine factors
+    leave a quadrature error; on the default mesh the values agree with
+    million-point midpoint sums to rounding.
+
+    The record carries the reliability flag: kappa >= 0.3 and agreement of
+    I_chi within 0.1% with an independent midpoint sum over ``n_quad``
+    points (``i_chi_refined``).  ``require_reliable=True`` raises
+    :class:`UnreliableQuadratureError` carrying both values.
     """
     if n_quad < 10 ** 4:
         raise ValueError("n_quad must be at least 1e4")
@@ -384,22 +419,25 @@ def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
 
     psi_eta = compute_psi(wave, jost, "eta")
     psi_chi = compute_psi(wave, jost, "chi")
+    breaks = _breakpoints(wave, jost)
+    order = max(wave.profile.mesh.gauss_order, jost.remainder.mesh.gauss_order)
+    nodes = 3 * order // 2 + 1
     # The eta pairing carries the factor 2 of the quadratic cross-term
     # 2 s1 s2: the ripple-amplitude coefficient in the second component is
     # 2*(2+A)[phi sin], so I_eta = <gamma, 2 eta>.  This is the normalization
     # under which the analytic monitor holds exactly (see LEDGER.md, entry 3).
-    i_eta = 4.0 * kappa * _midpoint_integral(lambda t: gamma_part(t) * psi_eta(t), L, n_quad)
-    i_chi = 2.0 * kappa * _midpoint_integral(lambda t: gamma_part(t) * psi_chi(t), L, n_quad)
-    i_chi2 = 2.0 * kappa * _midpoint_integral(lambda t: gamma_part(t) * psi_chi(t), L, 2 * n_quad)
+    i_eta = 4.0 * kappa * _piecewise_gauss(lambda t: gamma_part(t) * psi_eta(t), breaks, nodes)
+    i_chi = 2.0 * kappa * _piecewise_gauss(lambda t: gamma_part(t) * psi_chi(t), breaks, nodes)
+    i_chi_mid = 2.0 * kappa * _midpoint_integral(lambda t: gamma_part(t) * psi_chi(t), L, n_quad)
 
     monitor = abs(i_eta + dispersion.b_plus_prime(om, jost.sigma, 0.0)
                   * np.sin(om * th)) / abs(i_eta)
-    stable = abs(i_chi2 - i_chi) <= 1e-3 * abs(i_chi)
+    stable = abs(i_chi_mid - i_chi) <= 1e-3 * abs(i_chi)
     reliable = bool(kappa >= 0.3 and stable)
     if require_reliable and not reliable:
         raise UnreliableQuadratureError(
-            f"quadrature unreliable at kappa={kappa}", i_chi, i_chi2)
-    return AmplitudeCoefficient(kappa, i_eta, i_chi, i_chi2,
+            f"quadrature unreliable at kappa={kappa}", i_chi, i_chi_mid)
+    return AmplitudeCoefficient(kappa, i_eta, i_chi, i_chi_mid,
                                 -i_chi / i_eta, monitor, reliable, n_quad)
 
 

@@ -378,6 +378,31 @@ def test_all_failing_mu_steps_switch_driver(monkeypatch):
     assert branch.points[-1].fixed_param == "sigma"
 
 
+def test_two_failing_drivers_end_at_step_floor(monkeypatch):
+    """mu solves converge up to 0.1 and every other solve fails: mu stalls,
+    sigma takes over and stalls too, and the trace ends instead of handing
+    itself back to mu without adding a point."""
+    import fputw.continuation as cont
+
+    calls = []
+    recording = _recording_solve(
+        calls, lambda kappa, fix, value, guess: not (fix == "mu" and value <= 0.1 + 1e-12))
+
+    def bounded_solve(*args, **kwargs):
+        if len(calls) >= 300:
+            raise RuntimeError("trace still running after 300 solves")
+        return recording(*args, **kwargs)
+
+    monkeypatch.setattr(cont, "solve_wave", bounded_solve)
+    seed = _stub_wave(1.0, 1.5, 0.0, "mu")
+    branch = cont.continue_branch(seed, "mu", 0.25, 0.05, TINY_CFG)
+    assert branch.terminated_reason == "step-floor"
+    assert [p.mu for p in branch.points] == pytest.approx([0.0, 0.05, 0.1])
+    switches = [e for e in branch.events if e.kind == "switch"]
+    assert [(e.note, e.driver) for e in switches] == [("mu", "sigma")]
+    assert _no_repeated_solve(calls)
+    assert branch.events[-1].note == "step-floor"
+
 def test_kappa_trace_uses_secant_predictor(monkeypatch):
     """On a kappa trace every solve holds sigma fixed, so once two points
     are known the next guess is the secant extrapolation in kappa."""

@@ -4,7 +4,7 @@ import pytest
 from fputw import dispersion as dsp
 from fputw import monatomic as mono
 from fputw.mfde import assemble_residual, refined_collocation_norm
-from fputw.solution import Mesh
+from fputw.solution import Extension, Mesh, PiecewiseSolution
 
 
 CFG = mono.MonatomicConfig()
@@ -164,6 +164,65 @@ def test_kc_fit_anchor():
     assert abs(-coeff.coefficient / fit - 1.0) < 0.15
     assert coeff.coefficient < 0.0
 
+
+
+OFF_GRID_KAPPA = 1.1    # 17.6 mesh steps: knots +- kappa fall between knots
+
+
+@pytest.fixture(scope="module")
+def joint_off_grid():
+    return mono.solve_joint(OFF_GRID_KAPPA, CFG)
+
+
+def _antiderivative(sol, x):
+    """Exact integral of component 0 of ``sol`` over [0, x], 0 <= x <= L."""
+    h = sol.mesh.h
+    c = sol.coeffs[0]
+    j = np.arange(1, c.shape[1] + 1)
+    i = min(int(x / h), sol.mesh.intervals - 1)
+    s = x / h - i
+    return h * (np.sum(c[:i] / j) + np.sum(c[i] * s ** j / j))
+
+
+def test_breakpoint_gauss_is_exact_on_shifted_kinks():
+    # a piecewise cubic with kinks at every knot, even through 0 and zero
+    # beyond L, shifted by +-kappa: exact on the breakpoints with 2 nodes
+    kap = OFF_GRID_KAPPA
+    p = PiecewiseSolution.from_callables(
+        CFG.mesh, [lambda t: np.exp(-0.3 * t) * np.cos(t)], (Extension.even_zero(),))
+    wave = mono.MonatomicWave(kap, 1.0, p, 0.0, 0)
+    jost = mono.JostSolution(kap, 1.0, 1.0, 0.0, 1.0, p, 0.0, 0)
+    breaks = mono._breakpoints(wave, jost)
+    assert breaks[0] == 0.0 and breaks[-1] == CFG.length
+    assert np.all(np.diff(breaks) > 0.0)
+
+    def f(tau):
+        return p.eval(tau + kap, 0) + 2.0 * p.eval(tau, 0) + p.eval(tau - kap, 0)
+
+    L = CFG.length
+    exact = 3.0 * _antiderivative(p, L) + _antiderivative(p, L - kap)
+    assert mono._piecewise_gauss(f, breaks, 2) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_gauss_quadrature_matches_midpoint_sum(joint_off_grid):
+    wave, jost = joint_off_grid
+    kap, L, n = wave.kappa, wave.length, 10 ** 6
+    tau = (np.arange(n) + 0.5) * (L / n)
+    gamma = (np.sin(jost.omega * (tau / kap + jost.theta))
+             + jost.beta * jost.remainder.eval(tau, 0))
+    i_eta = 4.0 * kap * np.sum(gamma * mono.compute_psi(wave, jost, "eta")(tau)) * (L / n)
+    i_chi = 2.0 * kap * np.sum(gamma * mono.compute_psi(wave, jost, "chi")(tau)) * (L / n)
+    coeff = mono.amplitude_coefficient(wave, jost, n_quad=10 ** 4)
+    assert coeff.i_eta == pytest.approx(i_eta, rel=1e-9, abs=0.0)
+    assert coeff.i_chi == pytest.approx(i_chi, rel=1e-9, abs=0.0)
+    assert coeff.coefficient == pytest.approx(-i_chi / i_eta, rel=1e-9, abs=0.0)
+
+
+def test_amplitude_coefficient_is_deterministic(joint_off_grid):
+    wave, jost = joint_off_grid
+    first = mono.amplitude_coefficient(wave, jost, n_quad=10 ** 5)
+    second = mono.amplitude_coefficient(wave, jost, n_quad=10 ** 5)
+    assert first == second
 
 @pytest.fixture(scope="module")
 def scan_small():
