@@ -9,7 +9,7 @@ import argparse
 from pathlib import Path
 
 from fputw import monatomic as mono
-from fputw.cli import N_QUAD_HELP, fmt, write_csv
+from fputw.cli import N_QUAD_HELP, fmt, write_scan
 
 
 def main():
@@ -24,10 +24,7 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     res = mono.kappa_scan(args.from_, args.to, args.step, n_quad=args.n_quad)
-    write_csv(out / "mono_scan.csv", mono.SCAN_COLUMNS,
-              [r.values() for r in res.rows])
-    for row, wave, jost in zip(res.rows, res.waves, res.josts):
-        mono.save_joint(wave, jost, out / f"joint_k{row.kappa:.6g}.ckpt")
+    write_scan(out, res)
     print(f"{len(res.rows)} rows -> {out/'mono_scan.csv'}")
     for r in res.rows:
         print(f"  kappa={fmt(r.kappa):>8}  sigma={r.sigma:.8f}  "

@@ -178,35 +178,48 @@ def read(path) -> Checkpoint:
 # solution <-> block conversion
 # ---------------------------------------------------------------------------
 
+# (rule, sign) of each policy token but the affine ``affine<sign>:<label>``
+_LEFT_TOKENS = {"even": ("reflect", 1.0), "odd": ("reflect", -1.0),
+                "none": ("none", 1.0)}
+_RIGHT_TOKENS = {"zero": ("zero", 1.0), "none": ("none", 1.0),
+                 "reflect+": ("reflect", 1.0), "reflect-": ("reflect", -1.0)}
+
+
+def _policy_tokens(ext: Extension) -> tuple[str, str]:
+    """The (left, right) tokens of a policy; :func:`_policy_from_tokens`
+    reads them back."""
+    if ext.left == "none":
+        lt = "none"
+    elif ext.left == "affine":
+        lt = f"affine{ext.left_sign:+g}:{ext.label or 'anon'}"
+    else:
+        lt = "even" if ext.left_sign > 0 else "odd"
+    if ext.right in ("none", "zero"):
+        rt = ext.right
+    else:
+        rt = "reflect+" if ext.right_sign > 0 else "reflect-"
+    return lt, rt
+
+
 def solution_to_block(name: str, sol: PiecewiseSolution) -> CheckpointBlock:
     return CheckpointBlock(name, sol.mesh,
-                           [ext.tokens() for ext in sol.policies],
+                           [_policy_tokens(ext) for ext in sol.policies],
                            sol.coeffs.copy())
 
 
 def _policy_from_tokens(lt: str, rt: str) -> Extension:
-    if rt == "zero":
-        right, rsign = "zero", 1.0
-    elif rt == "reflect+":
-        right, rsign = "reflect", 1.0
-    elif rt == "reflect-":
-        right, rsign = "reflect", -1.0
-    elif rt == "none":
-        right, rsign = "none", 1.0
-    else:
+    if rt not in _RIGHT_TOKENS:
         raise CheckpointCorruptError(f"unknown right policy token {rt!r}")
-    if lt == "even":
-        return Extension(left="reflect", left_sign=1.0, right=right, right_sign=rsign)
-    if lt == "odd":
-        return Extension(left="reflect", left_sign=-1.0, right=right, right_sign=rsign)
-    if lt == "none":
-        return Extension(left="none", right=right, right_sign=rsign)
+    right, rsign = _RIGHT_TOKENS[rt]
     if lt.startswith("affine"):
         sig, label = lt[len("affine"):].split(":", 1)
         # placeholder: exterior evaluation fails until rebound
         return Extension(left="affine", left_sign=float(sig), left_offset=None,
                          right=right, right_sign=rsign, label=label)
-    raise CheckpointCorruptError(f"unknown left policy token {lt!r}")
+    if lt not in _LEFT_TOKENS:
+        raise CheckpointCorruptError(f"unknown left policy token {lt!r}")
+    left, lsign = _LEFT_TOKENS[lt]
+    return Extension(left=left, left_sign=lsign, right=right, right_sign=rsign)
 
 
 def block_to_solution(blk: CheckpointBlock) -> PiecewiseSolution:

@@ -51,6 +51,17 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def write_scan(out: Path, res: monatomic.ScanResult) -> list[str]:
+    """Write mono_scan.csv and one joint_k<kappa>.ckpt per row; return the names."""
+    write_csv(out / "mono_scan.csv", monatomic.SCAN_COLUMNS,
+              [r.values() for r in res.rows])
+    files = ["mono_scan.csv"]
+    for row, wave, jost in zip(res.rows, res.waves, res.josts):
+        files.append(f"joint_k{row.kappa:.6g}.ckpt")
+        monatomic.save_joint(wave, jost, out / files[-1])
+    return files
+
+
 def write_manifest(outdir: Path, subcommand: str, params: dict, files,
                    events: dict[str, int] | None = None) -> None:
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}",
@@ -193,14 +204,7 @@ def cmd_mono_scan(args) -> int:
     cfg = _mono_config(args)
     res = monatomic.kappa_scan(args.from_, args.to, args.step, cfg,
                                n_quad=args.n_quad)
-    files = []
-    write_csv(out / "mono_scan.csv", monatomic.SCAN_COLUMNS,
-              [r.values() for r in res.rows])
-    files.append("mono_scan.csv")
-    for row, wave, jost in zip(res.rows, res.waves, res.josts):
-        name = f"joint_k{row.kappa:.6g}.ckpt"
-        monatomic.save_joint(wave, jost, out / name)
-        files.append(name)
+    files = write_scan(out, res)
     write_manifest(out, "mono-scan",
                    {"from": args.from_, "to": args.to, "step": args.step,
                     "aborted": res.aborted_reason or "no"}, files)
@@ -233,9 +237,7 @@ def cmd_kc(args) -> int:
     wave, jost = monatomic.solve_joint(args.kappa, cfg)
     coeff = monatomic.amplitude_coefficient(wave, jost, n_quad=args.n_quad)
     write_csv(out / "kc.csv", monatomic.SCAN_COLUMNS,
-              [(wave.kappa, wave.sigma, jost.omega, jost.theta, jost.beta,
-                coeff.i_eta, coeff.i_chi, coeff.coefficient,
-                coeff.monitor_residual, coeff.reliable, jost.iterations)])
+              [monatomic.ScanRow.of(wave, jost, coeff).values()])
     write_manifest(out, "kc", {"kappa": args.kappa, "n_quad": args.n_quad},
                    ["kc.csv"])
     print(f"K_sigma({args.kappa}) = {coeff.coefficient:.10g} "

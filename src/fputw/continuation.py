@@ -5,18 +5,20 @@ one scalar (the driver) and solving with it held fixed.  On Newton failure
 the step is halved (down to ``MIN_STEP_FACTOR`` of its largest size) and
 then the driver is switched to the free scalar that moved most over the last
 accepted step, which is how fold points are passed; that scalar is then
-stepped on by its last increment.  Steps are signed and taken in the
-coordinate of the scalar being stepped (m for a mu driver stepped in m), so
-a switch back to the first driver keeps its direction.  A point is a fold
-when the traced scalar (the driver the trace started with) reverses
-direction there; every reversal is marked, so an S-shaped branch shows both
-of its folds.  Sign changes of the ripple amplitude alpha_P are marked for
-solitary-wave seeding.  A halving that leaves the attempted driver value
-unchanged (a step clamped to the target) is not re-solved: the solve is
-deterministic and would fail again, so the step keeps halving until the
-value moves.  Every accepted point, failed solve, halving, switch, fold and
-the termination is logged in ``Branch.events``.  A trace that must switch
-again before any point is accepted after a switch ends at the step floor.
+stepped on by its last increment, regrowing up to that increment times the
+factor by which the old driver's step had been halved.  Steps are signed
+and taken in the coordinate of the scalar being stepped (m for a mu driver
+stepped in m), so a switch back to the first driver keeps its direction.
+A point is a fold when the traced scalar (the driver the trace started
+with) reverses direction there; every reversal is marked, so an S-shaped
+branch shows both of its folds.  Sign changes of the ripple amplitude
+alpha_P are marked for solitary-wave seeding.  A halving that leaves the
+attempted driver value unchanged (a step clamped to the target) is not
+re-solved: the solve is deterministic and would fail again, so the step
+keeps halving until the value moves.  Every accepted point, failed solve,
+halving, switch, fold and the termination is logged in ``Branch.events``.
+A trace that must switch again before any point is accepted after a switch
+ends at the step floor.
 
 Solitary branches are found by bisecting a marked sign change in the driven
 parameter (beta_P still free), freezing beta_P = 0, and continuing in kappa
@@ -130,13 +132,9 @@ def point_from_wave(w: DiatomicWave) -> BranchPoint:
 
 def _extrapolate(last: DiatomicWave, prev: DiatomicWave, r: float) -> DiatomicWave:
     """Secant predictor in coefficients and scalars."""
-    sol = PiecewiseSolution(last.solitary.mesh,
-                           last.solitary.coeffs + r * (last.solitary.coeffs - prev.solitary.coeffs),
-                           last.solitary.policies)
-    rip = PiecewiseSolution(last.ripple.mesh,
-                           last.ripple.coeffs + r * (last.ripple.coeffs - prev.ripple.coeffs),
-                           last.ripple.policies)
     lin = lambda a, b: a + r * (a - b)
+    sol, rip = (PiecewiseSolution(a.mesh, lin(a.coeffs, b.coeffs), a.policies)
+                for a, b in ((last.solitary, prev.solitary), (last.ripple, prev.ripple)))
     return DiatomicWave(last.kappa, lin(last.sigma, prev.sigma),
                         lin(last.mu, prev.mu), lin(last.beta_p, prev.beta_p),
                         lin(last.omega_p, prev.omega_p), sol, rip,
@@ -269,9 +267,10 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
                 branch.terminated_reason = "step-floor"
                 break
             left, cur_driver = cur_driver, cand
-            # the last increment: the scalar keeps its direction
+            # the last increment: the scalar keeps its direction; its cap is
+            # scaled by how far the left driver's step had been halved
             h = coord(cand, wave) - coord(cand, prev_wave)
-            h_max = abs(h)
+            h_max = abs(h) * h_max / abs(coord(left, wave) - coord(left, prev_wave))
             switched = True
             event("switch", getattr(wave, cur_driver), step=h, note=left)
             continue
@@ -388,36 +387,23 @@ def freeze_solitary(wave: DiatomicWave, cfg: DiatomicConfig | None = None,
 
 
 def find_solitary(branch: Branch, cfg: DiatomicConfig | None = None, *,
-                  sign_change_index: int | None = None,
                   kappa_range: tuple[float, float, float] | None = None,
                   bisect_tol: float = 1e-8) -> Branch:
-    """Locate a solitary wave from a branch carrying an alpha_P sign change
+    """Locate a solitary wave at the first alpha_P sign change of a branch
     and optionally continue it in kappa (beta_P frozen at 0).
 
-    Returns a Branch whose points are all of class "solitary"; without a
-    ``kappa_range`` it holds the single seed point.
+    Returns a Branch whose points are all of class "solitary": the kappa
+    trace from the solitary wave, or without a ``kappa_range`` that wave
+    alone.
     """
     cfg = cfg or DiatomicConfig()
-    idx = sign_change_index
-    if idx is None:
-        marks = [i for i, p in enumerate(branch.points) if p.sign_change]
-        if not marks:
-            raise ValueError("branch has no alpha_P sign change to bisect")
-        idx = marks[0]
+    if not branch.sign_changes:
+        raise ValueError("branch has no alpha_P sign change to bisect")
     factors = FactorCache()
-    near = bisect_alpha_zero(branch, idx, cfg, tol=bisect_tol, reuse=factors)
+    near = bisect_alpha_zero(branch, branch.sign_changes[0], cfg,
+                             tol=bisect_tol, reuse=factors)
     sol = freeze_solitary(near, cfg, reuse=factors)
-    out = Branch()
-    out.points.append(point_from_wave(sol))
-    out.waves.append(sol)
     if kappa_range is not None:
-        k0, k1, dk = kappa_range
-        sub = continue_branch(sol, "kappa", k1, dk, cfg,
-                              fixed=("beta_p", 0.0))
-        out.points.extend(sub.points[1:])
-        out.waves.extend(sub.waves[1:])
-        out.events = sub.events
-        out.terminated_reason = sub.terminated_reason
-    else:
-        out.terminated_reason = "target-reached"
-    return out
+        _, k1, dk = kappa_range
+        return continue_branch(sol, "kappa", k1, dk, cfg, fixed=("beta_p", 0.0))
+    return Branch([point_from_wave(sol)], [sol], "target-reached")

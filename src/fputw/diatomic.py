@@ -146,21 +146,18 @@ def _flip(profile: PiecewiseSolution) -> PiecewiseSolution:
     return PiecewiseSolution(profile.mesh, -profile.coeffs, RIPPLE_POLICIES)
 
 
-def _ripple_bcs(block: int, L: float):
-    def norm_bc(v, p):
-        return v[0] ** 2 + v[1] ** 2 - 1.0
-
-    return (integral_bc(block, 0, 0.0, name="mean P1"),
-            value_bc(block, 1, 0.0, 0.0, name="P1'(0)"),
-            value_bc(block, 2, 0.0, 0.0, name="P2(0)"),
-            value_bc(block, 2, L, 0.0, name="P2(L)"),
-            BoundaryCondition((BoundaryProbe(block, 0, "value", 0.0),
-                               BoundaryProbe(block, 3, "value", 0.0)),
-                              norm_bc, name="normalization"))
+def _canonical(sigma, mu, beta_p: float, profile: PiecewiseSolution):
+    """``(beta_P, Ptilde)`` in the canonical representation: the pair
+    negated, which is the same wave, when its signed orientation is below 0."""
+    if _signed_orientation(sigma, mu, profile) < 0.0:
+        return -beta_p, _flip(profile)
+    return beta_p, profile
 
 
-def _ripple_rhs_factory(get_scalars):
-    """get_scalars(params) -> (sigma, mu, beta_p, omega_p)."""
+def _ripple_block(block: int, mesh: Mesh, get_scalars, omega_index: int):
+    """``(spec, equation, bcs)`` of the ripple as function block ``block``:
+    slots at tau~ and tau~ +- params[omega_index], five boundary conditions,
+    and get_scalars(params) -> (sigma, mu, beta_p, omega_p)."""
 
     def rhs(tau, slots, params):
         sigma, mu, beta, omega_p = get_scalars(params)
@@ -177,7 +174,21 @@ def _ripple_rhs_factory(get_scalars):
         s = omega_p * omega_p * sigma * sigma
         return np.stack([P0[1], -row1 / s, P0[3], -row2 / s])
 
-    return rhs
+    def norm_bc(v, p):
+        return v[0] ** 2 + v[1] ** 2 - 1.0
+
+    eq = EquationBlock(block, (SlotSpec(block),
+                               SlotSpec(block, lambda t, p: t + float(p[omega_index])),
+                               SlotSpec(block, lambda t, p: t - float(p[omega_index]))),
+                       rhs)
+    bcs = (integral_bc(block, 0, 0.0, name="mean P1"),
+           value_bc(block, 1, 0.0, 0.0, name="P1'(0)"),
+           value_bc(block, 2, 0.0, 0.0, name="P2(0)"),
+           value_bc(block, 2, mesh.length, 0.0, name="P2(L)"),
+           BoundaryCondition((BoundaryProbe(block, 0, "value", 0.0),
+                              BoundaryProbe(block, 3, "value", 0.0)),
+                             norm_bc, name="normalization"))
+    return FunctionBlockSpec("ripple", mesh, 4, lambda p: RIPPLE_POLICIES), eq, bcs
 
 
 def ripple_mode_seed(sigma: float, mu: float,
@@ -207,12 +218,8 @@ def solve_periodic(sigma: float, mu: float, beta_p: float,
         raise dispersion.NoBracketError(
             f"sigma={sigma} at or below the sound speed C_mu")
     mesh = cfg.ripple_mesh
-    blk = FunctionBlockSpec("ripple", mesh, 4, lambda p: RIPPLE_POLICIES)
-    rhs = _ripple_rhs_factory(lambda p: (sigma, mu, beta_p, float(p[0])))
-    eq = EquationBlock(0, (SlotSpec(0),
-                           SlotSpec(0, lambda t, p: t + float(p[0])),
-                           SlotSpec(0, lambda t, p: t - float(p[0]))), rhs)
-    prob = MfdeProblem((blk,), (eq,), 1, _ripple_bcs(0, mesh.length))
+    blk, eq, bcs = _ripple_block(0, mesh, lambda p: (sigma, mu, beta_p, float(p[0])), 0)
+    prob = MfdeProblem((blk,), (eq,), 1, bcs)
     if guess is not None:
         seed, omega_p0 = guess.profile, guess.omega_p
     else:
@@ -235,9 +242,6 @@ def solve_periodic(sigma: float, mu: float, beta_p: float,
 # ---------------------------------------------------------------------------
 # full diatomic wave
 # ---------------------------------------------------------------------------
-
-RIPPLE_CLASSES = ("positive", "negative", "small-ripple", "solitary")
-
 
 @dataclass
 class DiatomicWave:
@@ -292,13 +296,11 @@ def classify_ripple(wave: DiatomicWave) -> str:
 
 
 def wave_problem(kappa: float, pm: ParamMap, cfg: DiatomicConfig) -> MfdeProblem:
-    mesh_v = cfg.solitary_mesh
-    mesh_p = cfg.ripple_mesh
     k2 = kappa * kappa
     L = cfg.length
 
-    blk_v = FunctionBlockSpec("solitary", mesh_v, 4, lambda p: SOLITARY_POLICIES)
-    blk_p = FunctionBlockSpec("ripple", mesh_p, 4, lambda p: RIPPLE_POLICIES)
+    blk_v = FunctionBlockSpec("solitary", cfg.solitary_mesh, 4, lambda p: SOLITARY_POLICIES)
+    blk_p, eq_p, bcs_p = _ripple_block(1, cfg.ripple_mesh, pm.unpack, 2)
 
     def rhs_v(tau, slots, params):
         sigma, mu, beta, _omega_p = pm.unpack(params)
@@ -330,18 +332,13 @@ def wave_problem(kappa: float, pm: ParamMap, cfg: DiatomicConfig) -> MfdeProblem
                              SlotSpec(1, scale(kappa)),
                              SlotSpec(1, scale(-kappa))), rhs_v)
 
-    rhs_p = _ripple_rhs_factory(pm.unpack)
-    eq_p = EquationBlock(1, (SlotSpec(1),
-                             SlotSpec(1, lambda t, p: t + float(p[2])),
-                             SlotSpec(1, lambda t, p: t - float(p[2]))), rhs_p)
-
     bcs = (value_bc(0, 0, 0.0, 0.125, name="V1(0)"),
            value_bc(0, 1, 0.0, 0.0, name="V1'(0)"),
            value_bc(0, 2, 0.0, 0.0, name="V2(0)"),
            value_bc(0, 0, L, 0.0, name="V1(L)"),
            value_bc(0, 2, L, 0.0, name="V2(L)"),
            value_bc(0, 3, L, 0.0, name="V2'(L)"),
-           ) + _ripple_bcs(1, L)
+           ) + bcs_p
     return MfdeProblem((blk_v, blk_p), (eq_v, eq_p), 3, bcs)
 
 
@@ -364,21 +361,17 @@ def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
     sols, params, rep = solve_newton(prob, [guess.solitary, guess.ripple],
                                      params0, cfg.newton, reuse)
     sigma, mu, beta_p, omega_p = pm.unpack(params)
-    if _signed_orientation(sigma, mu, sols[1]) < 0.0:
-        if fix == "beta_p" and value != 0.0:
-            # beta_P pinned: move to the convention branch by re-solving from
-            # the mirrored ripple profile
-            sols, params, rep = solve_newton(prob, [sols[0], _flip(sols[1])],
-                                             params, cfg.newton, reuse)
-            sigma, mu, beta_p, omega_p = pm.unpack(params)
-            if _signed_orientation(sigma, mu, sols[1]) < 0.0:
-                warnings.warn("ripple orientation inequality still violated",
-                              OrientationFlipWarning)
-        else:
-            # (beta_P, Ptilde) -> (-beta_P, -Ptilde) is the same wave in the
-            # canonical representation
-            sols[1] = _flip(sols[1])
-            beta_p = -beta_p
+    if fix == "beta_p" and value != 0.0 and _signed_orientation(sigma, mu, sols[1]) < 0.0:
+        # beta_P pinned: move to the convention branch by re-solving from
+        # the mirrored ripple profile
+        sols, params, rep = solve_newton(prob, [sols[0], _flip(sols[1])],
+                                         params, cfg.newton, reuse)
+        sigma, mu, beta_p, omega_p = pm.unpack(params)
+        if _signed_orientation(sigma, mu, sols[1]) < 0.0:
+            warnings.warn("ripple orientation inequality still violated",
+                          OrientationFlipWarning)
+    else:
+        beta_p, sols[1] = _canonical(sigma, mu, beta_p, sols[1])
     wave = DiatomicWave(kappa, sigma, mu, beta_p, omega_p, sols[0], sols[1],
                         rep.residual_norm, rep.iterations, fixed_param=fix)
     if jump_tol is not None:
@@ -458,16 +451,15 @@ def seed_from_small_mass(kappa: float, mu: float,
         return w, w.kappa ** 2 * (w.phi(w.kappa / 2.0) + 0.125) / 2.0
 
     km = kappa
-    w0, a0 = center_amp(km)
+    _, a0 = center_amp(km)
     km2 = km * (target / a0) ** 0.5
     for _ in range(8):
-        w1, a1 = center_amp(km2)
-        if abs(a1 - target) < 1e-12:
+        wm, a1 = center_amp(km2)
+        if abs(a1 - target) < 1e-12 or a1 == a0:
             break
-        if a1 == a0:
-            break
-        km, km2, w0, a0 = km2, km2 - (a1 - target) * (km2 - km) / (a1 - a0), w1, a1
-    wm, _ = center_amp(km2)
+        km, km2, a0 = km2, km2 - (a1 - target) * (km2 - km) / (a1 - a0), a1
+    else:
+        wm, _ = center_amp(km2)     # the last secant update is not solved yet
     sigma0 = np.sqrt(2.0) * wm.sigma
 
     def varphi(xi, d=0):
@@ -480,17 +472,15 @@ def seed_from_small_mass(kappa: float, mu: float,
     k2 = kappa * kappa
 
     def v(comp):
+        d = comp % 2                            # V1, V2 or their derivatives
+        sign = 1.0 if comp < 2 else -1.0        # V1 sums, V2 differences
+        scale = 2.0 * k2 if d == 0 else 4.0 * k2 * kappa
+
         def f(tau):
             xi = np.asarray(tau, dtype=float) / kappa
             a = (xi + 0.5) / 2.0
             b = (xi - 0.5) / 2.0
-            if comp == 0:
-                return (varphi(a) + varphi(b)) / (2.0 * k2)
-            if comp == 1:
-                return (varphi(a, 1) + varphi(b, 1)) / (4.0 * k2 * kappa)
-            if comp == 2:
-                return (varphi(a) - varphi(b)) / (2.0 * k2)
-            return (varphi(a, 1) - varphi(b, 1)) / (4.0 * k2 * kappa)
+            return (varphi(a, d) + sign * varphi(b, d)) / scale
         return f
 
     solitary = PiecewiseSolution.from_callables(
@@ -512,20 +502,16 @@ def symmetry_transform(wave: DiatomicWave) -> DiatomicWave:
     needed), which fixes the sign of alpha_P."""
     mu2 = -wave.mu / (1.0 + wave.mu)
     sigma2 = wave.sigma / np.sqrt(1.0 + wave.mu)
-    sol = wave.solitary.coeffs.copy()
-    sol[2] *= -1.0
-    sol[3] *= -1.0
-    rip = wave.ripple.coeffs.copy()
-    rip[2] *= -1.0
-    rip[3] *= -1.0
-    beta2 = wave.beta_p
-    profile = PiecewiseSolution(wave.ripple.mesh, rip, RIPPLE_POLICIES)
-    if _signed_orientation(sigma2, mu2, profile) < 0.0:
-        profile = _flip(profile)
-        beta2 = -beta2
+
+    def negate_s2(part: PiecewiseSolution, policies) -> PiecewiseSolution:
+        coeffs = part.coeffs.copy()
+        coeffs[2:4] *= -1.0         # components 2, 3 carry s2
+        return PiecewiseSolution(part.mesh, coeffs, policies)
+
+    beta2, profile = _canonical(sigma2, mu2, wave.beta_p,
+                                negate_s2(wave.ripple, RIPPLE_POLICIES))
     return DiatomicWave(wave.kappa, float(sigma2), float(mu2), beta2,
-                        wave.omega_p,
-                        PiecewiseSolution(wave.solitary.mesh, sol, SOLITARY_POLICIES),
+                        wave.omega_p, negate_s2(wave.solitary, SOLITARY_POLICIES),
                         profile, wave.residual_norm, wave.iterations,
                         fixed_param=wave.fixed_param)
 

@@ -48,7 +48,9 @@ class DegenerateNormalizationError(FputwError):
 class UnreliableQuadratureError(FputwError):
     """The amplitude-coefficient quadrature failed its stability check.
 
-    Carries both quadrature values so callers can inspect the disagreement.
+    Carries both values of I_chi so callers can inspect the disagreement:
+    ``value_fine`` from breakpoint Gauss quadrature (the reported value) and
+    ``value_coarse`` from the midpoint-sum check.
     """
 
     def __init__(self, message, value_coarse, value_fine):

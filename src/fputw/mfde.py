@@ -228,7 +228,7 @@ class Layout:
         x[self.param_offset:] = np.asarray(params, dtype=float)
         return x
 
-    def unpack(self, x: np.ndarray, params_arr=None):
+    def unpack(self, x: np.ndarray):
         sols = []
         params = x[self.param_offset:].copy()
         for b, blk in enumerate(self.problem.blocks):

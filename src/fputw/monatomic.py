@@ -22,7 +22,7 @@ its boundary condition and the odd-extension offset are all linear.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -117,17 +117,20 @@ def _phi_policies(_params):
     return (Extension.even_zero(), Extension.odd_zero())
 
 
+def _phi_dd(slots, k2: float, s2: float):
+    """Phi'' = -(2 g0 - g+ - g-) / s2 with g = Phi + k^2 Phi^2 at the slots
+    (tau, tau + kappa, tau - kappa) and s2 = k^2 sigma^2."""
+    g0, gp, gm = (u[0] + k2 * u[0] ** 2 for u in slots)
+    return -(2.0 * g0 - gp - gm) / s2
+
+
 def _profile_problem(kappa: float, cfg: MonatomicConfig) -> MfdeProblem:
     mesh = cfg.mesh
     k2 = kappa * kappa
 
     def rhs(tau, slots, params):
         sigma = params[0]
-        u0, up, um = slots
-        g0 = u0[0] + k2 * u0[0] ** 2
-        gp = up[0] + k2 * up[0] ** 2
-        gm = um[0] + k2 * um[0] ** 2
-        return np.stack([u0[1], -(2.0 * g0 - gp - gm) / (k2 * sigma * sigma)])
+        return np.stack([slots[0][1], _phi_dd(slots, k2, k2 * sigma * sigma)])
 
     blk = FunctionBlockSpec("phi", mesh, 2, _phi_policies)
     eq = EquationBlock(0, (SlotSpec(0),
@@ -175,13 +178,10 @@ def solve_profile(kappa: float, cfg: MonatomicConfig | None = None,
     cfg = cfg or MonatomicConfig()
     if guess is not None:
         return _solve_profile_once(kappa, cfg, guess.profile, guess.sigma)
-    wave = None
-    for kap in _kappa_ladder(kappa):
-        if wave is None:
-            wave = _solve_profile_once(kap, cfg, _sech2_seed(cfg.mesh),
-                                       1.0 + kap * kap / 24.0)
-        else:
-            wave = _solve_profile_once(kap, cfg, wave.profile, wave.sigma)
+    k0, *ladder = _kappa_ladder(kappa)
+    wave = _solve_profile_once(k0, cfg, _sech2_seed(cfg.mesh), 1.0 + k0 * k0 / 24.0)
+    for kap in ladder:
+        wave = _solve_profile_once(kap, cfg, wave.profile, wave.sigma)
     return wave
 
 
@@ -228,10 +228,7 @@ def joint_problem(kappa: float, cfg: MonatomicConfig) -> MfdeProblem:
         om = dispersion.jost_frequency(sigma)
         u0, up, um = slots
         s2 = k2 * sigma * sigma
-        g0 = u0[0] + k2 * u0[0] ** 2
-        gp = up[0] + k2 * up[0] ** 2
-        gm = um[0] + k2 * um[0] ** 2
-        phi_dd = -(2.0 * g0 - gp - gm) / s2
+        phi_dd = _phi_dd(slots, k2, s2)
         forcing = 2.0 * s2 * om * om * psi * u0[0] * np.sin(om * (tau / kappa + theta))
         ups_dd = -((1.0 + 2.0 * k2 * u0[0]) * (2.0 * u0[2] + up[2] + um[2])
                    + forcing) / s2
@@ -314,13 +311,9 @@ def solve_joint(kappa: float, cfg: MonatomicConfig | None = None,
     ``seed`` chains solutions along a continuation ladder.
     """
     cfg = cfg or MonatomicConfig()
-    if seed is not None:
-        wave0, jost0 = seed
-        wave = solve_profile(kappa, cfg, guess=wave0)
-        jost = solve_jost(wave, cfg, guess=jost0)
-    else:
-        wave = solve_profile(kappa, cfg)
-        jost = solve_jost(wave, cfg)
+    wave0, jost0 = seed or (None, None)
+    wave = solve_profile(kappa, cfg, guess=wave0)
+    jost = solve_jost(wave, cfg, guess=jost0)
     # joint solve may have nudged sigma; keep the bundle consistent
     wave = replace(wave, sigma=jost.sigma)
     return wave, jost
@@ -436,7 +429,7 @@ def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
     reliable = bool(kappa >= 0.3 and stable)
     if require_reliable and not reliable:
         raise UnreliableQuadratureError(
-            f"quadrature unreliable at kappa={kappa}", i_chi, i_chi_mid)
+            f"quadrature unreliable at kappa={kappa}", i_chi_mid, i_chi)
     return AmplitudeCoefficient(kappa, i_eta, i_chi, i_chi_mid,
                                 -i_chi / i_eta, monitor, reliable, n_quad)
 
@@ -464,10 +457,16 @@ class ScanRow:
     reliable: bool
     newton_iters: int
 
+    @classmethod
+    def of(cls, wave: MonatomicWave, jost: JostSolution,
+           coeff: AmplitudeCoefficient) -> "ScanRow":
+        return cls(wave.kappa, wave.sigma, jost.omega, jost.theta, jost.beta,
+                   coeff.i_eta, coeff.i_chi, coeff.coefficient,
+                   coeff.monitor_residual, coeff.reliable, jost.iterations)
+
     def values(self):
-        return (self.kappa, self.sigma, self.omega_ups, self.theta_ups,
-                self.beta_ups, self.i_eta, self.i_chi, self.k_coeff,
-                self.monitor_resid, self.reliable, self.newton_iters)
+        """The row in ``SCAN_COLUMNS`` order, which is the field order."""
+        return astuple(self)
 
 
 @dataclass
@@ -497,10 +496,6 @@ def save_wave(wave: MonatomicWave, path) -> None:
          "residual_norm": wave.residual_norm, "iterations": wave.iterations},
         [checkpoint.solution_to_block("profile", wave.profile)])
     checkpoint.write(ck, path)
-
-
-def load_wave(path) -> MonatomicWave:
-    return wave_from_checkpoint(checkpoint.read(path))
 
 
 def wave_from_checkpoint(ck: checkpoint.Checkpoint) -> MonatomicWave:
@@ -563,10 +558,7 @@ def kappa_scan(kappa_start: float, kappa_end: float, step: float = 0.25,
             result.aborted_reason = f"non-convergence at kappa={kap:g}: {exc}"
             break
         chain = (wave, jost)
-        result.rows.append(ScanRow(kap, wave.sigma, jost.omega, jost.theta,
-                                   jost.beta, coeff.i_eta, coeff.i_chi,
-                                   coeff.coefficient, coeff.monitor_residual,
-                                   coeff.reliable, jost.iterations))
+        result.rows.append(ScanRow.of(wave, jost, coeff))
         result.waves.append(wave)
         result.josts.append(jost)
     return result

@@ -128,22 +128,6 @@ class Extension:
     def interior_only() -> "Extension":
         return Extension()
 
-    def tokens(self) -> tuple[str, str]:
-        """Serializable (left, right) policy tokens."""
-        if self.left == "none":
-            lt = "none"
-        elif self.left == "affine":
-            lt = f"affine{self.left_sign:+g}:{self.label or 'anon'}"
-        else:
-            lt = "even" if self.left_sign > 0 else "odd"
-        if self.right == "none":
-            rt = "none"
-        elif self.right == "zero":
-            rt = "zero"
-        else:
-            rt = "reflect+" if self.right_sign > 0 else "reflect-"
-        return lt, rt
-
 
 _vandermonde_cache: dict[int, np.ndarray] = {}
 
@@ -200,9 +184,6 @@ class PiecewiseSolution:
     def zeros(cls, mesh: Mesh, policies: Sequence[Extension]) -> "PiecewiseSolution":
         return cls(mesh, np.zeros((len(policies), mesh.intervals, mesh.gauss_order + 1)),
                    tuple(policies))
-
-    def copy(self) -> "PiecewiseSolution":
-        return PiecewiseSolution(self.mesh, self.coeffs.copy(), self.policies)
 
     # -- point resolution --------------------------------------------------
     def fold(self, tau: np.ndarray, comp: int):
@@ -337,12 +318,7 @@ class PiecewiseSolution:
 
         Exact (to rounding) when the new mesh is a refinement of the old one.
         """
-        k = mesh.gauss_order
-        vinv = _vandermonde_inv(k)
-        s = np.linspace(0.0, 1.0, k + 1)
-        pts = ((np.arange(mesh.intervals)[:, None] + s[None, :]) * mesh.h).ravel()
-        coeffs = np.empty((self.ncomp, mesh.intervals, k + 1))
-        for c in range(self.ncomp):
-            vals = self._interior(np.clip(pts, 0.0, self.mesh.length), c)
-            coeffs[c] = vals.reshape(mesh.intervals, k + 1) @ vinv.T
-        return PiecewiseSolution(mesh, coeffs, self.policies)
+        L = self.mesh.length
+        return PiecewiseSolution.from_callables(
+            mesh, [lambda t, c=c: self._interior(np.clip(t, 0.0, L), c)
+                   for c in range(self.ncomp)], self.policies)

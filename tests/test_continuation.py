@@ -491,3 +491,21 @@ def test_switch_back_to_mu_steps_in_m(monkeypatch):
     assert calls[back][0] == "mu"
     assert calls[back][1] == pytest.approx(1.0 / (2.0 * last.m - prev.m) - 1.0,
                                            rel=1e-12)
+
+
+def test_switch_cap_scales_with_halving(monkeypatch):
+    """mu, stepped in m, fails in (0.1, 0.2), so sigma takes over with an
+    increment made under a halved step.  Its step must regrow past that
+    increment, by the factor the mu step had been halved, so the trace
+    reaches its target instead of crawling to ``max_points``."""
+    import fputw.continuation as cont
+
+    calls = []
+    monkeypatch.setattr(cont, "solve_wave",
+                        _valley_solve(calls, lambda mu: 0.1 < mu < 0.2))
+    seed = _stub_wave(1.0, 1.0, 0.0, "mu")
+    branch = cont.continue_branch(seed, "mu", 0.5, 0.02, TINY_CFG,
+                                  step_in_m=True)
+    assert [e.note for e in branch.events if e.kind == "switch"] == ["mu"]
+    assert branch.terminated_reason == "target-reached"
+    assert len(branch.points) < 300

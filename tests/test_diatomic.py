@@ -207,6 +207,19 @@ def test_small_mass_component_does_not_vanish():
     assert w.sigma > np.sqrt(2.0)
 
 
+def test_small_mass_seed_solves_each_kappa_once(monkeypatch):
+    # the secant loop's last profile solve is the seed's profile
+    solved = []
+
+    def counting_solve_profile(kappa, cfg=None, guess=None):
+        solved.append(kappa)
+        return mono.solve_profile(kappa, cfg, guess)
+
+    monkeypatch.setattr(di, "solve_profile", counting_solve_profile)
+    di.seed_from_small_mass(2.0, 19.0, CFG)
+    assert len(solved) == len(set(solved))
+
+
 def test_classification_thresholds(equal_mass_wave):
     w = equal_mass_wave
     norm = np.hypot(w.ripple.sup_norm(0), w.ripple.sup_norm(2))

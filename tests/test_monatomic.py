@@ -157,6 +157,17 @@ def test_unreliable_quadrature_below_cutoff():
     assert err.value.value_coarse != 0.0
 
 
+def test_unreliable_quadrature_names_its_values():
+    # value_fine is the breakpoint-Gauss I_chi, value_coarse the midpoint check
+    wave, jost = mono.solve_joint(0.25, CFG)
+    coeff = mono.amplitude_coefficient(wave, jost)
+    from fputw.errors import UnreliableQuadratureError
+    with pytest.raises(UnreliableQuadratureError) as err:
+        mono.amplitude_coefficient(wave, jost, require_reliable=True)
+    assert err.value.value_fine == coeff.i_chi
+    assert err.value.value_coarse == coeff.i_chi_refined
+
+
 def test_kc_fit_anchor():
     wave, jost = mono.solve_joint(2.5, CFG)
     coeff = mono.amplitude_coefficient(wave, jost, n_quad=10 ** 5)
