@@ -17,10 +17,11 @@ policy that refuses exterior evaluation until the owning module replaces it
 with policies rebuilt from the meta entries.
 
 A wrong version line raises :class:`CheckpointVersionError`; anything
-truncated or malformed raises :class:`CheckpointCorruptError` without
-building a partial object.  Loading and re-serializing reproduces the file
-byte for byte.  Files are written atomically (:func:`atomic_writer`), so an
-interrupted write leaves the previous file in place.
+truncated or malformed (a policy or coefficient row that is missing, repeated
+or out of (comp, interval) order too) raises :class:`CheckpointCorruptError`
+without building a partial object.  Loading and re-serializing reproduces
+the file byte for byte.  Files are written atomically (:func:`atomic_writer`),
+so an interrupted write leaves the previous file in place.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def loads(text: str) -> Checkpoint:
     body = lines[1:-1]
     ck = Checkpoint(kind="")
     blk = None
+    rows = []           # coefficient rows read per block
     try:
         for ln in body:
             parts = ln.split(" ")
@@ -126,10 +128,16 @@ def loads(text: str) -> Checkpoint:
                 blk = CheckpointBlock(name, mesh, [],
                                       np.zeros((n, m, k + 1)))
                 ck.blocks.append(blk)
+                rows.append(0)
             elif tag == "policy":
+                if int(parts[1]) != len(blk.policy_tokens):
+                    raise CheckpointCorruptError("policy line out of component order")
                 blk.policy_tokens.append((parts[2], parts[3]))
             elif tag == "coeffs":
                 c, i = int(parts[1]), int(parts[2])
+                if (c, i) != divmod(rows[-1], blk.mesh.intervals):
+                    raise CheckpointCorruptError(f"unexpected coefficient row {c} {i}")
+                rows[-1] += 1
                 vals = [float(v) for v in parts[3:]]
                 if len(vals) != blk.coeffs.shape[2]:
                     raise CheckpointCorruptError("coefficient row length mismatch")
@@ -142,9 +150,11 @@ def loads(text: str) -> Checkpoint:
         raise CheckpointCorruptError(f"malformed checkpoint line: {exc}") from exc
     if not ck.kind:
         raise CheckpointCorruptError("checkpoint has no kind line")
-    for blk in ck.blocks:
+    for blk, n_rows in zip(ck.blocks, rows):
         if len(blk.policy_tokens) != blk.coeffs.shape[0]:
             raise CheckpointCorruptError("policy count does not match components")
+        if n_rows != blk.coeffs.shape[0] * blk.coeffs.shape[1]:
+            raise CheckpointCorruptError("coefficient rows missing")
     return ck
 
 

@@ -115,13 +115,13 @@ def _with_config(argv: list[str]) -> list[str]:
 
 
 def _resolve_mu(args) -> float | None:
-    if getattr(args, "mu", None) is not None and getattr(args, "m", None) is not None:
+    if args.mu is not None and args.m is not None:
         raise ValueError("give exactly one of --mu / --m")
-    if getattr(args, "mu", None) is not None:
+    if args.mu is not None:
         if args.mu <= -1:
             raise ValueError("--mu must exceed -1 (mass m = 1/(1+mu) > 0)")
         return args.mu
-    if getattr(args, "m", None) is not None:
+    if args.m is not None:
         if args.m <= 0:
             raise ValueError("--m must be positive")
         return 1.0 / args.m - 1.0
@@ -287,9 +287,7 @@ def cmd_wave(args) -> int:
                 f"continuation toward {fix_name}={fix_value} stopped early "
                 f"({branch.terminated_reason})")
     else:
-        if seed.beta_p == 0.0:
-            mu_guess = fix_value if fix_name == "mu" else seed.mu
-            seed = diatomic.refresh_ripple_guess(seed, mu_guess, cfg)
+        seed = diatomic.refresh_ripple_guess(seed, fix_name, fix_value, cfg)
         wave = diatomic.solve_wave(args.kappa, fix_name, fix_value, seed, cfg)
     write_csv(out / "wave.csv", WAVE_COLUMNS,
               [continuation.point_from_wave(wave).values()])
@@ -336,11 +334,8 @@ def cmd_solitary(args) -> int:
         print("FPUTW-ERROR kind=NoSignChange message=no alpha_P sign change "
               f"found up to mu={args.mu_to}", file=sys.stderr)
         return EXIT_NUMERICAL
-    kappa_range = None
-    if args.scan_to is not None:
-        kappa_range = (args.kappa, args.scan_to,
-                       args.scan_step if args.scan_step is not None else 0.125)
-    sol = continuation.find_solitary(branch, cfg, kappa_range=kappa_range)
+    sol = continuation.find_solitary(
+        branch, cfg, **_given(args, kappa_to="scan_to", kappa_step="scan_step"))
     write_csv(out / "solitary.csv", continuation.BRANCH_COLUMNS,
               [p.values() for p in sol.points])
     files = ["solitary.csv"]
@@ -362,8 +357,6 @@ def cmd_cross_section(args) -> int:
     out = _outdir(args)
     cfg = _dia_config(args)
     sigma = args.sigma
-    if sigma is None:
-        raise ValueError("cross-section needs --sigma")
     # anchor where the iso-sigma curve crosses the equal-mass axis: the
     # monatomic wave whose speed equals sigma is an exact seed
     mcfg = cfg.monatomic()
@@ -408,8 +401,6 @@ def _kappa_at_speed(sigma: float, mcfg: monatomic.MonatomicConfig) -> float:
 
 def _load_lattice_ic(args) -> lattice.LatticeState:
     path = args.ic
-    if path is None:
-        raise ValueError("simulate needs --ic (checkpoint or two-column text)")
     try:
         ck = checkpoint.read(path)
     except FputwError:
@@ -448,8 +439,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_transform(args) -> int:
     out = _outdir(args)
-    if args.ckpt is None:
-        raise ValueError("transform needs --ckpt")
     wave = diatomic.load_wave(args.ckpt)
     mirrored = diatomic.symmetry_transform(wave)
     diatomic.save_wave(mirrored, out / "transformed.ckpt")

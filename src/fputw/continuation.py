@@ -36,7 +36,7 @@ import numpy as np
 
 from .diatomic import (DiatomicConfig, DiatomicWave, SCALAR_NAMES,
                        refresh_ripple_guess, save_wave, solve_wave)
-from .errors import FputwError, NonConvergenceError, ProblemSizeError
+from .errors import NonConvergenceError, ProblemSizeError
 from .mfde import FactorCache
 from .solution import PiecewiseSolution
 
@@ -142,7 +142,7 @@ def _extrapolate(last: DiatomicWave, prev: DiatomicWave, r: float) -> DiatomicWa
 
 
 def continue_branch(seed: DiatomicWave, driver: str, target: float,
-                    step: float, cfg: DiatomicConfig | None = None, *,
+                    step: float, cfg: DiatomicConfig = DiatomicConfig(), *,
                     fixed: tuple[str, float] | None = None,
                     step_in_m: bool = False,
                     max_points: int = 2000,
@@ -159,7 +159,6 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     trace share one sparse LU holder, so each starts with chord steps from
     the last converged factorization.
     """
-    cfg = cfg or DiatomicConfig()
     if driver == "kappa":
         if fixed is None:
             raise ValueError("kappa driver needs the per-solve fixed scalar")
@@ -220,30 +219,20 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             branch.terminated_reason = "target-reached"
             break
         value = attempt(h)
-        # the secant predictor needs the last two waves solved with the
-        # scalar this solve holds fixed (not kappa, for a kappa driver)
-        held = fixed[0] if cur_driver == "kappa" else cur_driver
+        # a kappa driver holds the fixed scalar, the others the driver; the
+        # secant predictor needs the last two waves solved with it held
+        kap, fix, val = ((value, *fixed) if cur_driver == "kappa"
+                         else (wave.kappa, cur_driver, value))
         guess = wave
-        if prev_wave is not None and prev_wave.fixed_param == wave.fixed_param == held:
+        if prev_wave is not None and prev_wave.fixed_param == wave.fixed_param == fix:
             d_last = getattr(wave, cur_driver) - getattr(prev_wave, cur_driver)
             if d_last != 0.0:
                 guess = _extrapolate(wave, prev_wave,
                                      (value - getattr(wave, cur_driver)) / d_last)
-        elif prev_wave is None and wave.beta_p == 0.0:
-            # fresh start from a ripple-free seed: rebuild the linear mode at
-            # the target mass so the first Newton step does not crawl
-            mu_guess = value if cur_driver == "mu" else wave.mu
-            try:
-                guess = refresh_ripple_guess(wave, mu_guess, cfg)
-            except FputwError:
-                guess = wave
+        elif prev_wave is None:
+            guess = refresh_ripple_guess(wave, cur_driver, value, cfg)
         try:
-            if cur_driver == "kappa":
-                new = solve_wave(value, fixed[0], fixed[1], guess, cfg,
-                                 reuse=factors)
-            else:
-                new = solve_wave(wave.kappa, cur_driver, value, guess, cfg,
-                                 reuse=factors)
+            new = solve_wave(kap, fix, val, guess, cfg, reuse=factors)
         except ProblemSizeError:
             branch.terminated_reason = "size-cap"
             break
@@ -347,7 +336,7 @@ def classify_branch_segments(branch: Branch):
 # ---------------------------------------------------------------------------
 
 def bisect_alpha_zero(branch: Branch, index: int,
-                      cfg: DiatomicConfig | None = None,
+                      cfg: DiatomicConfig = DiatomicConfig(),
                       tol: float = 1e-8,
                       reuse: FactorCache | None = None) -> DiatomicWave:
     """Bisect the driven scalar between points index-1 and index (a marked
@@ -356,7 +345,6 @@ def bisect_alpha_zero(branch: Branch, index: int,
     solved (still with beta_P free), or point ``index``'s wave when the
     bracket is already below ``tol``.  ``reuse`` carries the sparse LU from
     solve to solve."""
-    cfg = cfg or DiatomicConfig()
     if not branch.points[index].sign_change:
         raise ValueError("index does not mark an alpha_P sign change")
     if not branch.waves:
@@ -379,31 +367,29 @@ def bisect_alpha_zero(branch: Branch, index: int,
     return guess
 
 
-def freeze_solitary(wave: DiatomicWave, cfg: DiatomicConfig | None = None,
+def freeze_solitary(wave: DiatomicWave, cfg: DiatomicConfig = DiatomicConfig(),
                     reuse: FactorCache | None = None) -> DiatomicWave:
     """Re-solve with beta_P frozen at zero: a genuine solitary wave."""
-    return solve_wave(wave.kappa, "beta_p", 0.0, wave, cfg or DiatomicConfig(),
-                      reuse=reuse)
+    return solve_wave(wave.kappa, "beta_p", 0.0, wave, cfg, reuse=reuse)
 
 
-def find_solitary(branch: Branch, cfg: DiatomicConfig | None = None, *,
-                  kappa_range: tuple[float, float, float] | None = None,
+def find_solitary(branch: Branch, cfg: DiatomicConfig = DiatomicConfig(), *,
+                  kappa_to: float | None = None, kappa_step: float = 0.125,
                   bisect_tol: float = 1e-8) -> Branch:
     """Locate a solitary wave at the first alpha_P sign change of a branch
-    and optionally continue it in kappa (beta_P frozen at 0).
+    and optionally continue it in kappa to ``kappa_to`` in steps of
+    ``kappa_step`` (beta_P frozen at 0).
 
     Returns a Branch whose points are all of class "solitary": the kappa
-    trace from the solitary wave, or without a ``kappa_range`` that wave
-    alone.
+    trace from the solitary wave, or without a ``kappa_to`` that wave alone.
     """
-    cfg = cfg or DiatomicConfig()
     if not branch.sign_changes:
         raise ValueError("branch has no alpha_P sign change to bisect")
     factors = FactorCache()
     near = bisect_alpha_zero(branch, branch.sign_changes[0], cfg,
                              tol=bisect_tol, reuse=factors)
     sol = freeze_solitary(near, cfg, reuse=factors)
-    if kappa_range is not None:
-        _, k1, dk = kappa_range
-        return continue_branch(sol, "kappa", k1, dk, cfg, fixed=("beta_p", 0.0))
+    if kappa_to is not None:
+        return continue_branch(sol, "kappa", kappa_to, kappa_step, cfg,
+                               fixed=("beta_p", 0.0))
     return Branch([point_from_wave(sol)], [sol], "target-reached")

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import checkpoint, dispersion
-from .errors import (BranchJumpWarning, CheckpointCorruptError,
-                     NoBracketError, OrientationFlipWarning)
+from .errors import (BranchJumpWarning, CheckpointCorruptError, FputwError,
+                     OrientationFlipWarning)
 from .mfde import (BoundaryCondition, BoundaryProbe, EquationBlock,
                    FactorCache, FunctionBlockSpec, MfdeProblem, NewtonConfig,
                    SlotSpec, assemble_residual, integral_bc, solve_newton,
@@ -51,10 +51,10 @@ SOLITARY_POLICIES = (Extension.even_zero(), Extension.odd_zero(),
 
 @dataclass(frozen=True)
 class DiatomicConfig:
-    length: float = 32.0
-    solitary_intervals: int = 512
+    length: float = MonatomicConfig.length
+    solitary_intervals: int = MonatomicConfig.intervals
     ripple_intervals: int = 32
-    gauss_order: int = 3
+    gauss_order: int = MonatomicConfig.gauss_order
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     @property
@@ -209,11 +209,10 @@ def ripple_mode_seed(sigma: float, mu: float,
 
 
 def solve_periodic(sigma: float, mu: float, beta_p: float,
-                   cfg: DiatomicConfig | None = None,
+                   cfg: DiatomicConfig = DiatomicConfig(),
                    guess: PeriodicRipple | None = None) -> PeriodicRipple:
     """Solve the nonlinear periodic problem at fixed (sigma, mu, beta_P) with
     the computational frequency omega_P free."""
-    cfg = cfg or DiatomicConfig()
     if sigma <= dispersion.sound_speed(mu) - 1e-12:
         raise dispersion.NoBracketError(
             f"sigma={sigma} at or below the sound speed C_mu")
@@ -343,7 +342,7 @@ def wave_problem(kappa: float, pm: ParamMap, cfg: DiatomicConfig) -> MfdeProblem
 
 
 def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
-               cfg: DiatomicConfig | None = None,
+               cfg: DiatomicConfig = DiatomicConfig(),
                jump_tol: float | None = None,
                reuse: FactorCache | None = None) -> DiatomicWave:
     """Solve the full diatomic system at fixed kappa and one fixed scalar.
@@ -354,7 +353,6 @@ def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
     BranchJumpWarning is issued (the solve still returns).  ``reuse``
     carries a sparse LU between solves (see :func:`fputw.mfde.solve_newton`).
     """
-    cfg = cfg or DiatomicConfig()
     pm = ParamMap(fix, value)
     prob = wave_problem(kappa, pm, cfg)
     params0 = pm.pack(guess.sigma, guess.mu, guess.beta_p, guess.omega_p)
@@ -402,26 +400,28 @@ def wave_residual_norm(wave: DiatomicWave, cfg: DiatomicConfig | None = None) ->
 # seeds
 # ---------------------------------------------------------------------------
 
-def refresh_ripple_guess(wave: DiatomicWave, mu: float,
-                         cfg: DiatomicConfig | None = None) -> DiatomicWave:
-    """Replace the ripple part of a guess by the linearized mode at
-    (wave.sigma, mu).  A stale mode (built at a different mass) makes the
-    first Newton step of a continuation crawl under damping.  Falls back to
-    the wave's own mass when (sigma, mu) is below the sound speed."""
-    cfg = cfg or DiatomicConfig()
-    try:
-        rip, omega_p = ripple_mode_seed(wave.sigma, mu, cfg.ripple_mesh)
-    except NoBracketError:
-        if mu == wave.mu:
-            raise
-        rip, omega_p = ripple_mode_seed(wave.sigma, wave.mu, cfg.ripple_mesh)
-    return replace(wave, ripple=rip, omega_p=omega_p)
+def refresh_ripple_guess(wave: DiatomicWave, fix: str, value: float,
+                         cfg: DiatomicConfig = DiatomicConfig()) -> DiatomicWave:
+    """The guess for a solve holding ``fix`` at ``value``: a ripple-free
+    wave gets the linearized mode at (wave.sigma, mu), mu = ``value`` for a
+    mu fix and wave.mu otherwise, so the first Newton step does not crawl
+    under damping; the mode falls back to wave.mu below the sound speed.
+    A wave with a ripple, or one where no mode exists, comes back as is."""
+    if wave.beta_p != 0.0:
+        return wave
+    for mu in (value if fix == "mu" else wave.mu, wave.mu):
+        try:
+            rip, omega_p = ripple_mode_seed(wave.sigma, mu, cfg.ripple_mesh)
+        except FputwError:
+            continue
+        return replace(wave, ripple=rip, omega_p=omega_p)
+    return wave
 
 
-def seed_from_monatomic(mono: MonatomicWave, cfg: DiatomicConfig | None = None) -> DiatomicWave:
+def seed_from_monatomic(mono: MonatomicWave,
+                        cfg: DiatomicConfig = DiatomicConfig()) -> DiatomicWave:
     """Exact diatomic wave at mu = 0, beta_P = 0 built from a monatomic
     profile (V2 = 0; ripple = linearized mode at (sigma, 0))."""
-    cfg = cfg or DiatomicConfig()
     mesh_v = cfg.solitary_mesh
     if mono.profile.mesh != mesh_v:
         raise ValueError("monatomic profile must live on the solitary mesh")
@@ -434,7 +434,7 @@ def seed_from_monatomic(mono: MonatomicWave, cfg: DiatomicConfig | None = None) 
 
 
 def seed_from_small_mass(kappa: float, mu: float,
-                         cfg: DiatomicConfig | None = None) -> DiatomicWave:
+                         cfg: DiatomicConfig = DiatomicConfig()) -> DiatomicWave:
     """Nanopteron-side seed from the small-mass limit profiles.
 
     At m = 0 the diatomic wave reduces to the monatomic profile at speed
@@ -442,7 +442,6 @@ def seed_from_small_mass(kappa: float, mu: float,
     s1(0) = kappa^2/8 fixes the monatomic amplitude parameter by a secant
     iteration.
     """
-    cfg = cfg or DiatomicConfig()
     mcfg = cfg.monatomic()
     target = kappa * kappa / 8.0
 

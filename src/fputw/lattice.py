@@ -60,9 +60,6 @@ class LatticeState:
         m[::2] = 1.0            # site j = index+1 odd
         return m
 
-    def copy(self) -> "LatticeState":
-        return LatticeState(*self.y, self.mass_ratio, self.t)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -210,22 +207,20 @@ class DiagnosticSeries:
         all-zero diagnostics; otherwise gamma stays deferred (NaN) until the
         baseline sample exists."""
         e_full = energy(state)
-        core = core_window(state) if np.any(state.r) else None
-        e_core = energy(state, core) if core is not None else 0.0
-        if self.baseline is None and state.t >= cfg.baseline_time and core is not None:
-            self.baseline = e_core
-        if core is None:
-            gamma = 0.0
-        elif self.baseline is not None and self.baseline != 0.0:
-            gamma = (self.baseline - e_core) / self.baseline
-        else:
-            gamma = np.nan     # deferred until the baseline sample exists
-        if core is not None:
+        if np.any(state.r):
+            core = core_window(state)
+            e_core = energy(state, core)
+            if self.baseline is None and state.t >= cfg.baseline_time:
+                self.baseline = e_core
+            if self.baseline is not None and self.baseline != 0.0:
+                gamma = (self.baseline - e_core) / self.baseline
+            else:
+                gamma = np.nan     # deferred until the baseline sample exists
             mask = np.ones(state.n, dtype=bool)
             mask[core - 1] = False
             a_out = float(np.max(np.abs(state.r[mask]))) if mask.any() else 0.0
         else:
-            a_out = 0.0
+            e_core = gamma = a_out = 0.0
         self.times.append(state.t)
         self.energy_full.append(e_full)
         self.energy_core.append(e_core)
@@ -243,14 +238,12 @@ class DiagnosticSeries:
         return self.gamma_core[i]
 
 
-def run_simulation(state: LatticeState, cfg: SimConfig | None = None) -> DiagnosticSeries:
+def run_simulation(state: LatticeState, cfg: SimConfig = SimConfig()) -> DiagnosticSeries:
     """Integrate with RK4, recentering/windowing once per period and sampling
     diagnostics at the configured stride.  Energy drift between recenters
     beyond the threshold logs an alarm (the run continues); non-finite
     states abort."""
-    cfg = cfg or SimConfig()
     series = DiagnosticSeries()
-    state = state.copy()
     inv_mass = 1.0 / state.masses
     steps_per_sample = max(1, int(round(cfg.sample_stride / cfg.dt)))
     samples_per_recenter = max(1, int(round(cfg.recenter_period / cfg.sample_stride)))

@@ -165,7 +165,7 @@ def _kappa_ladder(target: float) -> list[float]:
     return ks + [target]
 
 
-def solve_profile(kappa: float, cfg: MonatomicConfig | None = None,
+def solve_profile(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
                   guess: MonatomicWave | None = None) -> MonatomicWave:
     """Solve the kappa-parametrized wave with sigma free.
 
@@ -175,7 +175,6 @@ def solve_profile(kappa: float, cfg: MonatomicConfig | None = None,
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    cfg = cfg or MonatomicConfig()
     if guess is not None:
         return _solve_profile_once(kappa, cfg, guess.profile, guess.sigma)
     k0, *ladder = _kappa_ladder(kappa)
@@ -304,13 +303,12 @@ def solve_jost(wave: MonatomicWave, cfg: MonatomicConfig | None = None,
                         rep.residual_norm, rep.iterations)
 
 
-def solve_joint(kappa: float, cfg: MonatomicConfig | None = None,
+def solve_joint(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
                 seed: tuple[MonatomicWave, JostSolution] | None = None):
     """Profile presolve followed by the joint solve; returns (wave, jost).
 
     ``seed`` chains solutions along a continuation ladder.
     """
-    cfg = cfg or MonatomicConfig()
     wave0, jost0 = seed or (None, None)
     wave = solve_profile(kappa, cfg, guess=wave0)
     jost = solve_jost(wave, cfg, guess=jost0)
@@ -540,14 +538,13 @@ def joint_from_checkpoint(ck: checkpoint.Checkpoint) -> tuple[MonatomicWave, Jos
 
 
 def kappa_scan(kappa_start: float, kappa_end: float, step: float = 0.25,
-               cfg: MonatomicConfig | None = None, n_quad: int = 10 ** 6,
+               cfg: MonatomicConfig = MonatomicConfig(), n_quad: int = 10 ** 6,
                seed: tuple[MonatomicWave, JostSolution] | None = None) -> ScanResult:
     """Continuation scan over kappa; each row reuses the previous solution
     as its guess.  Aborts at the first non-convergence, keeping the rows
     already computed."""
     if kappa_start < 0.125:
         raise ValueError("kappa_start must be at least 1/8")
-    cfg = cfg or MonatomicConfig()
     result = ScanResult([], [], [])
     chain = seed
     for kap in kappa_values(kappa_start, kappa_end, step):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,16 +129,12 @@ class Extension:
         return Extension()
 
 
-_vandermonde_cache: dict[int, np.ndarray] = {}
-
-
+@cache
 def _vandermonde_inv(k: int) -> np.ndarray:
     """Inverse Vandermonde for interpolation at k+1 equispaced local nodes."""
-    if k not in _vandermonde_cache:
-        s = np.linspace(0.0, 1.0, k + 1)
-        V = s[:, None] ** np.arange(k + 1)[None, :]
-        _vandermonde_cache[k] = np.linalg.inv(V)
-    return _vandermonde_cache[k]
+    s = np.linspace(0.0, 1.0, k + 1)
+    V = s[:, None] ** np.arange(k + 1)[None, :]
+    return np.linalg.inv(V)
 
 
 @dataclass

@@ -105,3 +105,36 @@ def test_failed_write_keeps_old_file(sample, tmp_path):
         ck.write(bad, p)
     assert p.read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["w.ckpt"]
+
+
+def _drop_row(lines):
+    lines.remove(next(ln for ln in lines if ln.startswith("coeffs 0 3 ")))
+
+
+def _negative_comp(lines):
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("coeffs 1 3 "))
+    lines[i] = lines[i].replace("coeffs 1 3 ", "coeffs -1 3 ", 1)
+
+
+def _repeat_row(lines):
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("coeffs 0 3 "))
+    lines.insert(i, lines[i])
+
+
+def _swap_policies(lines):
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("policy 0 "))
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+
+
+@pytest.mark.parametrize("edit", [_drop_row, _negative_comp, _repeat_row,
+                                  _swap_policies])
+def test_missing_or_misnumbered_rows_are_corrupt(sample, tmp_path, edit):
+    # each edit keeps the 'end' line; read without the row checks, a dropped
+    # row would load as zeros and comp -1 would index the last component
+    p = tmp_path / "r.ckpt"
+    ck.write(sample, p)
+    lines = p.read_text().split("\n")
+    edit(lines)
+    p.write_text("\n".join(lines))
+    with pytest.raises(CheckpointCorruptError):
+        ck.read(p)

@@ -348,3 +348,12 @@ def test_missing_input_file_is_usage_error(tmp_path, capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "missing.ckpt" in err
+
+
+@pytest.mark.parametrize("argv", [["cross-section", "--to", "1.2", "--step", "0.05"],
+                                  ["simulate", "--T", "1"],
+                                  ["transform"]])
+def test_required_options_are_usage_errors(tmp_path, argv):
+    res = run_cli([*argv, "--out", str(tmp_path)])
+    assert res.returncode == 2
+    assert "required" in res.stderr

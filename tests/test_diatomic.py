@@ -248,3 +248,22 @@ def test_size_cap_enforced(mono_k1):
     with pytest.raises((ProblemSizeError, ValueError)):
         seed = di.seed_from_monatomic(seed_mono, big)
         di.solve_wave(1.0, "mu", 0.0, seed, big)
+
+
+def test_refresh_ripple_guess(mono_k1):
+    seed = di.seed_from_monatomic(mono_k1, CFG)
+    rippled = dataclasses.replace(seed, beta_p=0.01)
+    assert di.refresh_ripple_guess(rippled, "mu", 0.1, CFG) is rippled
+    # a ripple-free wave gets the mode at the fixed mu, or at its own mu
+    got = di.refresh_ripple_guess(seed, "mu", 0.1, CFG)
+    rip, omega_p = di.ripple_mode_seed(seed.sigma, 0.1, CFG.ripple_mesh)
+    assert np.array_equal(got.ripple.coeffs, rip.coeffs)
+    assert got.omega_p == omega_p
+    moved = dataclasses.replace(seed, mu=0.05)
+    got = di.refresh_ripple_guess(moved, "sigma", moved.sigma, CFG)
+    rip, omega_p = di.ripple_mode_seed(moved.sigma, 0.05, CFG.ripple_mesh)
+    assert np.array_equal(got.ripple.coeffs, rip.coeffs)
+    assert got.omega_p == omega_p
+    # below the sound speed no mode exists at either mass
+    slow = dataclasses.replace(seed, sigma=0.5)
+    assert di.refresh_ripple_guess(slow, "mu", 0.1, CFG) is slow
