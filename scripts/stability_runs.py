@@ -26,7 +26,10 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = di.DiatomicConfig()
-    sim = lat.SimConfig(horizon=args.T)
+    try:
+        sim = lat.SimConfig(horizon=args.T)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     mw = mono.solve_profile(args.kappa, cfg.monatomic())
     seed = di.seed_from_monatomic(mw, cfg)

@@ -5,9 +5,13 @@ F(r) = r + r^2; both r and p vanish identically outside the grid:
 
     dr_j/dt = p_{j+1} - p_j,        m_j dp_j/dt = F(r_j) - F(r_{j-1}).
 
-A state is one (2, N) array whose rows are r and p, so each RK4 stage, the
-recenter shift and the window act on both at once.  The classical RK4 scheme
-with a fixed step advances the state; the full-grid energy
+A state is one (2, N) array whose rows are r and p, so the recenter shift
+and the window act on both at once.  The classical RK4 scheme with a fixed
+step advances the state on buffers allocated once per call.  A stage input
+(r, p) is the head of one flat work array [r (N), p (N), 0, F (N)] of length
+3N+1; its single zero is both ghost values, p_{N+1} and F(r_0), so the
+stacked derivative (dr, dp) is one difference of two shifted views of
+[p, 0, F], scaled by [1...1, 1/m].  The full-grid energy
 sum(m_j p_j^2 / 2 + r_j^2 / 2 + r_j^3 / 3) is monitored between recenter
 events as the discretization-error alarm.  Once per recenter period
 the peak is shifted back to the grid center (by an even number of sites, so
@@ -76,45 +80,90 @@ class SimConfig:
         for name in ("dt", "horizon", "recenter_period", "sample_stride"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # the run counts whole steps per sample and whole samples per
+        # recenter period and horizon, and labels each sample by its stride
+        for num, den in (("sample_stride", "dt"), ("horizon", "sample_stride"),
+                         ("recenter_period", "sample_stride")):
+            q = getattr(self, num) / getattr(self, den)
+            if abs(q - round(q)) > 1e-9 * q:
+                raise ValueError(f"{num}={getattr(self, num)!r} is not a whole "
+                                 f"multiple of {den}={getattr(self, den)!r}")
 
 
 def spring_force(r):
     return r + r * r
 
 
-def _rhs(y, inv_mass):
-    """Time derivatives (dr, dp), stacked like ``y``, with zero ghost values
-    at both ends."""
-    r, p = y
-    dy = np.empty_like(y)
-    dy[0, :-1] = p[1:] - p[:-1]
-    dy[0, -1] = -p[-1]
-    F = spring_force(r)
-    dy[1, 0] = F[0]
-    dy[1, 1:] = F[1:] - F[:-1]
-    dy[1] *= inv_mass
-    return dy
+def _derivative(inv_mass):
+    """The lattice derivative on buffers allocated once, as ``(stage, deriv)``.
+
+    ``stage`` is a flat view of length 2N that holds a state, r then p, and
+    ``deriv(k)`` writes the derivative (dr, dp) of that state into the flat
+    array ``k``.  Both work on one array ``[r, p, -0.0, F]`` of length 3N+1:
+    with ``w = [p, -0.0, F]`` the derivative is ``(w[1:] - w[:-1])`` times
+    ``[1...1, 1/m]``, and the single zero stands for both ghost values,
+    p_{N+1} and F(r_0).  It is a negative zero so that ``-0.0 - p_N`` is
+    ``-p_N`` bit for bit, signed zeros included; ``F - -0.0`` is F because
+    ``r + r*r`` is never -0.0.
+    """
+    n = inv_mass.size
+    buf = np.empty(3 * n + 1)
+    buf[2 * n] = -0.0
+    r, F = buf[:n], buf[2 * n + 1:]
+    upper, lower = buf[n + 1:], buf[n:-1]
+    scale = np.concatenate((np.ones(n), inv_mass))
+
+    def deriv(k):
+        np.multiply(r, r, out=F)
+        np.add(r, F, out=F)
+        np.subtract(upper, lower, out=k)
+        np.multiply(k, scale, out=k)
+
+    return buf[:2 * n], deriv
 
 
 def _rk4(y, inv_mass, dt, steps, t):
-    """``steps`` classical RK4 steps of size dt from time t; raises
+    """``steps`` classical RK4 steps of size dt from time t, on buffers
+    allocated once per call; ``y`` is not written.  Raises
     :class:`NonFiniteStateError` when the result is not finite."""
+    stage, deriv = _derivative(inv_mass)
+    y = y.flatten()
+    k, acc, tmp = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            k1 = _rhs(y, inv_mass)
-            k2 = _rhs(y + 0.5 * dt * k1, inv_mass)
-            k3 = _rhs(y + 0.5 * dt * k2, inv_mass)
-            k4 = _rhs(y + dt * k3, inv_mass)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), summed as the stages go
+            np.copyto(stage, y)
+            deriv(acc)
+            np.multiply(acc, half, out=tmp)
+            np.add(y, tmp, out=stage)
+            deriv(k)
+            np.multiply(k, 2.0, out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(k, half, out=tmp)
+            np.add(y, tmp, out=stage)
+            deriv(k)
+            np.multiply(k, 2.0, out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(k, dt, out=tmp)
+            np.add(y, tmp, out=stage)
+            deriv(k)
+            np.add(acc, k, out=acc)
+            np.multiply(acc, sixth, out=acc)
+            np.add(y, acc, out=y)
     if not np.all(np.isfinite(y)):
         raise NonFiniteStateError(f"state became non-finite between t={t} "
                                   f"and t={t + steps * dt}")
-    return y
+    return y.reshape(2, -1)
 
 
 def rhs(state: LatticeState):
     """Time derivatives of a state as one (2, n) array (dr, dp)."""
-    return _rhs(state.y, 1.0 / state.masses)
+    stage, deriv = _derivative(1.0 / state.masses)
+    np.copyto(stage, state.y.reshape(-1))
+    dy = np.empty(2 * state.n)
+    deriv(dy)
+    return dy.reshape(2, -1)
 
 
 def rk4_step(state: LatticeState, dt: float) -> LatticeState:
@@ -245,8 +294,8 @@ def run_simulation(state: LatticeState, cfg: SimConfig = SimConfig()) -> Diagnos
     states abort."""
     series = DiagnosticSeries()
     inv_mass = 1.0 / state.masses
-    steps_per_sample = max(1, int(round(cfg.sample_stride / cfg.dt)))
-    samples_per_recenter = max(1, int(round(cfg.recenter_period / cfg.sample_stride)))
+    steps_per_sample = int(round(cfg.sample_stride / cfg.dt))
+    samples_per_recenter = int(round(cfg.recenter_period / cfg.sample_stride))
     n_samples = int(round(cfg.horizon / cfg.sample_stride))
     total_shift = 0
     e_segment = energy(state)

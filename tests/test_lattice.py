@@ -233,6 +233,64 @@ def test_run_simulation_is_rk4_steps_bitwise(monkeypatch):
     assert not np.array_equal(stepped.r, st.r)
 
 
+def reference_rhs(r, p, inv_mass):
+    """(dr, dp) on separate r and p arrays with zero ghost values."""
+    F = r + r * r
+    dr, dp = np.empty_like(r), np.empty_like(p)
+    dr[:-1] = p[1:] - p[:-1]
+    dr[-1] = -p[-1]
+    dp[0] = F[0]
+    dp[1:] = F[1:] - F[:-1]
+    dp *= inv_mass
+    return dr, dp
+
+
+def reference_rk4(r, p, inv_mass, dt, steps):
+    """Classical RK4 on separate r and p arrays, one plain numpy expression
+    per term: the arithmetic the kernel reproduces bit for bit."""
+    for _ in range(steps):
+        k1 = reference_rhs(r, p, inv_mass)
+        k2 = reference_rhs(r + 0.5 * dt * k1[0], p + 0.5 * dt * k1[1], inv_mass)
+        k3 = reference_rhs(r + 0.5 * dt * k2[0], p + 0.5 * dt * k2[1], inv_mass)
+        k4 = reference_rhs(r + dt * k3[0], p + dt * k3[1], inv_mass)
+        r = r + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        p = p + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return np.stack((r, p))
+
+
+def assert_bitwise(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("edge", ["moving", "signed_zeros"])
+@pytest.mark.parametrize("n", [1, 2, 5, 400])
+def test_kernel_matches_reference_bitwise(n, edge, monkeypatch):
+    rng = np.random.default_rng(n)
+    st = lat.LatticeState(0.2 * rng.standard_normal(n),
+                          0.2 * rng.standard_normal(n), mass_ratio=0.37)
+    if edge == "moving":
+        st.p[-1] = 0.15
+    else:                   # what the window leaves at the right edge
+        st.r[-1], st.p[-1] = -0.0, 0.0
+    y0 = st.y.copy()
+    inv_mass = 1.0 / st.masses
+    assert_bitwise(lat.rhs(st), np.stack(reference_rhs(st.r, st.p, inv_mass)))
+    assert_bitwise(lat.rk4_step(st, 1e-3).y,
+                   reference_rk4(st.r, st.p, inv_mass, 1e-3, 1))
+    sampled = []
+    update = lat.DiagnosticSeries.update
+
+    def recording(self, state, *args, **kwargs):
+        sampled.append(state)
+        return update(self, state, *args, **kwargs)
+
+    monkeypatch.setattr(lat.DiagnosticSeries, "update", recording)
+    lat.run_simulation(st, lat.SimConfig(horizon=1.0))
+    assert_bitwise(sampled[-1].y, reference_rk4(st.r, st.p, inv_mass, 1e-3, 1000))
+    assert_bitwise(st.y, y0)     # the input state is never written
+
+
 def test_run_simulation_nonfinite_aborts():
     st = make_state(8)
     st.r[:] = -1e12
@@ -281,3 +339,21 @@ def test_energy_drift_alarm_logged():
 def test_simconfig_validates_cap():
     with pytest.raises(ValueError):
         lat.SimConfig(dt=5e-3)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dt": 3e-4},                   # 3333.3 steps per sample
+    {"horizon": 2.5},               # 2.5 samples
+    {"recenter_period": 60.5},      # 60.5 samples per recenter period
+    {"horizon": 0.4},               # less than one sample
+])
+def test_simconfig_rejects_fractional_counts(kwargs):
+    with pytest.raises(ValueError, match="whole multiple"):
+        lat.SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"horizon": 100.0}, {"horizon": 102.0},
+                                    {"horizon": 1000.0}, {"horizon": 5000.0}])
+def test_simconfig_builds_default_and_acceptance_horizons(kwargs):
+    cfg = lat.SimConfig(**kwargs)
+    assert cfg.horizon == kwargs.get("horizon", 5000.0)
