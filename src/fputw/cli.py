@@ -359,9 +359,8 @@ def cmd_cross_section(args) -> int:
     sigma = args.sigma
     # anchor where the iso-sigma curve crosses the equal-mass axis: the
     # monatomic wave whose speed equals sigma is an exact seed
-    mcfg = cfg.monatomic()
-    kap = _kappa_at_speed(sigma, mcfg)
-    mono_wave = monatomic.solve_profile(kap, mcfg)
+    mono_wave = _wave_at_speed(sigma, cfg.monatomic())
+    kap = mono_wave.kappa
     seed = diatomic.seed_from_monatomic(mono_wave, cfg)
     seed = diatomic.solve_wave(kap, "sigma", sigma, seed, cfg)
     traces = []
@@ -384,8 +383,10 @@ def cmd_cross_section(args) -> int:
     return 0
 
 
-def _kappa_at_speed(sigma: float, mcfg: monatomic.MonatomicConfig) -> float:
-    """Invert the monatomic speed law sigma(kappa) by secant iteration."""
+def _wave_at_speed(sigma: float,
+                   mcfg: monatomic.MonatomicConfig) -> monatomic.MonatomicWave:
+    """Invert the monatomic speed law sigma(kappa) by secant iteration; the
+    last profile solved, whose speed is sigma after convergence."""
     kap = max(0.25, np.sqrt(max(24.0 * (sigma - 1.0), 1e-4)))
     w = monatomic.solve_profile(kap, mcfg)
     f0, k0 = w.sigma - sigma, kap
@@ -394,9 +395,9 @@ def _kappa_at_speed(sigma: float, mcfg: monatomic.MonatomicConfig) -> float:
         w = monatomic.solve_profile(kap1, mcfg, guess=w)
         f1 = w.sigma - sigma
         if abs(f1) < 1e-10 or f1 == f0:
-            return kap1
+            break
         k0, kap1, f0 = kap1, kap1 - f1 * (kap1 - k0) / (f1 - f0), f1
-    return kap1
+    return w
 
 
 def _load_lattice_ic(args) -> lattice.LatticeState:

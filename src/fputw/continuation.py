@@ -9,6 +9,11 @@ stepped on by its last increment, regrowing up to that increment times the
 factor by which the old driver's step had been halved.  Steps are signed
 and taken in the coordinate of the scalar being stepped (m for a mu driver
 stepped in m), so a switch back to the first driver keeps its direction.
+The first step of a kappa trace starts from the Euler tangent at the seed
+(``kappa_tangent_guess``), and the LU made for the tangent is carried into
+that solve; the first step of any other driver starts from the linearized
+ripple mode (``refresh_ripple_guess``).  Later solves that hold the same
+scalar fixed as the two before start from a secant prediction.
 A point is a fold when the traced scalar (the driver the trace started
 with) reverses direction there; every reversal is marked, so an S-shaped
 branch shows both of its folds.  Sign changes of the ripple amplitude
@@ -35,7 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .diatomic import (DiatomicConfig, DiatomicWave, SCALAR_NAMES,
-                       refresh_ripple_guess, save_wave, solve_wave)
+                       kappa_tangent_guess, refresh_ripple_guess, save_wave,
+                       solve_wave)
 from .errors import NonConvergenceError, ProblemSizeError
 from .mfde import FactorCache
 from .solution import PiecewiseSolution
@@ -229,9 +235,13 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
             if d_last != 0.0:
                 guess = _extrapolate(wave, prev_wave,
                                      (value - getattr(wave, cur_driver)) / d_last)
-        elif prev_wave is None:
+        elif prev_wave is None and cur_driver != "kappa":
             guess = refresh_ripple_guess(wave, cur_driver, value, cfg)
         try:
+            # inside the try: the tangent meets the size cap as the solve would
+            if prev_wave is None and cur_driver == "kappa":
+                guess = kappa_tangent_guess(wave, kap, fix, val, cfg,
+                                            reuse=factors)
             new = solve_wave(kap, fix, val, guess, cfg, reuse=factors)
         except ProblemSizeError:
             branch.terminated_reason = "size-cap"

@@ -26,10 +26,10 @@ import numpy as np
 from . import checkpoint, dispersion
 from .errors import (BranchJumpWarning, CheckpointCorruptError, FputwError,
                      OrientationFlipWarning)
-from .mfde import (BoundaryCondition, BoundaryProbe, EquationBlock,
+from .mfde import (FD_STEP, BoundaryCondition, BoundaryProbe, EquationBlock,
                    FactorCache, FunctionBlockSpec, MfdeProblem, NewtonConfig,
-                   SlotSpec, assemble_residual, integral_bc, solve_newton,
-                   value_bc)
+                   SlotSpec, assemble_residual, euler_predictor, integral_bc,
+                   solve_newton, value_bc)
 from .monatomic import MonatomicConfig, MonatomicWave, solve_profile
 from .solution import Extension, Mesh, PiecewiseSolution
 
@@ -416,6 +416,28 @@ def refresh_ripple_guess(wave: DiatomicWave, fix: str, value: float,
             continue
         return replace(wave, ripple=rip, omega_p=omega_p)
     return wave
+
+
+def kappa_tangent_guess(wave: DiatomicWave, kappa: float, fix: str,
+                        value: float, cfg: DiatomicConfig = DiatomicConfig(),
+                        reuse: FactorCache | None = None) -> DiatomicWave:
+    """The Euler guess at ``kappa`` from the solved ``wave``, holding ``fix``
+    at ``value``: the wave plus (kappa - wave.kappa) times the tangent of
+    the iso-``fix`` curve, with dR/dkappa one finite difference at
+    wave.kappa + FD_STEP max(1, |wave.kappa|) (see
+    :func:`fputw.mfde.euler_predictor`).  The Jacobian's LU at the wave goes
+    to ``reuse``."""
+    pm = ParamMap(fix, value)
+    k0 = wave.kappa
+    dk = FD_STEP * max(1.0, abs(k0))
+    sols, params = euler_predictor(
+        wave_problem(k0, pm, cfg), wave_problem(k0 + dk, pm, cfg),
+        [wave.solitary, wave.ripple],
+        pm.pack(wave.sigma, wave.mu, wave.beta_p, wave.omega_p),
+        dk, kappa - k0, cfg.newton, reuse)
+    sigma, mu, beta_p, omega_p = pm.unpack(params)
+    return DiatomicWave(kappa, sigma, mu, beta_p, omega_p, sols[0], sols[1],
+                        wave.residual_norm, 0, fixed_param=fix)
 
 
 def seed_from_monatomic(mono: MonatomicWave,

@@ -37,6 +37,9 @@ Newton step is taken.  A :class:`FactorCache` carries the last converged
 factorization from one solve to the next, so a continuation that solves a
 sequence of nearby systems factorizes only when the frozen LU stops
 contracting.  The convergence test is always on the true residual.
+:func:`euler_predictor` starts a continuation off a solved point: it
+factorizes the Jacobian there once, predicts along the tangent and leaves
+that LU in the :class:`FactorCache` for the first solve.
 
 Each assembler (one per :func:`solve_newton` call) caches evaluation plans:
 for every slot and boundary probe, where its points fold into the mesh under
@@ -181,8 +184,8 @@ class FactorCache:
 
     Pass the same holder to consecutive :func:`solve_newton` calls on systems
     of one size (a continuation) to start each solve with chord steps from
-    the previous factorization.  Only converged solves write to it; an LU of
-    another size is ignored.
+    the previous factorization.  Only converged solves and
+    :func:`euler_predictor` write to it; an LU of another size is ignored.
     """
 
     lu: object = None
@@ -518,14 +521,9 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
                 norm, x, r = chord
                 continue
         _, J = asm.jacobian(x)
-        try:
-            lu = spla.splu(J)
-        except RuntimeError as exc:
-            raise SingularJacobianError(f"sparse LU failed: {exc}") from exc
+        lu = factorize(J)
         factorizations += 1
-        step = lu.solve(-r)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobianError("linear solve produced non-finite step")
+        step = _solve(lu, -r)
         lam = 1.0
         best = None
         for _ in range(MAX_HALVINGS + 1):
@@ -549,6 +547,54 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
     raise NonConvergenceError(
         f"Newton did not reach tol={cfg.tol:g} in {cfg.max_iter} iterations "
         f"(residual {norm:.3e})", norm, cfg.max_iter)
+
+
+def factorize(J):
+    """Sparse LU of ``J``; a failed factorization raises
+    :class:`SingularJacobianError`."""
+    try:
+        return spla.splu(J)
+    except RuntimeError as exc:
+        raise SingularJacobianError(f"sparse LU failed: {exc}") from exc
+
+
+def _solve(lu, b: np.ndarray) -> np.ndarray:
+    """``lu.solve(b)``; a non-finite solution raises
+    :class:`SingularJacobianError`."""
+    y = lu.solve(b)
+    if not np.all(np.isfinite(y)):
+        raise SingularJacobianError("linear solve produced non-finite step")
+    return y
+
+
+def euler_predictor(problem: MfdeProblem, shifted: MfdeProblem,
+                    solutions: Sequence[PiecewiseSolution], params,
+                    dp: float, delta: float,
+                    cfg: NewtonConfig = NewtonConfig(),
+                    reuse: FactorCache | None = None):
+    """First-order (Euler) prediction along a problem parameter lambda.
+
+    ``problem`` is posed at lambda_0 and ``shifted`` at lambda_0 + ``dp`` on
+    the same unknowns; ``(solutions, params)`` is a solution of ``problem``.
+    The Jacobian J at that point x is assembled and factorized once,
+    dR/dlambda is the difference quotient of the two residuals at x, and
+    the prediction at lambda_0 + ``delta`` is x + delta t with the tangent
+    t = -J^{-1} dR/dlambda.  The LU is stored in ``reuse``, so the solve
+    that corrects the prediction starts with chord steps.
+
+    Returns ``(solutions, params)`` of the prediction.  Raises
+    :class:`SingularJacobianError` when J cannot be factorized.
+    """
+    asm = _Assembler(problem, cfg)
+    lay = asm.layout
+    x = lay.pack(solutions, params)
+    r, J = asm.jacobian(x)
+    lu = factorize(J)
+    dr = (_Assembler(shifted, cfg).residual(x) - r) / dp
+    t = _solve(lu, -dr)
+    if reuse is not None:
+        reuse.lu = lu
+    return lay.unpack(x + delta * t)
 
 
 def _try_step(asm: _Assembler, x: np.ndarray, step: np.ndarray):

@@ -5,7 +5,9 @@ from fputw import diatomic as di
 from fputw import monatomic as mono
 from fputw.continuation import (Branch, BranchPoint, continue_branch,
                                 find_solitary)
-from fputw.errors import BranchJumpWarning, NonConvergenceError
+from fputw.cli import _wave_at_speed
+from fputw.errors import (BranchJumpWarning, NonConvergenceError,
+                          SingularJacobianError)
 from fputw.mfde import FactorCache, solve_newton
 
 CFG = di.DiatomicConfig(solitary_intervals=256)
@@ -318,6 +320,7 @@ def test_clamped_failed_step_is_not_resolved(monkeypatch):
     # a kappa step longer than 0.004 fails
     monkeypatch.setattr(cont, "solve_wave", _recording_solve(
         calls, lambda kappa, fix, value, guess: abs(kappa - guess.kappa) > 0.004))
+    monkeypatch.setattr(cont, "kappa_tangent_guess", lambda wave, *a, **k: wave)
     k0 = 1.57059
     seed = _stub_wave(k0, 1.1, 0.5 * (k0 - 1.0) ** 2, "sigma")
     branch = cont.continue_branch(seed, "kappa", 1.565, 0.05, TINY_CFG,
@@ -346,6 +349,7 @@ def test_all_failing_kappa_trace_ends_at_step_floor(monkeypatch):
     calls = []
     monkeypatch.setattr(cont, "solve_wave",
                         _recording_solve(calls, lambda *args: True))
+    monkeypatch.setattr(cont, "kappa_tangent_guess", lambda wave, *a, **k: wave)
     seed = _stub_wave(1.57059, 1.1, 0.1, "sigma")
     branch = cont.continue_branch(seed, "kappa", 1.565, 0.05, TINY_CFG,
                                   fixed=("sigma", 1.1))
@@ -411,6 +415,7 @@ def test_kappa_trace_uses_secant_predictor(monkeypatch):
     calls = []
     monkeypatch.setattr(cont, "solve_wave",
                         _recording_solve(calls, lambda *args: False))
+    monkeypatch.setattr(cont, "kappa_tangent_guess", lambda wave, *a, **k: wave)
     k0 = 1.5
     seed = _stub_wave(k0, 1.1, 0.5 * (k0 - 1.0) ** 2, "sigma")
     branch = cont.continue_branch(seed, "kappa", 1.2, 0.1, TINY_CFG,
@@ -426,6 +431,70 @@ def test_kappa_trace_uses_secant_predictor(monkeypatch):
         assert guess_mu != last.mu
         assert guess_mu == pytest.approx(last.mu + r * (last.mu - prev.mu),
                                          rel=1e-12)
+
+
+def test_tangent_guess_on_singular_system_is_typed():
+    """The stub waves are all zero, so their Jacobian is singular: the
+    predictor must raise the toolkit's error, not scipy's RuntimeError."""
+    seed = _stub_wave(1.57059, 1.1, 0.1, "sigma")
+    with pytest.raises(SingularJacobianError):
+        di.kappa_tangent_guess(seed, 1.565, "sigma", 1.1, TINY_CFG)
+
+
+# ---------------------------------------------------------------------------
+# Euler tangent predictor on the equal-mass seed of an iso-sigma trace
+# ---------------------------------------------------------------------------
+
+XSEC_CFG = di.DiatomicConfig(solitary_intervals=128)
+
+
+@pytest.fixture(scope="module")
+def xsec_seed():
+    """The sigma = 1.1 wave on the equal-mass axis, built as
+    ``cross-section`` builds it."""
+    mono_wave = _wave_at_speed(1.1, XSEC_CFG.monatomic())
+    seed = di.seed_from_monatomic(mono_wave, XSEC_CFG)
+    return di.solve_wave(mono_wave.kappa, "sigma", 1.1, seed, XSEC_CFG)
+
+
+def test_tangent_first_kappa_step_needs_no_halving(xsec_seed, monkeypatch):
+    """From the tangent guess the first kappa step converges at once; it
+    lands where the seed guess gets to after a failed solve and halvings."""
+    import fputw.continuation as cont
+
+    def trace():
+        return cont.continue_branch(xsec_seed, "kappa", 1.565, 0.05, XSEC_CFG,
+                                    fixed=("sigma", 1.1))
+
+    branch = trace()
+    counts = cont.event_counts(branch)
+    assert counts["failed"] == counts["halved"] == 0
+    last = branch.points[-1]
+    assert last.kappa == 1.565 and last.resid <= 1e-10
+    monkeypatch.setattr(cont, "kappa_tangent_guess", lambda wave, *a, **k: wave)
+    seeded = trace()
+    assert cont.event_counts(seeded)["failed"] > 0
+    ref = seeded.points[-1]
+    assert ref.kappa == 1.565
+    for name in ("m", "mu", "omega_p"):
+        assert abs(getattr(last, name) - getattr(ref, name)) <= 1e-10
+
+
+def test_tangent_guess_is_first_order(xsec_seed):
+    """The Euler guess is off by second order in the kappa step: its
+    residual, and its distance in mu from the wave solved from it, fall
+    about fourfold when the step halves.  The residual alone would not
+    catch a reversed tangent near this seed; the distance does."""
+    k0 = xsec_seed.kappa
+
+    def guess_errors(d):
+        guess = di.kappa_tangent_guess(xsec_seed, k0 - d, "sigma", 1.1, XSEC_CFG)
+        solved = di.solve_wave(k0 - d, "sigma", 1.1, guess, XSEC_CFG)
+        return np.array([di.wave_residual_norm(guess, XSEC_CFG),
+                         abs(guess.mu - solved.mu)])
+
+    ratios = guess_errors(0.004) / guess_errors(0.002)
+    assert np.all((3.0 <= ratios) & (ratios <= 5.0))
 
 
 def _valley_solve(calls, mu_fails, mu_limit=np.inf):

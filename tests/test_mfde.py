@@ -6,9 +6,9 @@ from fputw.errors import (BoundaryCountError, NonConvergenceError,
                           ProblemSizeError, SingularJacobianError)
 from fputw.mfde import (BoundaryCondition, BoundaryProbe, EquationBlock,
                         FactorCache, FunctionBlockSpec, MfdeProblem,
-                        NewtonConfig, SlotSpec, assemble_residual, fd_jacobian,
-                        refined_collocation_norm, solve_newton,
-                        structural_jacobian, value_bc)
+                        NewtonConfig, SlotSpec, assemble_residual,
+                        euler_predictor, fd_jacobian, refined_collocation_norm,
+                        solve_newton, structural_jacobian, value_bc)
 from fputw.solution import Extension, Mesh, PiecewiseSolution
 
 
@@ -90,6 +90,26 @@ def test_singular_jacobian_detected():
                                              (Extension.interior_only(),))
     with pytest.raises(SingularJacobianError):
         solve_newton(prob, [guess], [0.5])
+
+
+def test_euler_predictor_follows_linear_family():
+    # u' = 0, u(0) = lam: the solution u = lam is linear in lam, so the
+    # Euler prediction is exact, and its LU is left for the next solve
+    mesh = Mesh(2.0, 8, 3)
+    pol = (Extension.interior_only(),)
+
+    def prob(lam):
+        return scalar_problem(mesh, lambda t, s, p: np.zeros((1, t.size)),
+                              (value_bc(0, 0, 0.0, lam),))
+
+    sol = PiecewiseSolution.from_callables(mesh, [lambda t: 0.5 * np.ones_like(t)], pol)
+    cache = FactorCache()
+    sols, _ = euler_predictor(prob(0.5), prob(0.501), [sol], [], 1e-3, 0.25,
+                              reuse=cache)
+    assert np.max(np.abs(sols[0].eval(mesh.knots, 0) - 0.75)) < 1e-9
+    assert cache.lu is not None
+    _, _, rep = solve_newton(prob(0.75), sols, [], reuse=cache)
+    assert rep.converged and rep.factorizations == 0
 
 
 # ---------------------------------------------------------------------------
