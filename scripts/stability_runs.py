@@ -11,9 +11,7 @@ from fputw import diatomic as di
 from fputw import lattice as lat
 from fputw import monatomic as mono
 from fputw.cli import write_csv
-from fputw.continuation import continue_branch, find_solitary
-
-MASSES = (0.33797458, 0.32800968, 0.32711659, 0.32702829, 0.32701947)
+from fputw.continuation import continue_branch, find_solitary, stability_family
 
 
 def main():
@@ -35,13 +33,7 @@ def main():
     seed = di.seed_from_monatomic(mw, cfg)
     branch = continue_branch(seed, "mu", 2.3, 0.1, cfg,
                              stop_when=lambda p: p.sign_change)
-    solitary = find_solitary(branch, cfg).waves[0]
-    waves = []
-    for m in MASSES:
-        mu = 1.0 / m - 1.0
-        guess = min(branch.waves + [solitary], key=lambda w: abs(w.mu - mu))
-        waves.append(di.solve_wave(args.kappa, "mu", mu, guess, cfg))
-    waves.append(solitary)
+    waves = stability_family(branch, find_solitary(branch, cfg).waves[0], cfg)
 
     summary = []
     for wave in waves:

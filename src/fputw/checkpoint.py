@@ -36,7 +36,8 @@ import numpy as np
 from .errors import CheckpointCorruptError, CheckpointVersionError
 from .solution import Extension, Mesh, PiecewiseSolution
 
-HEADER = "fputw-checkpoint v1"
+MAGIC = "fputw-checkpoint"
+HEADER = f"{MAGIC} v1"
 
 
 @dataclass
@@ -90,7 +91,7 @@ def dumps(ck: Checkpoint) -> str:
 
 def loads(text: str) -> Checkpoint:
     lines = text.split("\n")
-    if not lines or lines[0].startswith("fputw-checkpoint") is False:
+    if not lines[0].startswith(MAGIC):
         raise CheckpointCorruptError("missing checkpoint header")
     if lines[0] != HEADER:
         raise CheckpointVersionError(

@@ -51,17 +51,6 @@ def write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def write_scan(out: Path, res: monatomic.ScanResult) -> list[str]:
-    """Write mono_scan.csv and one joint_k<kappa>.ckpt per row; return the names."""
-    write_csv(out / "mono_scan.csv", monatomic.SCAN_COLUMNS,
-              [r.values() for r in res.rows])
-    files = ["mono_scan.csv"]
-    for row, wave, jost in zip(res.rows, res.waves, res.josts):
-        files.append(f"joint_k{row.kappa:.6g}.ckpt")
-        monatomic.save_joint(wave, jost, out / files[-1])
-    return files
-
-
 def write_manifest(outdir: Path, subcommand: str, params: dict, files,
                    events: dict[str, int] | None = None) -> None:
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}",
@@ -204,7 +193,12 @@ def cmd_mono_scan(args) -> int:
     cfg = _mono_config(args)
     res = monatomic.kappa_scan(args.from_, args.to, args.step, cfg,
                                n_quad=args.n_quad)
-    files = write_scan(out, res)
+    write_csv(out / "mono_scan.csv", monatomic.SCAN_COLUMNS,
+              [r.values() for r in res.rows])
+    files = ["mono_scan.csv"]
+    for row, wave, jost in zip(res.rows, res.waves, res.josts):
+        files.append(f"joint_k{row.kappa:.6g}.ckpt")
+        monatomic.save_joint(wave, jost, out / files[-1])
     write_manifest(out, "mono-scan",
                    {"from": args.from_, "to": args.to, "step": args.step,
                     "aborted": res.aborted_reason or "no"}, files)
@@ -402,13 +396,13 @@ def _wave_at_speed(sigma: float,
 
 def _load_lattice_ic(args) -> lattice.LatticeState:
     path = args.ic
-    try:
-        ck = checkpoint.read(path)
-    except FputwError:
-        pass
-    else:
+    with open(path) as fh:
+        is_checkpoint = fh.readline().startswith(checkpoint.MAGIC)
+    if is_checkpoint:
+        # a broken checkpoint raises its own error instead of reading as text
         return lattice.sample_initial_condition(
-            _load_wave(ck), **_given(args, peak_site="peak_site", n="sites"))
+            _load_wave(checkpoint.read(path)),
+            **_given(args, peak_site="peak_site", n="sites"))
     # plain text: 2N rows of "site value", r block then p block
     data = np.loadtxt(path)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] % 2:

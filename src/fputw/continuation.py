@@ -27,7 +27,8 @@ ends at the step floor.
 
 Solitary branches are found by bisecting a marked sign change in the driven
 parameter (beta_P still free), freezing beta_P = 0, and continuing in kappa
-with (sigma, mu) free.
+with (sigma, mu) free.  ``stability_family`` builds the waves of the lattice
+stability experiment around a solitary wave.
 """
 
 from __future__ import annotations
@@ -403,3 +404,22 @@ def find_solitary(branch: Branch, cfg: DiatomicConfig = DiatomicConfig(), *,
         return continue_branch(sol, "kappa", kappa_to, kappa_step, cfg,
                                fixed=("beta_p", 0.0))
     return Branch([point_from_wave(sol)], [sol], "target-reached")
+
+
+# Masses of the stability experiment on the kappa = 5/2 branch: |alpha_P|
+# falls by a decade from each to the next, from about 1e-2 to 1e-6.
+STABILITY_MASSES = (0.33797458, 0.32800968, 0.32711659, 0.32702829, 0.32701947)
+
+
+def stability_family(branch: Branch, solitary: DiatomicWave,
+                     cfg: DiatomicConfig = DiatomicConfig()) -> list[DiatomicWave]:
+    """The six initial conditions of the paper's stability experiment: the
+    waves at ``STABILITY_MASSES`` on the mu branch of ``solitary``, then
+    ``solitary`` itself (alpha_P = 0).  Each is solved at fixed mu from the
+    wave of ``branch.waves`` or ``solitary`` nearest in mu."""
+    waves = []
+    for m in STABILITY_MASSES:
+        mu = 1.0 / m - 1.0
+        guess = min(branch.waves + [solitary], key=lambda w: abs(w.mu - mu))
+        waves.append(solve_wave(solitary.kappa, "mu", mu, guess, cfg))
+    return waves + [solitary]

@@ -15,7 +15,8 @@ from fputw import diatomic as di
 from fputw import dispersion as dsp
 from fputw import lattice as lat
 from fputw import monatomic as mono
-from fputw.continuation import bisect_alpha_zero, continue_branch, find_solitary
+from fputw.continuation import (bisect_alpha_zero, continue_branch,
+                                find_solitary, stability_family)
 from fputw.mfde import (EquationBlock, FunctionBlockSpec, MfdeProblem,
                         SlotSpec, solve_newton, value_bc)
 from fputw.solution import Extension, Mesh, PiecewiseSolution
@@ -24,8 +25,6 @@ CFG = di.DiatomicConfig()
 MCFG = CFG.monatomic()
 
 SOLITARY_M = 0.32701849
-SIX_PAIRS = ((1e-2, 0.33797458), (1e-3, 0.32800968), (1e-4, 0.32711659),
-             (1e-5, 0.32702829), (1e-6, 0.32701947))
 
 
 def check(n, cond, text):
@@ -68,14 +67,7 @@ def solitary25(branch25):
 def six_ics(branch25, solitary25):
     """The six initial-condition waves at the paper masses (alpha_P = 0 uses
     the frozen solitary wave)."""
-    waves = []
-    for _, m in SIX_PAIRS:
-        mu = 1.0 / m - 1.0
-        guess = min(branch25.waves + solitary25.waves,
-                    key=lambda w: abs(w.mu - mu))
-        waves.append(di.solve_wave(2.5, "mu", mu, guess, CFG))
-    waves.append(solitary25.waves[0])
-    return waves
+    return stability_family(branch25, solitary25.waves[0], CFG)
 
 
 @pytest.fixture(scope="module")

@@ -339,6 +339,19 @@ def test_checkpoint_inputs_are_read_once(tmp_path, mono_ckpt, monkeypatch):
     assert len(reads) == 1
 
 
+@pytest.mark.parametrize("edit, kind", [
+    (lambda text: text[:len(text) // 2], "CheckpointCorruptError"),
+    (lambda text: text.replace(" v1\n", " v2\n", 1), "CheckpointVersionError")],
+    ids=["truncated", "v2"])
+def test_simulate_reports_checkpoint_errors(tmp_path, mono_ckpt, capsys,
+                                            edit, kind):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text(edit(mono_ckpt.read_text()))
+    assert cli.main(["simulate", "--ic", str(bad), "--T", "1",
+                     "--out", str(tmp_path / "sim")]) == 1
+    assert f"kind={kind}" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.ckpt")
     for argv in (["simulate", "--ic", missing, "--T", "1"],

@@ -578,3 +578,32 @@ def test_switch_cap_scales_with_halving(monkeypatch):
     assert [e.note for e in branch.events if e.kind == "switch"] == ["mu"]
     assert branch.terminated_reason == "target-reached"
     assert len(branch.points) < 300
+
+
+def test_stability_family_solves_each_mass_from_nearest_wave(monkeypatch):
+    """One solve per stability mass, in order, at mu = 1/m - 1 and the
+    solitary wave's kappa, each from the wave nearest in mu (the first of
+    two equally near); the solitary wave itself comes last."""
+    import fputw.continuation as cont
+
+    calls = []
+
+    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
+                   reuse=None):
+        calls.append((kappa, fix, value, guess))
+        return _stub_wave(kappa, 1.5, value, fix)
+
+    monkeypatch.setattr(cont, "solve_wave", fake_solve)
+    solitary = _stub_wave(2.5, 1.5776, 1.0 / 0.32701849 - 1.0, "beta_p")
+    # the second 1.95 ties with the first; the branch sits at another kappa
+    # so the solves' kappa can only come from the solitary wave
+    branch = Branch(waves=[_stub_wave(2.4, 1.5, mu, "mu")
+                           for mu in (0.0, 1.95, 1.95, 2.05, 2.0572)])
+    waves = cont.stability_family(branch, solitary, TINY_CFG)
+    assert [c[:3] for c in calls] == [(2.5, "mu", 1.0 / m - 1.0)
+                                      for m in cont.STABILITY_MASSES]
+    expected = [branch.waves[i] for i in (1, 3, 4)] + [solitary, solitary]
+    assert all(c[3] is w for c, w in zip(calls, expected))
+    assert len(waves) == len(cont.STABILITY_MASSES) + 1
+    assert [w.mu for w in waves[:-1]] == [c[2] for c in calls]
+    assert waves[-1] is solitary
