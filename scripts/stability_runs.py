@@ -14,20 +14,25 @@ from fputw.cli import write_csv
 from fputw.continuation import continue_branch, find_solitary, stability_family
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kappa", type=float, default=2.5)
     ap.add_argument("--T", type=float, default=5000.0)
     ap.add_argument("--out", default="results/stability")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = di.DiatomicConfig()
     try:
         sim = lat.SimConfig(horizon=args.T)
     except ValueError as exc:
         ap.error(str(exc))
+    if sim.horizon < sim.baseline_time:
+        # the core-loss baseline is taken at t = baseline_time, so a shorter
+        # run would report Gamma_final = nan for every wave
+        ap.error(f"--T {args.T:g} ends before the core-loss baseline time "
+                 f"{sim.baseline_time:g}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     mw = mono.solve_profile(args.kappa, cfg.monatomic())
     seed = di.seed_from_monatomic(mw, cfg)

@@ -41,6 +41,20 @@ contracting.  The convergence test is always on the true residual.
 factorizes the Jacobian there once, predicts along the tangent and leaves
 that LU in the :class:`FactorCache` for the first solve.
 
+Factorization splits block lower-triangular systems (:func:`factorize`).
+The assembler records, as it adds entries, which *units* each unit's rows
+read: a unit is one (function block, component) with its collocation and
+continuity rows and its coefficient columns, one boundary condition, or one
+free parameter.  A maximum flow from row units to column units and the
+strongly connected components of the oriented unit graph give the diagonal
+blocks in solve order, found on a graph of a few dozen nodes without a pass
+over the nonzeros.  Each diagonal block gets its own ``splu`` and the solve
+is a block forward substitution (:class:`BlockLU`, after the
+block-triangular form of KLU, Davis and Palamadai Natarajan 2010); an
+irreducible system gets one ``splu`` as a whole.  The joint wave + Jost
+system splits this way, because the profile rows never read the Jost
+unknowns, and so does the diatomic system at beta_P = 0.
+
 Each assembler (one per :func:`solve_newton` call) caches evaluation plans:
 for every slot and boundary probe, where its points fold into the mesh under
 each extension policy.  Plans depend only on the points and the policy, so
@@ -186,6 +200,9 @@ class FactorCache:
     of one size (a continuation) to start each solve with chord steps from
     the previous factorization.  Only converged solves and
     :func:`euler_predictor` write to it; an LU of another size is ignored.
+    The LU is either scipy's ``SuperLU`` or a :class:`BlockLU`; only its
+    ``shape`` and ``solve`` are used, so a block factor of one system can
+    drive chord steps on the next even where that one is irreducible.
     """
 
     lu: object = None
@@ -217,6 +234,22 @@ class Layout:
             self.cont_offsets.append(row)
             row += b.ncomp * (b.mesh.intervals - 1)
         self.bc_offset = row
+        # units of the block split (see UnitGraph): one per (block,
+        # component), then one per boundary condition, then one per parameter
+        self.comp_units = np.cumsum([0] + [b.ncomp for b in problem.blocks])
+        self.bc_unit = int(self.comp_units[-1])
+        self.param_unit = self.bc_unit + len(problem.boundary_conditions)
+        self.nunits = self.param_unit + problem.nparams
+        row_units, col_units = [], []
+        for b, blk in enumerate(problem.blocks):
+            m, n, k = blk.mesh.intervals, blk.ncomp, blk.mesh.gauss_order
+            comps = self.comp_units[b] + np.arange(n)
+            row_units += [np.tile(comps, m * k), np.tile(comps, m - 1)]
+            col_units.append(np.repeat(np.tile(comps, m), k + 1))
+        row_units.append(self.bc_unit + np.arange(len(problem.boundary_conditions)))
+        col_units.append(self.param_unit + np.arange(problem.nparams))
+        self.row_unit = np.concatenate(row_units)
+        self.col_unit = np.concatenate(col_units)
 
     def coeff_index(self, b: int, i, c: int, j):
         blk = self.problem.blocks[b]
@@ -301,6 +334,7 @@ class _Assembler:
             raise ProblemSizeError(
                 f"{self.layout.size} unknowns exceed the cap {cfg.max_unknowns}")
         self._plans = _PlanCache()
+        self.units: UnitGraph | None = None     # of the last Jacobian
 
     # -- residual ---------------------------------------------------------
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -315,11 +349,15 @@ class _Assembler:
         sols, params = lay.unpack(x)
         r = np.zeros(lay.size)
         rows, cols, data = [], [], []
+        reads = np.zeros((lay.nunits, lay.nunits), dtype=bool)
 
-        def add(rr, cc, dd):
+        def add(rr, cc, dd, ru, cu):
+            """Entries (rr, cc, dd), made by rows of unit ru reading
+            columns of unit cu."""
             rows.append(np.asarray(rr).ravel())
             cols.append(np.asarray(cc).ravel())
             data.append(np.asarray(dd).ravel())
+            reads[ru, cu] = True
 
         for eq in prob.equations:
             b = eq.block
@@ -329,6 +367,7 @@ class _Assembler:
             tau = mesh.collocation_points
             npts = tau.size
             n = blk.ncomp
+            unit = lay.comp_units[b]
 
             # slot values (and plans for the jacobian chain)
             slot_vals = []
@@ -361,7 +400,7 @@ class _Assembler:
                     for j in range(1, k + 1):
                         add(base_rows + c,
                             lay.coeff_index(b, i_of_pt, c, j),
-                            j * s_of_pt ** (j - 1) / mesh.h)
+                            j * s_of_pt ** (j - 1) / mesh.h, unit + c, unit + c)
                 # -d rhs / d slot values, chained through evaluation operators
                 for si, slot in enumerate(eq.slots):
                     src_n = prob.blocks[slot.block].ncomp
@@ -380,10 +419,11 @@ class _Assembler:
                             sc = sens[ct]
                             if not np.any(sc):
                                 continue
+                            src_unit = lay.comp_units[slot.block] + c
                             for j in range(k + 1):
                                 add(row_ct,
                                     lay.coeff_index(slot.block, idx, c, j),
-                                    -sc * sign * s ** j)
+                                    -sc * sign * s ** j, unit + ct, src_unit)
 
             # continuity: end of interval i == start of interval i+1
             m = mesh.intervals
@@ -397,9 +437,9 @@ class _Assembler:
                 if want_jac:
                     for j in range(k + 1):
                         add(crows, lay.coeff_index(b, np.arange(m - 1), c, j),
-                            np.ones(m - 1))
+                            np.ones(m - 1), unit + c, unit + c)
                     add(crows, lay.coeff_index(b, np.arange(1, m), c, 0),
-                        -np.ones(m - 1))
+                        -np.ones(m - 1), unit + c, unit + c)
 
         # boundary conditions
         for q, bc in enumerate(prob.boundary_conditions):
@@ -416,7 +456,8 @@ class _Assembler:
                     if dg == 0.0:
                         continue
                     pcols, pdata = vstruct
-                    add(np.full(pcols.size, row), pcols, dg * pdata)
+                    add(np.full(pcols.size, row), pcols, dg * pdata,
+                        lay.bc_unit + q, lay.comp_units[probe.block] + probe.comp)
 
         if not want_jac:
             return r, None
@@ -429,11 +470,13 @@ class _Assembler:
             rp = self._assemble(xp, want_jac=False)[0]
             col = (rp - r) / hp
             nz = np.nonzero(col)[0]
-            add(nz, np.full(nz.size, lay.param_offset + pj), col[nz])
+            add(nz, np.full(nz.size, lay.param_offset + pj), col[nz],
+                lay.row_unit[nz], lay.param_unit + pj)
 
         J = sp.coo_matrix((np.concatenate(data),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(lay.size, lay.size)).tocsc()
+        self.units = UnitGraph(lay.row_unit, lay.col_unit, reads)
         return r, J
 
     def _probe_values(self, sols, bc: BoundaryCondition):
@@ -521,7 +564,7 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
                 norm, x, r = chord
                 continue
         _, J = asm.jacobian(x)
-        lu = factorize(J)
+        lu = factorize(J, asm.units)
         factorizations += 1
         step = _solve(lu, -r)
         lam = 1.0
@@ -549,13 +592,153 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
         f"(residual {norm:.3e})", norm, cfg.max_iter)
 
 
-def factorize(J):
-    """Sparse LU of ``J``; a failed factorization raises
-    :class:`SingularJacobianError`."""
+def factorize(J, units: UnitGraph):
+    """Sparse LU of ``J``, given the :class:`UnitGraph` of its assembly; a
+    failed factorization raises :class:`SingularJacobianError`.
+
+    A J that is block lower-triangular is factored one diagonal block at a
+    time (:class:`BlockLU`); an irreducible J gets one ``splu`` of the whole
+    matrix.
+    """
+    blocks = units.diagonal_blocks()
     try:
-        return spla.splu(J)
+        if blocks is None:
+            return spla.splu(J)
+        return BlockLU(J, *blocks)
     except RuntimeError as exc:
         raise SingularJacobianError(f"sparse LU failed: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class UnitGraph:
+    """Coarse structure of one assembled Jacobian, for the block split.
+
+    A unit is a (function block, component), holding its collocation and
+    continuity rows and its coefficient columns; a boundary condition (one
+    row); or a free parameter (one column).  ``row_unit`` and ``col_unit``
+    give the unit of every row and column, and ``reads[u, v]`` is set when a
+    row of unit u has an entry in a column of unit v.  The assembler records
+    ``reads`` as it adds entries, so the split never scans the nonzeros.
+    """
+
+    row_unit: np.ndarray
+    col_unit: np.ndarray
+    reads: np.ndarray
+
+    def diagonal_blocks(self):
+        """``(row_block, col_block)``: the diagonal block of every row and
+        column, numbered in solve order, or None for one block.
+
+        A maximum flow from row units (their rows as supply) to column units
+        (their columns as demand) along ``reads`` matches rows to columns.
+        The strongly connected components of "u reads v" together with
+        "v's columns carry rows of u" are the diagonal blocks; each is
+        square, and its rows read only its own columns and those of blocks
+        solved before it.  A flow that cannot place every row means J is
+        structurally singular, which is left to ``splu`` to report.
+        """
+        nu = len(self.reads)
+        flow = _unit_flow(self.reads, np.bincount(self.row_unit, minlength=nu),
+                          np.bincount(self.col_unit, minlength=nu))
+        if flow is None:
+            return None
+        reach = self.reads | (flow > 0).T | np.eye(nu, dtype=bool)
+        while True:
+            wider = reach @ reach
+            if np.array_equal(wider, reach):
+                break
+            reach = wider
+        if reach.all():
+            return None
+        first = (reach & reach.T).argmax(axis=1)    # first unit of its component
+        # a component reaches every unit its dependencies reach, and more,
+        # so ordering by reach count solves dependencies first
+        _, block = np.unique(reach.sum(axis=1) * nu + first, return_inverse=True)
+        return block[self.row_unit], block[self.col_unit]
+
+
+def _unit_flow(reads, supply, demand):
+    """Flow ``f[u, v] >= 0``, nonzero only where ``reads[u, v]``, with row
+    sums ``supply`` and column sums at most ``demand``; None when there is
+    none.  Each unit first sends what it can into its own columns; the rest
+    follows breadth-first augmenting paths (Edmonds-Karp).  The graph has a
+    few dozen units, so plain lists beat array calls here."""
+    nu = len(supply)
+    reads = reads.tolist()
+    targets = [[v for v in range(nu) if row[v]] for row in reads]
+    flow = [[0] * nu for _ in range(nu)]
+    left, room = supply.tolist(), demand.tolist()
+    for u in range(nu):
+        if reads[u][u]:
+            d = flow[u][u] = min(left[u], room[u])
+            left[u] -= d
+            room[u] -= d
+    for u in range(nu):
+        while left[u]:
+            came = {}          # column unit -> the row unit that reached it
+            via = {u: None}    # row unit -> the column unit it gives flow up in
+            queue, end = [u], None
+            for r in queue:
+                for v in targets[r]:
+                    if v in came:
+                        continue
+                    came[v] = r
+                    if room[v]:
+                        end = v
+                        break
+                    for r2 in range(nu):
+                        if flow[r2][v] and r2 not in via:
+                            via[r2] = v
+                            queue.append(r2)
+                if end is not None:
+                    break
+            if end is None:
+                return None
+            # the path u -> v1 <- r2 -> v2 ... -> end moves d rows of each
+            # rerouted r from the column unit it was reached through onward
+            path, v = [], end
+            while True:
+                r = came[v]
+                path.append(r)
+                if r == u:
+                    break
+                v = via[r]
+            d = min(left[u], room[end], *(flow[r][via[r]] for r in path[:-1]))
+            v = end
+            for r in path:
+                flow[r][v] += d
+                if r != u:
+                    v = via[r]
+                    flow[r][v] -= d
+            left[u] -= d
+            room[end] -= d
+    return np.array(flow)
+
+
+class BlockLU:
+    """LU of a block lower-triangular matrix: one ``splu`` per diagonal
+    block, and block forward substitution in :meth:`solve`.  Like scipy's
+    ``SuperLU`` it has ``shape`` and ``solve``; ``factors`` holds the
+    blocks' LUs in solve order."""
+
+    def __init__(self, J, row_block, col_block):
+        self.shape = J.shape
+        self._rows = np.argsort(row_block, kind="stable")
+        self._cols = np.argsort(col_block, kind="stable")
+        Jp = J[self._rows][:, self._cols]
+        ends = np.cumsum(np.bincount(row_block))
+        self._spans = list(zip([0, *ends[:-1]], ends))
+        self.factors = [spla.splu(Jp[a:e, a:e]) for a, e in self._spans]
+        self._lower = [Jp[a:e, :a].tocsr() for a, e in self._spans]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        b = rhs[self._rows]
+        x = np.empty_like(b)
+        for (a, e), lu, lower in zip(self._spans, self.factors, self._lower):
+            x[a:e] = lu.solve(b[a:e] - lower @ x[:a])
+        out = np.empty_like(x)
+        out[self._cols] = x
+        return out
 
 
 def _solve(lu, b: np.ndarray) -> np.ndarray:
@@ -589,7 +772,7 @@ def euler_predictor(problem: MfdeProblem, shifted: MfdeProblem,
     lay = asm.layout
     x = lay.pack(solutions, params)
     r, J = asm.jacobian(x)
-    lu = factorize(J)
+    lu = factorize(J, asm.units)
     dr = (_Assembler(shifted, cfg).residual(x) - r) / dp
     t = _solve(lu, -dr)
     if reuse is not None:

@@ -370,3 +370,27 @@ def test_required_options_are_usage_errors(tmp_path, argv):
     res = run_cli([*argv, "--out", str(tmp_path)])
     assert res.returncode == 2
     assert "required" in res.stderr
+
+
+def test_stability_script_rejects_horizon_before_baseline(tmp_path, monkeypatch,
+                                                          capsys):
+    # the core-loss baseline is taken at t = 100, so --T 10 would write
+    # Gamma_final = nan for every wave; the script must refuse before solving
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "stability_runs.py"
+    spec = importlib.util.spec_from_file_location("stability_runs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --T")
+
+    monkeypatch.setattr(mono, "solve_profile", no_solve)
+    out = tmp_path / "stability"
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--T", "10", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "baseline time 100" in capsys.readouterr().err
+    assert not out.exists()

@@ -100,15 +100,15 @@ def test_factor_reuse_from_neighbouring_mu(seed):
 
 
 def test_branch_factorizes_less_than_once_per_point(seed, monkeypatch):
-    import scipy.sparse.linalg as spla
+    from fputw import mfde
     calls = []
-    splu = spla.splu
+    factorize = mfde.factorize
 
-    def counting_splu(J, *args, **kwargs):
+    def counting_factorize(J, *args, **kwargs):
         calls.append(J.shape)
-        return splu(J, *args, **kwargs)
+        return factorize(J, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(mfde, "factorize", counting_factorize)
     branch = continue_branch(seed, "mu", 0.05, 0.01, CFG)
     assert branch.terminated_reason == "target-reached"
     assert 0 < len(calls) < len(branch.points)

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, strategies as st
 from scipy.special import lambertw
 
 from fputw.errors import (BoundaryCountError, NonConvergenceError,
                           ProblemSizeError, SingularJacobianError)
-from fputw.mfde import (BoundaryCondition, BoundaryProbe, EquationBlock,
-                        FactorCache, FunctionBlockSpec, MfdeProblem,
-                        NewtonConfig, SlotSpec, assemble_residual,
-                        euler_predictor, fd_jacobian, refined_collocation_norm,
-                        solve_newton, structural_jacobian, value_bc)
+from fputw.mfde import (BlockLU, BoundaryCondition, BoundaryProbe,
+                        EquationBlock, FactorCache, FunctionBlockSpec,
+                        MfdeProblem, NewtonConfig, SlotSpec, assemble_residual,
+                        euler_predictor, factorize, fd_jacobian,
+                        refined_collocation_norm, solve_newton,
+                        structural_jacobian, UnitGraph, value_bc)
 from fputw.solution import Extension, Mesh, PiecewiseSolution
 
 
@@ -399,3 +403,112 @@ def test_jost_affine_plan_picks_up_new_offsets():
     assert np.array_equal(r_b, _Assembler(prob, NewtonConfig()).residual(x2))
     assert not np.array_equal(r_a, r_b)
     assert np.array_equal(asm.residual(x), r_a)
+
+
+# ---------------------------------------------------------------------------
+# block lower-triangular factorization
+# ---------------------------------------------------------------------------
+
+def _joint_seed(kappa):
+    """The joint wave + Jost problem at mesh 128 and the seed solve_jost
+    starts from: the solved profile plus the default Jost guess."""
+    from fputw import monatomic as mono
+    cfg = mono.MonatomicConfig(intervals=128)
+    wave = mono.solve_profile(kappa, cfg)
+    ups, psi0, theta0 = mono._default_jost_seed(cfg.mesh, kappa, wave.sigma)
+    seed = PiecewiseSolution(cfg.mesh,
+                             np.concatenate([wave.profile.coeffs, ups.coeffs]),
+                             (Extension.even_zero(),) * 4)
+    return mono.joint_problem(kappa, cfg), seed, [wave.sigma, psi0, theta0]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_joint_jacobian_factors_profile_block_first(kappa):
+    # the profile rows never read the Jost unknowns: (Phi, Phi', sigma) is
+    # the first diagonal block, (Y, Y', psi, theta) the second
+    prob, seed, p0 = _joint_seed(kappa)
+    asm = _fresh(prob)
+    r, J = asm.jacobian(asm.layout.pack([seed], p0))
+    lu = factorize(J, asm.units)
+    assert isinstance(lu, BlockLU)
+    assert [f.shape for f in lu.factors] == [(1025, 1025), (1026, 1026)]
+    step, ref = lu.solve(-r), spla.splu(J).solve(-r)
+    assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@given(st.data())
+def test_unit_split_is_square_and_lower_triangular(data):
+    # a random matrix whose rows and columns are spread over a few units,
+    # with entries dropped where the row's unit sits below the column's
+    n = data.draw(st.integers(3, 14))
+    nu = data.draw(st.integers(2, 5))
+    row_unit = np.array(data.draw(st.lists(st.integers(0, nu - 1), min_size=n, max_size=n)))
+    col_unit = np.array(data.draw(st.lists(st.integers(0, nu - 1), min_size=n, max_size=n)))
+    level = np.array(data.draw(st.lists(st.integers(0, 2), min_size=nu, max_size=nu)))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    gen = np.random.default_rng(seed)
+    mask = (gen.random((n, n)) < 0.3) | np.eye(n, dtype=bool)
+    mask &= level[row_unit][:, None] >= level[col_unit][None, :]
+    A = np.where(mask, gen.uniform(-1.0, 1.0, (n, n)), 0.0) + 4.0 * np.diag(mask.diagonal())
+    assume(abs(np.linalg.det(A)) > 1e-6)
+    i, j = np.nonzero(mask)
+    reads = np.zeros((nu, nu), dtype=bool)
+    reads[row_unit[i], col_unit[j]] = True
+    blocks = UnitGraph(row_unit, col_unit, reads).diagonal_blocks()
+    if blocks is None:
+        return
+    row_block, col_block = blocks
+    assert np.array_equal(np.bincount(row_block), np.bincount(col_block))
+    assert np.all(row_block[i] >= col_block[j])
+    b = gen.standard_normal(n)
+    lu = BlockLU(sp.csc_matrix(A), row_block, col_block)
+    assert np.allclose(lu.solve(b), np.linalg.solve(A, b), rtol=1e-9, atol=1e-9)
+
+
+def test_profile_jacobian_factors_whole():
+    from fputw import monatomic as mono
+    cfg = mono.MonatomicConfig(intervals=128)
+    asm = _fresh(mono._profile_problem(1.0, cfg))
+    _, J = asm.jacobian(asm.layout.pack([mono._sech2_seed(cfg.mesh)], [1.05]))
+    assert isinstance(factorize(J, asm.units), spla.SuperLU)
+
+
+def test_singular_diagonal_block_detected(monkeypatch):
+    # u' = 0, u(0) = 1 is the first block; v' = u + p with v(0) = 1 stated
+    # twice is the second, structurally square but exactly singular
+    mesh = Mesh(2.0, 8, 3)
+    pol = (Extension.interior_only(),) * 2
+    blk = FunctionBlockSpec("uv", mesh, 2, lambda p: pol)
+    eq = EquationBlock(0, (SlotSpec(0),),
+                       lambda t, s, p: np.stack([0.0 * s[0][0], s[0][0] + p[0]]))
+    bcs = (value_bc(0, 0, 0.0, 1.0), value_bc(0, 1, 0.0, 1.0),
+           value_bc(0, 1, 0.0, 1.0))
+    prob = MfdeProblem((blk,), (eq,), 1, bcs)
+    guess = PiecewiseSolution.from_callables(
+        mesh, [lambda t: np.ones_like(t), lambda t: 1.0 + t], pol)
+    shapes = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    with pytest.raises(SingularJacobianError):
+        solve_newton(prob, [guess], [0.5])
+    assert shapes == [(32, 32), (33, 33)]
+
+
+def test_carried_block_factor_drives_chord_steps():
+    prob, seed, p0 = _joint_seed(1.0)
+    factors = FactorCache()
+    sols, params, _ = solve_newton(prob, [seed], p0, reuse=factors)
+    carried = factors.lu
+    assert isinstance(carried, BlockLU)
+    near = PiecewiseSolution(sols[0].mesh, sols[0].coeffs * (1.0 + 1e-6),
+                             sols[0].policies)
+    again, params2, rep = solve_newton(prob, [near], params, reuse=factors)
+    assert rep.converged and rep.iterations >= 1 and rep.factorizations == 0
+    assert factors.lu is carried
+    assert np.max(np.abs(again[0].coeffs - sols[0].coeffs)) < 1e-9
+    assert np.max(np.abs(params2 - params)) < 1e-9
