@@ -266,11 +266,15 @@ def _default_jost_seed(mesh: Mesh, kappa: float, sigma: float):
 
 
 def solve_jost(wave: MonatomicWave, cfg: MonatomicConfig | None = None,
-               guess: JostSolution | None = None) -> JostSolution:
-    """Solve the combined system seeded with a converged wave.
+               guess: JostSolution | None = None):
+    """Solve the combined system seeded with a converged wave; returns
+    ``(wave, jost)``.
 
-    The wave block is already a solution, so the joint Newton leaves
-    (Phi, sigma) essentially untouched and fills in (Y, beta, theta).
+    The wave block is already a solution, so the joint Newton moves
+    (Phi, sigma) only within the Newton tolerance while it fills in
+    (Y, beta, theta).  The returned wave carries the joint solution's
+    (Phi, sigma), so the pair solves the joint system; its
+    ``residual_norm`` and ``iterations`` stay those of the seed wave.
     """
     cfg = cfg or MonatomicConfig(length=wave.length,
                                  intervals=wave.profile.mesh.intervals,
@@ -297,10 +301,13 @@ def solve_jost(wave: MonatomicWave, cfg: MonatomicConfig | None = None,
         raise DegenerateNormalizationError(
             f"normalization amplitude |beta| = {1.0/abs(psi):.3e} below 1e-12")
     omega = dispersion.jost_frequency(sigma)
+    phi = PiecewiseSolution(cfg.mesh, sols[0].coeffs[0:2].copy(),
+                            sols[0].policies[0:2])
     rem = PiecewiseSolution(cfg.mesh, sols[0].coeffs[2:4].copy(),
                             sols[0].policies[2:4])
-    return JostSolution(kappa, sigma, omega, theta, 1.0 / psi, rem,
-                        rep.residual_norm, rep.iterations)
+    return (replace(wave, sigma=sigma, profile=phi),
+            JostSolution(kappa, sigma, omega, theta, 1.0 / psi, rem,
+                         rep.residual_norm, rep.iterations))
 
 
 def solve_joint(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
@@ -311,10 +318,7 @@ def solve_joint(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
     """
     wave0, jost0 = seed or (None, None)
     wave = solve_profile(kappa, cfg, guess=wave0)
-    jost = solve_jost(wave, cfg, guess=jost0)
-    # joint solve may have nudged sigma; keep the bundle consistent
-    wave = replace(wave, sigma=jost.sigma)
-    return wave, jost
+    return solve_jost(wave, cfg, guess=jost0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,18 @@ def test_profile_boundary_conditions(small_waves):
     assert w.phi(w.length) == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("fixture", ["joint_k03", "joint_k1"])
+def test_joint_wave_is_the_joint_solution(fixture, request):
+    # the returned (Phi, sigma) both come from the joint solve, whose Newton
+    # steps polish the presolved profile; pairing the presolved Phi with the
+    # joint sigma would leave a larger profile residual than the presolve's
+    wave, jost = request.getfixturevalue(fixture)
+    assert wave.sigma == jost.sigma
+    r = assemble_residual(mono._profile_problem(wave.kappa, CFG),
+                          [wave.profile], [wave.sigma], CFG.newton)
+    assert np.max(np.abs(r)) <= wave.residual_norm
+
+
 def test_sech_limit(small_waves):
     # Phi -> sech^2(tau/2)/8 with O(kappa^2) error
     tau = np.linspace(0.0, 32.0, 2001)
