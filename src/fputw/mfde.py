@@ -70,6 +70,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import (BoundaryCountError, FputwError, NonConvergenceError,
@@ -234,7 +235,7 @@ class Layout:
             self.cont_offsets.append(row)
             row += b.ncomp * (b.mesh.intervals - 1)
         self.bc_offset = row
-        # units of the block split (see UnitGraph): one per (block,
+        # units of the block split (see diagonal_blocks): one per (block,
         # component), then one per boundary condition, then one per parameter
         self.comp_units = np.cumsum([0] + [b.ncomp for b in problem.blocks])
         self.bc_unit = int(self.comp_units[-1])
@@ -334,14 +335,20 @@ class _Assembler:
             raise ProblemSizeError(
                 f"{self.layout.size} unknowns exceed the cap {cfg.max_unknowns}")
         self._plans = _PlanCache()
-        self.units: UnitGraph | None = None     # of the last Jacobian
 
     # -- residual ---------------------------------------------------------
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self._assemble(x, want_jac=False)[0]
 
     def jacobian(self, x: np.ndarray):
-        return self._assemble(x, want_jac=True)
+        return self._assemble(x, want_jac=True)[:2]
+
+    def factor(self, x: np.ndarray):
+        """``(r, lu)``: the residual at x and the :func:`factorize` LU of
+        the Jacobian there, split by the unit reads recorded in assembly."""
+        r, J, reads = self._assemble(x, want_jac=True)
+        lay = self.layout
+        return r, factorize(J, diagonal_blocks(lay.row_unit, lay.col_unit, reads))
 
     def _assemble(self, x: np.ndarray, want_jac: bool):
         lay = self.layout
@@ -460,7 +467,7 @@ class _Assembler:
                         lay.bc_unit + q, lay.comp_units[probe.block] + probe.comp)
 
         if not want_jac:
-            return r, None
+            return r, None, None
 
         # free-parameter columns by finite differences of the full residual
         for pj in range(prob.nparams):
@@ -476,8 +483,7 @@ class _Assembler:
         J = sp.coo_matrix((np.concatenate(data),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(lay.size, lay.size)).tocsc()
-        self.units = UnitGraph(lay.row_unit, lay.col_unit, reads)
-        return r, J
+        return r, J, reads
 
     def _probe_values(self, sols, bc: BoundaryCondition):
         vals = np.empty(len(bc.probes))
@@ -563,8 +569,7 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
             if chord is not None and chord[0] <= CHORD_RHO * norm:
                 norm, x, r = chord
                 continue
-        _, J = asm.jacobian(x)
-        lu = factorize(J, asm.units)
+        _, lu = asm.factor(x)
         factorizations += 1
         step = _solve(lu, -r)
         lam = 1.0
@@ -592,15 +597,14 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
         f"(residual {norm:.3e})", norm, cfg.max_iter)
 
 
-def factorize(J, units: UnitGraph):
-    """Sparse LU of ``J``, given the :class:`UnitGraph` of its assembly; a
-    failed factorization raises :class:`SingularJacobianError`.
+def factorize(J, blocks=None):
+    """Sparse LU of ``J``; a failed factorization raises
+    :class:`SingularJacobianError`.
 
-    A J that is block lower-triangular is factored one diagonal block at a
-    time (:class:`BlockLU`); an irreducible J gets one ``splu`` of the whole
-    matrix.
+    ``blocks`` is ``(row_block, col_block)`` from :func:`diagonal_blocks`:
+    J is then factored one diagonal block at a time (:class:`BlockLU`).
+    With None, J gets one ``splu`` of the whole matrix.
     """
-    blocks = units.diagonal_blocks()
     try:
         if blocks is None:
             return spla.splu(J)
@@ -609,110 +613,43 @@ def factorize(J, units: UnitGraph):
         raise SingularJacobianError(f"sparse LU failed: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class UnitGraph:
-    """Coarse structure of one assembled Jacobian, for the block split.
+def diagonal_blocks(row_unit, col_unit, reads):
+    """``(row_block, col_block)``: the diagonal block of every row and
+    column of a block lower-triangular matrix, numbered in solve order, or
+    None for one block.
 
-    A unit is a (function block, component), holding its collocation and
-    continuity rows and its coefficient columns; a boundary condition (one
-    row); or a free parameter (one column).  ``row_unit`` and ``col_unit``
-    give the unit of every row and column, and ``reads[u, v]`` is set when a
-    row of unit u has an entry in a column of unit v.  The assembler records
-    ``reads`` as it adds entries, so the split never scans the nonzeros.
+    ``row_unit`` and ``col_unit`` give the unit of every row and column, and
+    ``reads[u, v]`` is set when a row of unit u has an entry in a column of
+    unit v.  A maximum flow from row units (their rows as supply) to column
+    units (their columns as demand) along ``reads`` matches rows to
+    columns.  The strongly connected components of "u reads v" together
+    with "v's columns carry rows of u" are the diagonal blocks; each is
+    square, and its rows read only its own columns and those of blocks
+    solved before it.  A flow that cannot place every row means the matrix
+    is structurally singular, which is left to ``splu`` to report.
     """
-
-    row_unit: np.ndarray
-    col_unit: np.ndarray
-    reads: np.ndarray
-
-    def diagonal_blocks(self):
-        """``(row_block, col_block)``: the diagonal block of every row and
-        column, numbered in solve order, or None for one block.
-
-        A maximum flow from row units (their rows as supply) to column units
-        (their columns as demand) along ``reads`` matches rows to columns.
-        The strongly connected components of "u reads v" together with
-        "v's columns carry rows of u" are the diagonal blocks; each is
-        square, and its rows read only its own columns and those of blocks
-        solved before it.  A flow that cannot place every row means J is
-        structurally singular, which is left to ``splu`` to report.
-        """
-        nu = len(self.reads)
-        flow = _unit_flow(self.reads, np.bincount(self.row_unit, minlength=nu),
-                          np.bincount(self.col_unit, minlength=nu))
-        if flow is None:
-            return None
-        reach = self.reads | (flow > 0).T | np.eye(nu, dtype=bool)
-        while True:
-            wider = reach @ reach
-            if np.array_equal(wider, reach):
-                break
-            reach = wider
-        if reach.all():
-            return None
-        first = (reach & reach.T).argmax(axis=1)    # first unit of its component
-        # a component reaches every unit its dependencies reach, and more,
-        # so ordering by reach count solves dependencies first
-        _, block = np.unique(reach.sum(axis=1) * nu + first, return_inverse=True)
-        return block[self.row_unit], block[self.col_unit]
-
-
-def _unit_flow(reads, supply, demand):
-    """Flow ``f[u, v] >= 0``, nonzero only where ``reads[u, v]``, with row
-    sums ``supply`` and column sums at most ``demand``; None when there is
-    none.  Each unit first sends what it can into its own columns; the rest
-    follows breadth-first augmenting paths (Edmonds-Karp).  The graph has a
-    few dozen units, so plain lists beat array calls here."""
-    nu = len(supply)
-    reads = reads.tolist()
-    targets = [[v for v in range(nu) if row[v]] for row in reads]
-    flow = [[0] * nu for _ in range(nu)]
-    left, room = supply.tolist(), demand.tolist()
-    for u in range(nu):
-        if reads[u][u]:
-            d = flow[u][u] = min(left[u], room[u])
-            left[u] -= d
-            room[u] -= d
-    for u in range(nu):
-        while left[u]:
-            came = {}          # column unit -> the row unit that reached it
-            via = {u: None}    # row unit -> the column unit it gives flow up in
-            queue, end = [u], None
-            for r in queue:
-                for v in targets[r]:
-                    if v in came:
-                        continue
-                    came[v] = r
-                    if room[v]:
-                        end = v
-                        break
-                    for r2 in range(nu):
-                        if flow[r2][v] and r2 not in via:
-                            via[r2] = v
-                            queue.append(r2)
-                if end is not None:
-                    break
-            if end is None:
-                return None
-            # the path u -> v1 <- r2 -> v2 ... -> end moves d rows of each
-            # rerouted r from the column unit it was reached through onward
-            path, v = [], end
-            while True:
-                r = came[v]
-                path.append(r)
-                if r == u:
-                    break
-                v = via[r]
-            d = min(left[u], room[end], *(flow[r][via[r]] for r in path[:-1]))
-            v = end
-            for r in path:
-                flow[r][v] += d
-                if r != u:
-                    v = via[r]
-                    flow[r][v] -= d
-            left[u] -= d
-            room[end] -= d
-    return np.array(flow)
+    nu = len(reads)
+    supply = np.bincount(row_unit, minlength=nu)
+    # network: source 0, row units 1..nu, column units nu+1..2nu, sink 2nu+1
+    cap = np.zeros((2 * nu + 2, 2 * nu + 2), dtype=np.int32)
+    cap[0, 1:nu + 1] = supply
+    cap[1:nu + 1, nu + 1:-1] = np.where(reads, supply[:, None], 0)
+    cap[nu + 1:-1, -1] = np.bincount(col_unit, minlength=nu)
+    res = csgraph.maximum_flow(sp.csr_matrix(cap), 0, 2 * nu + 1)
+    if res.flow_value < row_unit.size:
+        return None
+    carries = res.flow.toarray()[1:nu + 1, nu + 1:-1] > 0
+    graph = sp.csr_matrix(reads | carries.T)
+    ncomp, comp = csgraph.connected_components(graph, connection="strong")
+    if ncomp == 1:
+        return None
+    # a unit reaches every unit its dependencies reach, and more, so
+    # ordering components by reach count solves dependencies first
+    reach = np.isfinite(csgraph.shortest_path(graph, unweighted=True)).sum(axis=1)
+    first = np.full(ncomp, nu)
+    np.minimum.at(first, comp, np.arange(nu))
+    _, block = np.unique(reach * nu + first[comp], return_inverse=True)
+    return block[row_unit], block[col_unit]
 
 
 class BlockLU:
@@ -771,8 +708,7 @@ def euler_predictor(problem: MfdeProblem, shifted: MfdeProblem,
     asm = _Assembler(problem, cfg)
     lay = asm.layout
     x = lay.pack(solutions, params)
-    r, J = asm.jacobian(x)
-    lu = factorize(J, asm.units)
+    r, lu = asm.factor(x)
     dr = (_Assembler(shifted, cfg).residual(x) - r) / dp
     t = _solve(lu, -dr)
     if reuse is not None:

@@ -266,16 +266,21 @@ def _default_jost_seed(mesh: Mesh, kappa: float, sigma: float):
 
 
 def solve_jost(wave: MonatomicWave, cfg: MonatomicConfig | None = None,
-               guess: JostSolution | None = None):
-    """Solve the combined system seeded with a converged wave; returns
-    ``(wave, jost)``.
+               guess: JostSolution | None = None) -> JostSolution:
+    """Solve the combined system seeded with a converged wave.
 
-    The wave block is already a solution, so the joint Newton moves
-    (Phi, sigma) only within the Newton tolerance while it fills in
-    (Y, beta, theta).  The returned wave carries the joint solution's
-    (Phi, sigma), so the pair solves the joint system; its
-    ``residual_norm`` and ``iterations`` stay those of the seed wave.
+    The wave block is already a solution, so the joint Newton leaves
+    (Phi, sigma) essentially untouched and fills in (Y, beta, theta).
     """
+    return _joint_solve(wave, cfg, guess)[1]
+
+
+def _joint_solve(wave: MonatomicWave, cfg: MonatomicConfig | None,
+                 guess: JostSolution | None):
+    """:func:`solve_jost`, returning ``(wave, jost)``: the wave carries the
+    joint solution's (Phi, sigma), its ``residual_norm`` is the joint
+    solve's and its ``iterations`` count the seed wave's and the joint
+    solve's Newton iterations."""
     cfg = cfg or MonatomicConfig(length=wave.length,
                                  intervals=wave.profile.mesh.intervals,
                                  gauss_order=wave.profile.mesh.gauss_order)
@@ -305,7 +310,9 @@ def solve_jost(wave: MonatomicWave, cfg: MonatomicConfig | None = None,
                             sols[0].policies[0:2])
     rem = PiecewiseSolution(cfg.mesh, sols[0].coeffs[2:4].copy(),
                             sols[0].policies[2:4])
-    return (replace(wave, sigma=sigma, profile=phi),
+    return (replace(wave, sigma=sigma, profile=phi,
+                    residual_norm=rep.residual_norm,
+                    iterations=wave.iterations + rep.iterations),
             JostSolution(kappa, sigma, omega, theta, 1.0 / psi, rem,
                          rep.residual_norm, rep.iterations))
 
@@ -318,7 +325,7 @@ def solve_joint(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
     """
     wave0, jost0 = seed or (None, None)
     wave = solve_profile(kappa, cfg, guess=wave0)
-    return solve_jost(wave, cfg, guess=jost0)
+    return _joint_solve(wave, cfg, jost0)
 
 
 # ---------------------------------------------------------------------------

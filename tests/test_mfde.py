@@ -10,9 +10,9 @@ from fputw.errors import (BoundaryCountError, NonConvergenceError,
 from fputw.mfde import (BlockLU, BoundaryCondition, BoundaryProbe,
                         EquationBlock, FactorCache, FunctionBlockSpec,
                         MfdeProblem, NewtonConfig, SlotSpec, assemble_residual,
-                        euler_predictor, factorize, fd_jacobian,
+                        diagonal_blocks, euler_predictor, fd_jacobian,
                         refined_collocation_norm, solve_newton,
-                        structural_jacobian, UnitGraph, value_bc)
+                        structural_jacobian, value_bc)
 from fputw.solution import Extension, Mesh, PiecewiseSolution
 
 
@@ -428,8 +428,9 @@ def test_joint_jacobian_factors_profile_block_first(kappa):
     # the first diagonal block, (Y, Y', psi, theta) the second
     prob, seed, p0 = _joint_seed(kappa)
     asm = _fresh(prob)
-    r, J = asm.jacobian(asm.layout.pack([seed], p0))
-    lu = factorize(J, asm.units)
+    x = asm.layout.pack([seed], p0)
+    r, lu = asm.factor(x)
+    _, J = asm.jacobian(x)
     assert isinstance(lu, BlockLU)
     assert [f.shape for f in lu.factors] == [(1025, 1025), (1026, 1026)]
     step, ref = lu.solve(-r), spla.splu(J).solve(-r)
@@ -454,7 +455,7 @@ def test_unit_split_is_square_and_lower_triangular(data):
     i, j = np.nonzero(mask)
     reads = np.zeros((nu, nu), dtype=bool)
     reads[row_unit[i], col_unit[j]] = True
-    blocks = UnitGraph(row_unit, col_unit, reads).diagonal_blocks()
+    blocks = diagonal_blocks(row_unit, col_unit, reads)
     if blocks is None:
         return
     row_block, col_block = blocks
@@ -469,8 +470,8 @@ def test_profile_jacobian_factors_whole():
     from fputw import monatomic as mono
     cfg = mono.MonatomicConfig(intervals=128)
     asm = _fresh(mono._profile_problem(1.0, cfg))
-    _, J = asm.jacobian(asm.layout.pack([mono._sech2_seed(cfg.mesh)], [1.05]))
-    assert isinstance(factorize(J, asm.units), spla.SuperLU)
+    _, lu = asm.factor(asm.layout.pack([mono._sech2_seed(cfg.mesh)], [1.05]))
+    assert isinstance(lu, spla.SuperLU)
 
 
 def test_singular_diagonal_block_detected(monkeypatch):
