@@ -3,8 +3,8 @@ diatomic FPUT chain with quadratic spring force F(r) = r + r^2."""
 
 from .solution import Extension, Mesh, PiecewiseSolution
 from .mfde import (BoundaryCondition, BoundaryProbe, EquationBlock,
-                   FactorCache, FunctionBlockSpec, MfdeProblem, NewtonConfig,
-                   SlotSpec, assemble_residual, solve_newton)
+                   FactorCache, FunctionBlockSpec, MfdeProblem, SlotSpec,
+                   assemble_residual, solve_newton)
 from .dispersion import (CriticalMode, b_pm, b_plus_prime, critical_frequency,
                          jost_frequency, lambda_pm, sound_speed)
 from .monatomic import (AmplitudeCoefficient, JostSolution, MonatomicConfig,

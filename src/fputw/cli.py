@@ -394,16 +394,27 @@ def _wave_at_speed(sigma: float,
     return w
 
 
+def _reject_unused(args, kind: str, **flags) -> None:
+    """Usage error naming the ``flags`` (flag -> dest) given that a ``kind``
+    initial condition does not use."""
+    if given := _given(args, **flags):
+        raise ValueError(f"{' and '.join(given)} cannot be used with a {kind} "
+                         "initial condition")
+
+
 def _load_lattice_ic(args) -> lattice.LatticeState:
     path = args.ic
     with open(path) as fh:
         is_checkpoint = fh.readline().startswith(checkpoint.MAGIC)
     if is_checkpoint:
+        # the wave sets the masses
+        _reject_unused(args, "checkpoint", **{"--mu": "mu", "--m": "m"})
         # a broken checkpoint raises its own error instead of reading as text
         return lattice.sample_initial_condition(
             _load_wave(checkpoint.read(path)),
             **_given(args, peak_site="peak_site", n="sites"))
-    # plain text: 2N rows of "site value", r block then p block
+    # plain text: 2N rows of "site value", r block then p block, taken as is
+    _reject_unused(args, "text", **{"--sites": "sites", "--peak-site": "peak_site"})
     data = np.loadtxt(path)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] % 2:
         raise ValueError("text initial condition must have 2N rows of 'site value'")

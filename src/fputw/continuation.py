@@ -164,8 +164,11 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
     a mu driver is stepped uniformly in m = 1/(1+mu); ``target`` is then a
     mass.  ``stop_when(point)`` halts the trace early.  All solves of the
     trace share one sparse LU holder, so each starts with chord steps from
-    the last converged factorization.
+    the last converged factorization.  A zero or non-finite ``step`` raises
+    ValueError; only its size is used.
     """
+    if step == 0.0 or not math.isfinite(step):
+        raise ValueError(f"step must be non-zero and finite, got {step!r}")
     if driver == "kappa":
         if fixed is None:
             raise ValueError("kappa driver needs the per-solve fixed scalar")
@@ -241,8 +244,7 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
         try:
             # inside the try: the tangent meets the size cap as the solve would
             if prev_wave is None and cur_driver == "kappa":
-                guess = kappa_tangent_guess(wave, kap, fix, val, cfg,
-                                            reuse=factors)
+                guess = kappa_tangent_guess(wave, kap, fix, val, reuse=factors)
             new = solve_wave(kap, fix, val, guess, cfg, reuse=factors)
         except ProblemSizeError:
             branch.terminated_reason = "size-cap"

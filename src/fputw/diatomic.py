@@ -19,7 +19,7 @@ reduces to the monatomic equation at mu = 0, beta_P = 0).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from . import checkpoint, dispersion
 from .errors import (BranchJumpWarning, CheckpointCorruptError, FputwError,
                      OrientationFlipWarning)
 from .mfde import (FD_STEP, BoundaryCondition, BoundaryProbe, EquationBlock,
-                   FactorCache, FunctionBlockSpec, MfdeProblem, NewtonConfig,
-                   SlotSpec, assemble_residual, euler_predictor, integral_bc,
+                   FactorCache, FunctionBlockSpec, MfdeProblem, SlotSpec,
+                   assemble_residual, euler_predictor, integral_bc,
                    solve_newton, value_bc)
 from .monatomic import MonatomicConfig, MonatomicWave, solve_profile
 from .solution import Extension, Mesh, PiecewiseSolution
@@ -55,7 +55,6 @@ class DiatomicConfig:
     solitary_intervals: int = MonatomicConfig.intervals
     ripple_intervals: int = 32
     gauss_order: int = MonatomicConfig.gauss_order
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     @property
     def solitary_mesh(self) -> Mesh:
@@ -66,8 +65,7 @@ class DiatomicConfig:
         return Mesh(self.length, self.ripple_intervals, self.gauss_order)
 
     def monatomic(self) -> MonatomicConfig:
-        return MonatomicConfig(self.length, self.solitary_intervals,
-                               self.gauss_order, self.newton)
+        return MonatomicConfig(self.length, self.solitary_intervals, self.gauss_order)
 
 
 def _d_rows(mu, g1_0, g1_p, g1_m, g2_0, g2_p, g2_m):
@@ -223,12 +221,11 @@ def solve_periodic(sigma: float, mu: float, beta_p: float,
         seed, omega_p0 = guess.profile, guess.omega_p
     else:
         seed, omega_p0 = ripple_mode_seed(sigma, mu, mesh)
-    sols, params, rep = solve_newton(prob, [seed], [omega_p0], cfg.newton)
+    sols, params, rep = solve_newton(prob, [seed], [omega_p0])
     if _signed_orientation(sigma, mu, sols[0]) < 0.0:
         # converged to the mirrored orientation; at fixed beta_P the
         # convention-satisfying branch is approached from the negated profile
-        sols, params, rep = solve_newton(prob, [_flip(sols[0])],
-                                         [float(params[0])], cfg.newton)
+        sols, params, rep = solve_newton(prob, [_flip(sols[0])], [float(params[0])])
     ripple = PeriodicRipple(sigma, mu, beta_p, float(params[0]), sols[0],
                             rep.residual_norm, rep.iterations)
     if _signed_orientation(sigma, mu, ripple.profile) <= 0.0:
@@ -294,12 +291,13 @@ def classify_ripple(wave: DiatomicWave) -> str:
     return "positive" if wave.alpha_p > 0 else "negative"
 
 
-def wave_problem(kappa: float, pm: ParamMap, cfg: DiatomicConfig) -> MfdeProblem:
+def wave_problem(kappa: float, pm: ParamMap, solitary_mesh: Mesh,
+                 ripple_mesh: Mesh) -> MfdeProblem:
     k2 = kappa * kappa
-    L = cfg.length
+    L = solitary_mesh.length
 
-    blk_v = FunctionBlockSpec("solitary", cfg.solitary_mesh, 4, lambda p: SOLITARY_POLICIES)
-    blk_p, eq_p, bcs_p = _ripple_block(1, cfg.ripple_mesh, pm.unpack, 2)
+    blk_v = FunctionBlockSpec("solitary", solitary_mesh, 4, lambda p: SOLITARY_POLICIES)
+    blk_p, eq_p, bcs_p = _ripple_block(1, ripple_mesh, pm.unpack, 2)
 
     def rhs_v(tau, slots, params):
         sigma, mu, beta, _omega_p = pm.unpack(params)
@@ -354,16 +352,16 @@ def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
     carries a sparse LU between solves (see :func:`fputw.mfde.solve_newton`).
     """
     pm = ParamMap(fix, value)
-    prob = wave_problem(kappa, pm, cfg)
+    prob = wave_problem(kappa, pm, cfg.solitary_mesh, cfg.ripple_mesh)
     params0 = pm.pack(guess.sigma, guess.mu, guess.beta_p, guess.omega_p)
     sols, params, rep = solve_newton(prob, [guess.solitary, guess.ripple],
-                                     params0, cfg.newton, reuse)
+                                     params0, reuse)
     sigma, mu, beta_p, omega_p = pm.unpack(params)
     if fix == "beta_p" and value != 0.0 and _signed_orientation(sigma, mu, sols[1]) < 0.0:
         # beta_P pinned: move to the convention branch by re-solving from
         # the mirrored ripple profile
         sols, params, rep = solve_newton(prob, [sols[0], _flip(sols[1])],
-                                         params, cfg.newton, reuse)
+                                         params, reuse)
         sigma, mu, beta_p, omega_p = pm.unpack(params)
         if _signed_orientation(sigma, mu, sols[1]) < 0.0:
             warnings.warn("ripple orientation inequality still violated",
@@ -382,17 +380,14 @@ def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
     return wave
 
 
-def wave_residual_norm(wave: DiatomicWave, cfg: DiatomicConfig | None = None) -> float:
-    """Re-assemble the residual of a wave under its own parameters."""
-    cfg = cfg or DiatomicConfig(length=wave.solitary.mesh.length,
-                                solitary_intervals=wave.solitary.mesh.intervals,
-                                ripple_intervals=wave.ripple.mesh.intervals,
-                                gauss_order=wave.solitary.mesh.gauss_order)
+def wave_residual_norm(wave: DiatomicWave) -> float:
+    """Re-assemble the residual of a wave on its own meshes under its own
+    parameters."""
     fix = wave.fixed_param or "mu"
     pm = ParamMap(fix, getattr(wave, fix))
-    prob = wave_problem(wave.kappa, pm, cfg)
+    prob = wave_problem(wave.kappa, pm, wave.solitary.mesh, wave.ripple.mesh)
     params = pm.pack(wave.sigma, wave.mu, wave.beta_p, wave.omega_p)
-    r = assemble_residual(prob, [wave.solitary, wave.ripple], params, cfg.newton)
+    r = assemble_residual(prob, [wave.solitary, wave.ripple], params)
     return float(np.max(np.abs(r)))
 
 
@@ -418,23 +413,23 @@ def refresh_ripple_guess(wave: DiatomicWave, fix: str, value: float,
     return wave
 
 
-def kappa_tangent_guess(wave: DiatomicWave, kappa: float, fix: str,
-                        value: float, cfg: DiatomicConfig = DiatomicConfig(),
+def kappa_tangent_guess(wave: DiatomicWave, kappa: float, fix: str, value: float,
                         reuse: FactorCache | None = None) -> DiatomicWave:
-    """The Euler guess at ``kappa`` from the solved ``wave``, holding ``fix``
-    at ``value``: the wave plus (kappa - wave.kappa) times the tangent of
-    the iso-``fix`` curve, with dR/dkappa one finite difference at
-    wave.kappa + FD_STEP max(1, |wave.kappa|) (see
+    """The Euler guess at ``kappa`` from the solved ``wave``, on its meshes,
+    holding ``fix`` at ``value``: the wave plus (kappa - wave.kappa) times
+    the tangent of the iso-``fix`` curve, with dR/dkappa one finite
+    difference at wave.kappa + FD_STEP max(1, |wave.kappa|) (see
     :func:`fputw.mfde.euler_predictor`).  The Jacobian's LU at the wave goes
     to ``reuse``."""
     pm = ParamMap(fix, value)
     k0 = wave.kappa
     dk = FD_STEP * max(1.0, abs(k0))
+    meshes = wave.solitary.mesh, wave.ripple.mesh
     sols, params = euler_predictor(
-        wave_problem(k0, pm, cfg), wave_problem(k0 + dk, pm, cfg),
+        wave_problem(k0, pm, *meshes), wave_problem(k0 + dk, pm, *meshes),
         [wave.solitary, wave.ripple],
         pm.pack(wave.sigma, wave.mu, wave.beta_p, wave.omega_p),
-        dk, kappa - k0, cfg.newton, reuse)
+        dk, kappa - k0, reuse)
     sigma, mu, beta_p, omega_p = pm.unpack(params)
     return DiatomicWave(kappa, sigma, mu, beta_p, omega_p, sols[0], sols[1],
                         wave.residual_norm, 0, fixed_param=fix)

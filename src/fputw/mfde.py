@@ -88,6 +88,13 @@ MAX_HALVINGS = 6
 # to at most this fraction; a weaker contraction triggers a refactorization.
 CHORD_RHO = 0.25
 
+# Newton converges at a max-norm residual of TOL and fails after MAX_ITER
+# chord and Newton steps.  MAX_UNKNOWNS bounds LU memory: solve_newton and
+# euler_predictor refuse larger systems.
+TOL = 1e-10
+MAX_ITER = 25
+MAX_UNKNOWNS = 30_000
+
 
 @dataclass(frozen=True)
 class FunctionBlockSpec:
@@ -176,13 +183,6 @@ class MfdeProblem:
                 f"problem needs {need} boundary conditions "
                 f"({sum(b.ncomp for b in self.blocks)} first-order components "
                 f"+ {self.nparams} parameters), got {have}")
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol: float = 1e-10
-    max_iter: int = 25
-    max_unknowns: int = 30_000
 
 
 @dataclass
@@ -326,14 +326,10 @@ class _PlanCache:
 
 
 class _Assembler:
-    def __init__(self, problem: MfdeProblem, cfg: NewtonConfig):
+    def __init__(self, problem: MfdeProblem):
         problem.validate()
         self.problem = problem
-        self.cfg = cfg
         self.layout = Layout(problem)
-        if self.layout.size > cfg.max_unknowns:
-            raise ProblemSizeError(
-                f"{self.layout.size} unknowns exceed the cap {cfg.max_unknowns}")
         self._plans = _PlanCache()
 
     # -- residual ---------------------------------------------------------
@@ -513,17 +509,24 @@ class _Assembler:
 
 
 def assemble_residual(problem: MfdeProblem, solutions: Sequence[PiecewiseSolution],
-                      params, cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
+                      params) -> np.ndarray:
     """Stacked residual of a candidate: collocation and continuity equations
     per block, then the boundary functionals.  Length equals the unknown
     count."""
-    asm = _Assembler(problem, cfg)
+    asm = _Assembler(problem)
     return asm.residual(asm.layout.pack(solutions, params))
 
 
+def _lu_assembler(problem: MfdeProblem) -> _Assembler:
+    """The assembler of a call that factorizes, within ``MAX_UNKNOWNS``."""
+    asm = _Assembler(problem)
+    if asm.layout.size > MAX_UNKNOWNS:
+        raise ProblemSizeError(f"{asm.layout.size} unknowns exceed the cap {MAX_UNKNOWNS}")
+    return asm
+
+
 def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
-                 params, cfg: NewtonConfig = NewtonConfig(),
-                 reuse: FactorCache | None = None):
+                 params, reuse: FactorCache | None = None):
     """Chord Newton iteration with damped Newton fallback.
 
     Each iteration first tries the full chord step ``lu.solve(-r)`` from the
@@ -534,16 +537,17 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
     step is taken with damping halvings until the residual decreases.  A
     chord step is tried only from a carried-in LU or after an undamped step,
     so a solve that needs damping does not pay for chord attempts that
-    cannot contract.  Chord and Newton steps both count toward
-    ``cfg.max_iter`` and the reported iterations.  On convergence the last
-    factorization is stored in ``reuse``.
+    cannot contract.  Chord and Newton steps both count toward ``MAX_ITER``
+    and the reported iterations, and the solve converges at ``TOL``.  On
+    convergence the last factorization is stored in ``reuse``.
 
     Returns ``(solutions, params, report)``.  Raises
     :class:`NonConvergenceError` (carrying the final residual norm) when the
-    iteration budget is exhausted and :class:`SingularJacobianError` when the
-    sparse factorization fails.
+    iteration budget is exhausted, :class:`SingularJacobianError` when the
+    sparse factorization fails and :class:`ProblemSizeError` above
+    ``MAX_UNKNOWNS`` unknowns.
     """
-    asm = _Assembler(problem, cfg)
+    asm = _lu_assembler(problem)
     lay = asm.layout
     x = lay.pack(guesses, params)
     r = asm.residual(x)
@@ -561,8 +565,8 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
         sols, p = lay.unpack(x)
         return sols, p, NewtonReport(iterations, norm, True, factorizations)
 
-    for it in range(cfg.max_iter):
-        if norm <= cfg.tol:
+    for it in range(MAX_ITER):
+        if norm <= TOL:
             return done(it)
         if try_chord:
             chord = _try_step(asm, x, lu.solve(-r))
@@ -590,11 +594,11 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
                 "no admissible damped step found", norm, it)
         (norm, x, r), lam = best
         try_chord = lam == 1.0
-    if norm <= cfg.tol:
-        return done(cfg.max_iter)
+    if norm <= TOL:
+        return done(MAX_ITER)
     raise NonConvergenceError(
-        f"Newton did not reach tol={cfg.tol:g} in {cfg.max_iter} iterations "
-        f"(residual {norm:.3e})", norm, cfg.max_iter)
+        f"Newton did not reach tol={TOL:g} in {MAX_ITER} iterations "
+        f"(residual {norm:.3e})", norm, MAX_ITER)
 
 
 def factorize(J, blocks=None):
@@ -689,9 +693,7 @@ def _solve(lu, b: np.ndarray) -> np.ndarray:
 
 def euler_predictor(problem: MfdeProblem, shifted: MfdeProblem,
                     solutions: Sequence[PiecewiseSolution], params,
-                    dp: float, delta: float,
-                    cfg: NewtonConfig = NewtonConfig(),
-                    reuse: FactorCache | None = None):
+                    dp: float, delta: float, reuse: FactorCache | None = None):
     """First-order (Euler) prediction along a problem parameter lambda.
 
     ``problem`` is posed at lambda_0 and ``shifted`` at lambda_0 + ``dp`` on
@@ -703,13 +705,14 @@ def euler_predictor(problem: MfdeProblem, shifted: MfdeProblem,
     that corrects the prediction starts with chord steps.
 
     Returns ``(solutions, params)`` of the prediction.  Raises
-    :class:`SingularJacobianError` when J cannot be factorized.
+    :class:`SingularJacobianError` when J cannot be factorized and
+    :class:`ProblemSizeError` above ``MAX_UNKNOWNS`` unknowns.
     """
-    asm = _Assembler(problem, cfg)
+    asm = _lu_assembler(problem)
     lay = asm.layout
     x = lay.pack(solutions, params)
     r, lu = asm.factor(x)
-    dr = (_Assembler(shifted, cfg).residual(x) - r) / dp
+    dr = (_Assembler(shifted).residual(x) - r) / dp
     t = _solve(lu, -dr)
     if reuse is not None:
         reuse.lu = lu
@@ -733,13 +736,13 @@ def _try_step(asm: _Assembler, x: np.ndarray, step: np.ndarray):
 
 
 def fd_jacobian(problem: MfdeProblem, solutions: Sequence[PiecewiseSolution],
-                params, cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
+                params) -> np.ndarray:
     """Dense column-by-column finite-difference Jacobian (test oracle).
 
     Step per column: ``FD_STEP * max(1, |x_i|)``.  Intended for small
     problems; cost is one residual evaluation per unknown.
     """
-    asm = _Assembler(problem, cfg)
+    asm = _Assembler(problem)
     x = asm.layout.pack(solutions, params)
     r0 = asm.residual(x)
     J = np.empty((x.size, x.size))
@@ -751,17 +754,15 @@ def fd_jacobian(problem: MfdeProblem, solutions: Sequence[PiecewiseSolution],
     return J
 
 
-def structural_jacobian(problem: MfdeProblem, solutions, params,
-                        cfg: NewtonConfig = NewtonConfig()):
+def structural_jacobian(problem: MfdeProblem, solutions, params):
     """The sparse Jacobian used by :func:`solve_newton` (dense for tests)."""
-    asm = _Assembler(problem, cfg)
+    asm = _Assembler(problem)
     x = asm.layout.pack(solutions, params)
     _, J = asm.jacobian(x)
     return J.toarray()
 
 
-def refined_collocation_norm(problem: MfdeProblem, solutions, params,
-                             cfg: NewtonConfig = NewtonConfig()) -> float:
+def refined_collocation_norm(problem: MfdeProblem, solutions, params) -> float:
     """Infinity norm of the collocation residual re-evaluated on meshes with
     twice as many intervals (discretization-error monitor)."""
     fine_blocks = tuple(
@@ -770,6 +771,6 @@ def refined_collocation_norm(problem: MfdeProblem, solutions, params,
         for b in problem.blocks)
     fine = replace(problem, blocks=fine_blocks)
     fine_sols = [sol.resample(blk.mesh) for sol, blk in zip(solutions, fine_blocks)]
-    asm = _Assembler(fine, replace(cfg, max_unknowns=cfg.max_unknowns * 4))
+    asm = _Assembler(fine)
     r = asm.residual(asm.layout.pack(fine_sols, params))
     return float(np.max(np.abs(r[asm.layout.collocation_rows()[:r.size]])))

@@ -22,7 +22,7 @@ its boundary condition and the odd-extension offset are all linear.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from . import checkpoint, dispersion
 from .errors import (CheckpointCorruptError, DegenerateNormalizationError,
                      NegativeProfileWarning, NonConvergenceError,
                      UnreliableQuadratureError)
-from .mfde import (EquationBlock, FunctionBlockSpec, MfdeProblem, NewtonConfig,
-                   SlotSpec, BoundaryCondition, BoundaryProbe, solve_newton,
-                   value_bc)
+from .mfde import (EquationBlock, FunctionBlockSpec, MfdeProblem, SlotSpec,
+                   BoundaryCondition, BoundaryProbe, solve_newton, value_bc)
 from .solution import Extension, Mesh, PiecewiseSolution
 
 PHASE_SLOPE = 0.2208053960  # leading-order omega*theta / kappa
@@ -47,7 +46,6 @@ class MonatomicConfig:
     length: float = 32.0
     intervals: int = 512
     gauss_order: int = 3
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     @property
     def mesh(self) -> Mesh:
@@ -124,8 +122,7 @@ def _phi_dd(slots, k2: float, s2: float):
     return -(2.0 * g0 - gp - gm) / s2
 
 
-def _profile_problem(kappa: float, cfg: MonatomicConfig) -> MfdeProblem:
-    mesh = cfg.mesh
+def _profile_problem(kappa: float, mesh: Mesh) -> MfdeProblem:
     k2 = kappa * kappa
 
     def rhs(tau, slots, params):
@@ -185,9 +182,8 @@ def solve_profile(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
 
 
 def _solve_profile_once(kappa, cfg, profile_guess, sigma_guess) -> MonatomicWave:
-    prob = _profile_problem(kappa, cfg)
-    sols, params, rep = solve_newton(prob, [profile_guess], [sigma_guess],
-                                     cfg.newton)
+    prob = _profile_problem(kappa, cfg.mesh)
+    sols, params, rep = solve_newton(prob, [profile_guess], [sigma_guess])
     wave = MonatomicWave(kappa, float(params[0]), sols[0],
                          rep.residual_norm, rep.iterations)
     _check_profile_sign(wave)
@@ -210,10 +206,10 @@ def jost_policies(kappa: float, sigma: float, psi: float, theta: float):
                              label="jost-upsp"))
 
 
-def joint_problem(kappa: float, cfg: MonatomicConfig) -> MfdeProblem:
-    """The combined wave + Jost system: components (Phi, Phi', Y, Y'),
-    free scalars (sigma, psi = 1/beta, theta), seven boundary conditions."""
-    mesh = cfg.mesh
+def joint_problem(kappa: float, mesh: Mesh) -> MfdeProblem:
+    """The combined wave + Jost system on ``mesh``: components (Phi, Phi',
+    Y, Y'), free scalars (sigma, psi = 1/beta, theta), seven boundary
+    conditions."""
     k2 = kappa * kappa
     L = mesh.length
 
@@ -265,50 +261,42 @@ def _default_jost_seed(mesh: Mesh, kappa: float, sigma: float):
     return ups, psi0, theta0
 
 
-def solve_jost(wave: MonatomicWave, cfg: MonatomicConfig | None = None,
-               guess: JostSolution | None = None) -> JostSolution:
-    """Solve the combined system seeded with a converged wave.
+def solve_jost(wave: MonatomicWave, guess: JostSolution | None = None):
+    """Solve the combined system on the wave's mesh, seeded with the
+    converged wave; returns ``(wave, jost)``.
 
     The wave block is already a solution, so the joint Newton leaves
-    (Phi, sigma) essentially untouched and fills in (Y, beta, theta).
+    (Phi, sigma) essentially untouched and fills in (Y, beta, theta).  The
+    returned wave carries the joint solution's (Phi, sigma), its
+    ``residual_norm`` is the joint solve's and its ``iterations`` count the
+    seed wave's and the joint solve's Newton iterations.
     """
-    return _joint_solve(wave, cfg, guess)[1]
-
-
-def _joint_solve(wave: MonatomicWave, cfg: MonatomicConfig | None,
-                 guess: JostSolution | None):
-    """:func:`solve_jost`, returning ``(wave, jost)``: the wave carries the
-    joint solution's (Phi, sigma), its ``residual_norm`` is the joint
-    solve's and its ``iterations`` count the seed wave's and the joint
-    solve's Newton iterations."""
-    cfg = cfg or MonatomicConfig(length=wave.length,
-                                 intervals=wave.profile.mesh.intervals,
-                                 gauss_order=wave.profile.mesh.gauss_order)
     kappa = wave.kappa
-    prob = joint_problem(kappa, cfg)
+    mesh = wave.profile.mesh
+    prob = joint_problem(kappa, mesh)
     if guess is not None:
         ups = guess.remainder
         psi0 = 1.0 / guess.beta
         theta0 = guess.theta
     else:
-        ups, psi0, theta0 = _default_jost_seed(cfg.mesh, kappa, wave.sigma)
+        ups, psi0, theta0 = _default_jost_seed(mesh, kappa, wave.sigma)
     coeffs = np.concatenate([wave.profile.coeffs, ups.coeffs], axis=0)
-    seed = PiecewiseSolution(cfg.mesh, coeffs, (Extension.even_zero(),) * 4)
+    seed = PiecewiseSolution(mesh, coeffs, (Extension.even_zero(),) * 4)
     params0 = np.array([wave.sigma, psi0, theta0])
     try:
-        sols, params, rep = solve_newton(prob, [seed], params0, cfg.newton)
+        sols, params, rep = solve_newton(prob, [seed], params0)
     except NonConvergenceError:
         # deterministic fallback: opposite seed orientation
         params0 = np.array([wave.sigma, -psi0, -theta0])
-        sols, params, rep = solve_newton(prob, [seed], params0, cfg.newton)
+        sols, params, rep = solve_newton(prob, [seed], params0)
     sigma, psi, theta = (float(v) for v in params)
     if abs(psi) > 1e12:
         raise DegenerateNormalizationError(
             f"normalization amplitude |beta| = {1.0/abs(psi):.3e} below 1e-12")
     omega = dispersion.jost_frequency(sigma)
-    phi = PiecewiseSolution(cfg.mesh, sols[0].coeffs[0:2].copy(),
+    phi = PiecewiseSolution(mesh, sols[0].coeffs[0:2].copy(),
                             sols[0].policies[0:2])
-    rem = PiecewiseSolution(cfg.mesh, sols[0].coeffs[2:4].copy(),
+    rem = PiecewiseSolution(mesh, sols[0].coeffs[2:4].copy(),
                             sols[0].policies[2:4])
     return (replace(wave, sigma=sigma, profile=phi,
                     residual_norm=rep.residual_norm,
@@ -324,8 +312,7 @@ def solve_joint(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
     ``seed`` chains solutions along a continuation ladder.
     """
     wave0, jost0 = seed or (None, None)
-    wave = solve_profile(kappa, cfg, guess=wave0)
-    return _joint_solve(wave, cfg, jost0)
+    return solve_jost(solve_profile(kappa, cfg, guess=wave0), jost0)
 
 
 # ---------------------------------------------------------------------------

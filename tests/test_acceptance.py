@@ -293,7 +293,7 @@ def test_criterion_12_property_suites():
     w2 = di.symmetry_transform(di.symmetry_transform(w))
     invol = max(abs(w2.mu - w.mu), abs(w2.sigma - w.sigma),
                 abs(w2.beta_p - w.beta_p))
-    resid_t = di.wave_residual_norm(di.symmetry_transform(w), CFG)
+    resid_t = di.wave_residual_norm(di.symmetry_transform(w))
 
     # windowing anchors and monotonicity
     f = lat.window_factor(np.arange(290, 401))

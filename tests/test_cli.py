@@ -287,6 +287,38 @@ def test_mu_at_or_below_minus_one_is_usage_error(tmp_path):
         assert "--mu" in res.stderr
 
 
+def _text_ic(path, n=8):
+    """A two-column text initial condition: r block then p block, at rest."""
+    path.write_text("".join(f"{j} 0.0\n" for j in [*range(1, n + 1)] * 2))
+    return path
+
+
+@pytest.mark.parametrize("kind, extra, flag", [
+    ("checkpoint", ["--m", "0.5"], "--m"),
+    ("checkpoint", ["--mu", "0.25"], "--mu"),
+    ("text", ["--sites", "64"], "--sites"),
+    ("text", ["--peak-site", "3"], "--peak-site")])
+def test_simulate_rejects_options_its_ic_ignores(tmp_path, mono_ckpt, capsys,
+                                                 kind, extra, flag):
+    ic = mono_ckpt if kind == "checkpoint" else _text_ic(tmp_path / "ic.txt")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--ic", str(ic), "--T", "1", *extra,
+                  "--out", str(tmp_path / "sim")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err and kind in err
+    assert not (tmp_path / "sim" / "diagnostics.csv").exists()
+
+
+def test_branch_zero_step_is_usage_error(tmp_path, mono_ckpt):
+    res = run_cli(["branch", "--kappa", "1.0", "--to", "0.1", "--step", "0",
+                   "--mesh", "256", "--seed-ckpt", str(mono_ckpt),
+                   "--out", str(tmp_path)])
+    assert res.returncode == 2
+    assert "step" in res.stderr
+    assert not (tmp_path / "branch.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def joint_ckpt(tmp_path_factory):
     path = tmp_path_factory.mktemp("joint") / "joint.ckpt"

@@ -88,10 +88,10 @@ def test_factor_reuse_from_neighbouring_mu(seed):
     near = di.solve_wave(1.0, "mu", 0.1001, base, CFG, reuse=factors)
     assert factors.lu is not None
     pm = di.ParamMap("mu", 0.1002)
-    prob = di.wave_problem(1.0, pm, CFG)
+    prob = di.wave_problem(1.0, pm, CFG.solitary_mesh, CFG.ripple_mesh)
     p0 = pm.pack(near.sigma, near.mu, near.beta_p, near.omega_p)
-    fresh = solve_newton(prob, [near.solitary, near.ripple], p0, CFG.newton)
-    reused = solve_newton(prob, [near.solitary, near.ripple], p0, CFG.newton,
+    fresh = solve_newton(prob, [near.solitary, near.ripple], p0)
+    reused = solve_newton(prob, [near.solitary, near.ripple], p0,
                           reuse=factors)
     assert reused[2].factorizations < fresh[2].factorizations
     for a, b in zip(fresh[0], reused[0]):
@@ -112,6 +112,23 @@ def test_branch_factorizes_less_than_once_per_point(seed, monkeypatch):
     branch = continue_branch(seed, "mu", 0.05, 0.01, CFG)
     assert branch.terminated_reason == "target-reached"
     assert 0 < len(calls) < len(branch.points)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, np.nan, np.inf])
+def test_zero_or_non_finite_step_is_rejected(seed, step):
+    # a zero step would re-solve the seed's own value until max_points
+    with pytest.raises(ValueError, match="step"):
+        continue_branch(seed, "mu", 0.5, step, CFG, max_points=30)
+
+
+@pytest.mark.parametrize("driver, fixed", [("mu", None), ("kappa", ("mu", 0.0))])
+def test_size_cap_ends_the_trace(seed, monkeypatch, driver, fixed):
+    # the first mu step meets the cap in solve_newton, the first kappa step
+    # in the Euler predictor; both are the LU-making calls the cap bounds
+    monkeypatch.setattr("fputw.mfde.MAX_UNKNOWNS", 4000)
+    branch = continue_branch(seed, driver, 1.1, 0.05, CFG, fixed=fixed)
+    assert branch.terminated_reason == "size-cap"
+    assert len(branch.points) == 1
 
 
 def test_find_solitary_needs_sign_change(seed):
@@ -438,7 +455,7 @@ def test_tangent_guess_on_singular_system_is_typed():
     predictor must raise the toolkit's error, not scipy's RuntimeError."""
     seed = _stub_wave(1.57059, 1.1, 0.1, "sigma")
     with pytest.raises(SingularJacobianError):
-        di.kappa_tangent_guess(seed, 1.565, "sigma", 1.1, TINY_CFG)
+        di.kappa_tangent_guess(seed, 1.565, "sigma", 1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +505,9 @@ def test_tangent_guess_is_first_order(xsec_seed):
     k0 = xsec_seed.kappa
 
     def guess_errors(d):
-        guess = di.kappa_tangent_guess(xsec_seed, k0 - d, "sigma", 1.1, XSEC_CFG)
+        guess = di.kappa_tangent_guess(xsec_seed, k0 - d, "sigma", 1.1)
         solved = di.solve_wave(k0 - d, "sigma", 1.1, guess, XSEC_CFG)
-        return np.array([di.wave_residual_norm(guess, XSEC_CFG),
+        return np.array([di.wave_residual_norm(guess),
                          abs(guess.mu - solved.mu)])
 
     ratios = guess_errors(0.004) / guess_errors(0.002)

@@ -102,7 +102,8 @@ def test_periodic_rejects_subsonic():
 # ---------------------------------------------------------------------------
 
 def test_problem_has_eleven_boundary_conditions():
-    prob = di.wave_problem(1.0, di.ParamMap("mu", 0.0), CFG)
+    prob = di.wave_problem(1.0, di.ParamMap("mu", 0.0), CFG.solitary_mesh,
+                          CFG.ripple_mesh)
     prob.validate()
     assert len(prob.boundary_conditions) == 11
     assert sum(b.ncomp for b in prob.blocks) + prob.nparams == 11
@@ -130,7 +131,7 @@ def test_wave_boundary_conditions(wave_mu1):
 
 
 def test_wave_residual_reassembly(wave_mu1):
-    assert di.wave_residual_norm(wave_mu1, CFG) < 1e-9
+    assert di.wave_residual_norm(wave_mu1) < 1e-9
 
 
 def test_micropteron_slope_sign(wave_mu1, equal_mass_wave):
@@ -168,7 +169,7 @@ def test_symmetry_maps_parameters(wave_mu1):
 def test_symmetry_transformed_residual(wave_mu1):
     # the m=0.5 wave mapped to (m=2, sigma*sqrt(0.5)) still solves the system
     w2 = di.symmetry_transform(wave_mu1)
-    assert di.wave_residual_norm(w2, CFG) < 1e-8
+    assert di.wave_residual_norm(w2) < 1e-8
 
 
 def test_symmetry_swaps_displacements(wave_mu1):

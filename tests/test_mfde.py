@@ -5,11 +5,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, strategies as st
 from scipy.special import lambertw
 
+from fputw import mfde
 from fputw.errors import (BoundaryCountError, NonConvergenceError,
                           ProblemSizeError, SingularJacobianError)
 from fputw.mfde import (BlockLU, BoundaryCondition, BoundaryProbe,
                         EquationBlock, FactorCache, FunctionBlockSpec,
-                        MfdeProblem, NewtonConfig, SlotSpec, assemble_residual,
+                        MfdeProblem, SlotSpec, assemble_residual,
                         diagonal_blocks, euler_predictor, fd_jacobian,
                         refined_collocation_norm, solve_newton,
                         structural_jacobian, value_bc)
@@ -64,23 +65,25 @@ def test_boundary_count_enforced_before_iteration():
         solve_newton(prob, [guess], [])
 
 
-def test_problem_size_cap():
+def test_problem_size_cap(monkeypatch):
     mesh = Mesh(2.0, 64, 3)
     prob = scalar_problem(mesh, lambda t, s, p: np.zeros((1, t.size)),
                           (value_bc(0, 0, 0.0, 1.0),))
     guess = PiecewiseSolution.zeros(mesh, (Extension.interior_only(),))
+    monkeypatch.setattr(mfde, "MAX_UNKNOWNS", 100)
     with pytest.raises(ProblemSizeError):
-        solve_newton(prob, [guess], [], NewtonConfig(max_unknowns=100))
+        solve_newton(prob, [guess], [])
 
 
-def test_nonconvergence_carries_residual():
+def test_nonconvergence_carries_residual(monkeypatch):
     # u' = 1 + u^2 blows up before tau = 4; no solution with u(4) finite
     mesh = Mesh(4.0, 16, 3)
     prob = scalar_problem(mesh, lambda t, s, p: 1.0 + s[0] ** 2,
                           (value_bc(0, 0, 0.0, 0.0),))
     guess = PiecewiseSolution.zeros(mesh, (Extension.interior_only(),))
+    monkeypatch.setattr(mfde, "MAX_ITER", 8)
     with pytest.raises(NonConvergenceError) as err:
-        solve_newton(prob, [guess], [], NewtonConfig(max_iter=8))
+        solve_newton(prob, [guess], [])
     assert err.value.residual_norm > 0
 
 
@@ -278,7 +281,7 @@ def test_factor_cache_of_other_size_ignored():
     assert factors.lu is not small_lu and factors.lu.shape == (128, 128)
 
 
-def test_failed_solve_leaves_factor_cache():
+def test_failed_solve_leaves_factor_cache(monkeypatch):
     mesh, prob = delay_problem(16)
     factors = FactorCache()
     solve_newton(prob, [delay_guess(mesh)], [], reuse=factors)
@@ -288,8 +291,9 @@ def test_failed_solve_leaves_factor_cache():
     blow = scalar_problem(Mesh(4.0, 16, 3), lambda t, s, p: 1.0 + s[0] ** 2,
                           (value_bc(0, 0, 0.0, 0.0),))
     zero = PiecewiseSolution.zeros(Mesh(4.0, 16, 3), (Extension.interior_only(),))
+    monkeypatch.setattr(mfde, "MAX_ITER", 8)
     with pytest.raises(NonConvergenceError):
-        solve_newton(blow, [zero], [], NewtonConfig(max_iter=8), reuse=factors)
+        solve_newton(blow, [zero], [], reuse=factors)
     assert factors.lu is before
 
 
@@ -317,13 +321,13 @@ def _mixed_state(rng, params=(1.3, 1.1)):
     from fputw.mfde import _Assembler
     mesh, pol, prob = mixed_problem()
     cand = PiecewiseSolution(mesh, 0.1 * rng.standard_normal((2, 6, 3)), pol(None))
-    asm = _Assembler(prob, NewtonConfig())
+    asm = _Assembler(prob)
     return prob, asm, asm.layout.pack([cand], np.array(params))
 
 
 def _fresh(prob):
     from fputw.mfde import _Assembler
-    return _Assembler(prob, NewtonConfig())
+    return _Assembler(prob)
 
 
 def test_plan_cache_hit_is_bitwise_fresh(rng):
@@ -353,7 +357,6 @@ def test_plan_follows_parameter_dependent_shift(rng):
 
 
 def test_plans_shared_and_kept_across_parameter_columns(rng, monkeypatch):
-    import fputw.mfde as mfde
     made = []
     make_plan = PiecewiseSolution.plan
 
@@ -371,7 +374,7 @@ def test_plans_shared_and_kept_across_parameter_columns(rng, monkeypatch):
            value_bc(0, 0, 3.0, 0.0))
     prob = MfdeProblem((blk,), (eq,), 1, bcs)
     cand = PiecewiseSolution(mesh, 0.1 * rng.standard_normal((2, 6, 3)), pol(None))
-    asm = mfde._Assembler(prob, NewtonConfig())
+    asm = mfde._Assembler(prob)
     x = asm.layout.pack([cand], [0.5])
     asm.residual(x)
     # one plan per slot (shared by both components) and per probe point
@@ -386,13 +389,13 @@ def test_jost_affine_plan_picks_up_new_offsets():
     from fputw import monatomic as mono
     from fputw.mfde import _Assembler
     cfg = mono.MonatomicConfig(length=8.0, intervals=32)
-    prob = mono.joint_problem(1.0, cfg)
+    prob = mono.joint_problem(1.0, cfg.mesh)
     mesh = cfg.mesh
     sol = PiecewiseSolution.from_callables(
         mesh, [lambda t: 0.125 / np.cosh(t) ** 2, lambda t: -0.25 * np.tanh(t) / np.cosh(t) ** 2,
                lambda t: t * np.exp(-t), lambda t: (1.0 - t) * np.exp(-t)],
         (Extension.even_zero(),) * 4)
-    asm = _Assembler(prob, NewtonConfig())
+    asm = _Assembler(prob)
     x = asm.layout.pack([sol], [1.05, 0.8, 0.3])
     r_a = asm.residual(x)
     # psi and theta change only the affine offsets of the Jost components,
@@ -400,7 +403,7 @@ def test_jost_affine_plan_picks_up_new_offsets():
     x2 = x.copy()
     x2[-2:] = [0.6, 0.4]
     r_b = asm.residual(x2)
-    assert np.array_equal(r_b, _Assembler(prob, NewtonConfig()).residual(x2))
+    assert np.array_equal(r_b, _Assembler(prob).residual(x2))
     assert not np.array_equal(r_a, r_b)
     assert np.array_equal(asm.residual(x), r_a)
 
@@ -419,7 +422,7 @@ def _joint_seed(kappa):
     seed = PiecewiseSolution(cfg.mesh,
                              np.concatenate([wave.profile.coeffs, ups.coeffs]),
                              (Extension.even_zero(),) * 4)
-    return mono.joint_problem(kappa, cfg), seed, [wave.sigma, psi0, theta0]
+    return mono.joint_problem(kappa, cfg.mesh), seed, [wave.sigma, psi0, theta0]
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0])
@@ -469,7 +472,7 @@ def test_unit_split_is_square_and_lower_triangular(data):
 def test_profile_jacobian_factors_whole():
     from fputw import monatomic as mono
     cfg = mono.MonatomicConfig(intervals=128)
-    asm = _fresh(mono._profile_problem(1.0, cfg))
+    asm = _fresh(mono._profile_problem(1.0, cfg.mesh))
     _, lu = asm.factor(asm.layout.pack([mono._sech2_seed(cfg.mesh)], [1.05]))
     assert isinstance(lu, spla.SuperLU)
 

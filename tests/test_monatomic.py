@@ -48,8 +48,8 @@ def test_joint_wave_is_the_joint_solution(fixture, request):
     assert wave.sigma == jost.sigma
     assert wave.residual_norm == jost.residual_norm
     assert wave.iterations == presolve.iterations + jost.iterations
-    r = assemble_residual(mono._profile_problem(wave.kappa, CFG),
-                          [wave.profile], [wave.sigma], CFG.newton)
+    r = assemble_residual(mono._profile_problem(wave.kappa, CFG.mesh),
+                          [wave.profile], [wave.sigma])
     assert np.max(np.abs(r)) <= min(presolve.residual_norm, wave.residual_norm)
 
 
@@ -68,19 +68,19 @@ def test_profile_refinement_residual(small_waves):
     # Gauss-collocation defect between nodes is O(h^3); at the default mesh
     # the measured level is ~1.5e-7 and drops ~8x per mesh doubling
     w = small_waves[0.5]
-    prob = mono._profile_problem(0.5, CFG)
+    prob = mono._profile_problem(0.5, CFG.mesh)
     coarse = refined_collocation_norm(prob, [w.profile], [w.sigma])
     assert coarse < 5e-7
     cfg2 = mono.MonatomicConfig(intervals=1024)
     w2 = mono.solve_profile(0.5, cfg2, guess=None)
-    prob2 = mono._profile_problem(0.5, cfg2)
+    prob2 = mono._profile_problem(0.5, cfg2.mesh)
     fine = refined_collocation_norm(prob2, [w2.profile], [w2.sigma])
     assert coarse / fine > 5.0
 
 
 def test_joint_refinement_residual(joint_k1):
     wave, jost = joint_k1
-    prob = mono.joint_problem(1.0, CFG)
+    prob = mono.joint_problem(1.0, CFG.mesh)
     coeffs = np.concatenate([wave.profile.coeffs, jost.remainder.coeffs])
     from fputw.solution import PiecewiseSolution
     cand = PiecewiseSolution(CFG.mesh, coeffs,
@@ -91,7 +91,7 @@ def test_joint_refinement_residual(joint_k1):
 
 
 def test_boundary_count_is_seven():
-    prob = mono.joint_problem(1.0, CFG)
+    prob = mono.joint_problem(1.0, CFG.mesh)
     assert len(prob.boundary_conditions) == 7
     assert sum(b.ncomp for b in prob.blocks) + prob.nparams == 7
 
@@ -284,6 +284,34 @@ def test_scan_restart_reproduces_rows(scan_small, tmp_path):
 def test_kappa_scan_validates_range():
     with pytest.raises(ValueError):
         mono.kappa_scan(0.1, 1.0, 0.25, CFG)
+
+
+SMALL = mono.MonatomicConfig(length=16.0, intervals=128)
+
+
+def test_solve_joint_goes_through_solve_jost(monkeypatch):
+    calls = []
+    real = mono.solve_jost
+
+    def counting(wave, guess=None):
+        calls.append(wave.kappa)
+        return real(wave, guess)
+
+    monkeypatch.setattr(mono, "solve_jost", counting)
+    mono.solve_joint(0.5, SMALL)
+    assert calls == [0.5]
+    mono.kappa_scan(0.5, 0.75, 0.25, SMALL, n_quad=2 * 10 ** 4)
+    assert calls == [0.5, 0.5, 0.75]
+
+
+def test_solve_jost_solves_on_the_wave_mesh():
+    wave, jost = mono.solve_jost(mono.solve_profile(0.5, SMALL))
+    assert jost.remainder.mesh == wave.profile.mesh == SMALL.mesh
+    joint_wave, joint_jost = mono.solve_joint(0.5, SMALL)
+    assert np.array_equal(jost.remainder.coeffs, joint_jost.remainder.coeffs)
+    assert np.array_equal(wave.profile.coeffs, joint_wave.profile.coeffs)
+    for name in ("sigma", "theta", "beta"):
+        assert getattr(jost, name) == getattr(joint_jost, name)
 
 
 def test_scan_aborts_persisting_rows(monkeypatch):
