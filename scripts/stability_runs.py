@@ -21,7 +21,6 @@ def main(argv=None):
     ap.add_argument("--out", default="results/stability")
     args = ap.parse_args(argv)
 
-    cfg = di.DiatomicConfig()
     try:
         sim = lat.SimConfig(horizon=args.T)
     except ValueError as exc:
@@ -34,11 +33,11 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    mw = mono.solve_profile(args.kappa, cfg.monatomic())
-    seed = di.seed_from_monatomic(mw, cfg)
-    branch = continue_branch(seed, "mu", 2.3, 0.1, cfg,
+    mw = mono.solve_profile(args.kappa)
+    seed = di.seed_from_monatomic(mw)
+    branch = continue_branch(seed, "mu", 2.3, 0.1,
                              stop_when=lambda p: p.sign_change)
-    waves = stability_family(branch, find_solitary(branch, cfg).waves[0], cfg)
+    waves = stability_family(branch, find_solitary(branch).waves[0])
 
     summary = []
     for wave in waves:

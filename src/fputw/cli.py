@@ -137,8 +137,12 @@ def _dia_config(args) -> diatomic.DiatomicConfig:
         ripple_intervals="ripple_mesh", gauss_order="gauss"))
 
 
-def _mono_config(args) -> monatomic.MonatomicConfig:
-    return _dia_config(args).monatomic()
+def _step(text: str) -> float:
+    """argparse type of a continuation step: non-zero and finite."""
+    step = float(text)
+    if step == 0.0 or not np.isfinite(step):
+        raise argparse.ArgumentTypeError(f"step must be non-zero and finite, got {text}")
+    return step
 
 
 def _parse_fix(text: str) -> tuple[str, float]:
@@ -167,7 +171,8 @@ def _load_wave(ck: checkpoint.Checkpoint):
 
 def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
     """Seed from a diatomic checkpoint, a monatomic checkpoint, or 'auto'.
-    A checkpoint seed must be at ``kappa``."""
+    A checkpoint seed must be at ``kappa`` and on the meshes of ``cfg``,
+    which every later solve takes from the seed."""
     if path is None or path == "auto":
         wave = monatomic.solve_profile(kappa, cfg.monatomic())
     else:
@@ -177,6 +182,10 @@ def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
             raise ValueError(f"seed checkpoint is at kappa={wave.kappa!r}, "
                              f"not --kappa {kappa!r}")
     if isinstance(wave, diatomic.DiatomicWave):
+        meshes = (wave.solitary.mesh, wave.ripple.mesh)
+        if meshes != (cfg.solitary_mesh, cfg.ripple_mesh):
+            raise ValueError(f"seed checkpoint is on the meshes {meshes}, the mesh "
+                             f"options give {(cfg.solitary_mesh, cfg.ripple_mesh)}")
         return wave
     return diatomic.seed_from_monatomic(wave, cfg)
 
@@ -190,7 +199,7 @@ WAVE_COLUMNS = continuation.BRANCH_COLUMNS
 
 def cmd_mono_scan(args) -> int:
     out = _outdir(args)
-    cfg = _mono_config(args)
+    cfg = _dia_config(args).monatomic()
     res = monatomic.kappa_scan(args.from_, args.to, args.step, cfg,
                                n_quad=args.n_quad)
     write_csv(out / "mono_scan.csv", monatomic.SCAN_COLUMNS,
@@ -212,8 +221,7 @@ def cmd_mono_scan(args) -> int:
 
 def cmd_jost(args) -> int:
     out = _outdir(args)
-    cfg = _mono_config(args)
-    wave, jost = monatomic.solve_joint(args.kappa, cfg)
+    wave, jost = monatomic.solve_joint(args.kappa, _dia_config(args).monatomic())
     write_csv(out / "jost.csv",
               ("kappa", "sigma", "omega_ups", "theta_ups", "beta_ups",
                "resid", "newton_iters"),
@@ -227,8 +235,7 @@ def cmd_jost(args) -> int:
 
 def cmd_kc(args) -> int:
     out = _outdir(args)
-    cfg = _mono_config(args)
-    wave, jost = monatomic.solve_joint(args.kappa, cfg)
+    wave, jost = monatomic.solve_joint(args.kappa, _dia_config(args).monatomic())
     coeff = monatomic.amplitude_coefficient(wave, jost, n_quad=args.n_quad)
     write_csv(out / "kc.csv", monatomic.SCAN_COLUMNS,
               [monatomic.ScanRow.of(wave, jost, coeff).values()])
@@ -267,22 +274,21 @@ def cmd_periodic(args) -> int:
 
 def cmd_wave(args) -> int:
     out = _outdir(args)
-    cfg = _dia_config(args)
     fix_name, fix_value = _parse_fix(args.fix)
-    seed = _load_seed_wave(args.seed_ckpt, args.kappa, cfg)
+    seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
     gap = abs(fix_value - getattr(seed, fix_name))
     if gap > 0.05:
         # distant target: walk there by continuation instead of one jump
         branch = continuation.continue_branch(seed, fix_name, fix_value,
-                                              min(0.05, gap), cfg)
+                                              min(0.05, gap))
         wave = branch.waves[-1]
         if abs(getattr(wave, fix_name) - fix_value) > 1e-10:
             raise FputwError(
                 f"continuation toward {fix_name}={fix_value} stopped early "
                 f"({branch.terminated_reason})")
     else:
-        seed = diatomic.refresh_ripple_guess(seed, fix_name, fix_value, cfg)
-        wave = diatomic.solve_wave(args.kappa, fix_name, fix_value, seed, cfg)
+        seed = diatomic.refresh_ripple_guess(seed, fix_name, fix_value)
+        wave = diatomic.solve_wave(args.kappa, fix_name, fix_value, seed)
     write_csv(out / "wave.csv", WAVE_COLUMNS,
               [continuation.point_from_wave(wave).values()])
     diatomic.save_wave(wave, out / "wave.ckpt")
@@ -296,14 +302,12 @@ def cmd_wave(args) -> int:
 
 def cmd_branch(args) -> int:
     out = _outdir(args)
-    cfg = _dia_config(args)
-    seed = _load_seed_wave(args.seed_ckpt, args.kappa, cfg)
+    seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
     ckpt_dir = out / "branch_ckpts"
     ckpt_dir.mkdir(exist_ok=True)
     branch = continuation.continue_branch(
-        seed, args.driver, args.to, args.step, cfg,
-        step_in_m=bool(args.step_in_m), checkpoint_dir=ckpt_dir,
-        keep_waves=False)
+        seed, args.driver, args.to, args.step, step_in_m=bool(args.step_in_m),
+        checkpoint_dir=ckpt_dir, keep_waves=False)
     write_csv(out / "branch.csv", continuation.BRANCH_COLUMNS,
               [p.values() for p in branch.points])
     files = ["branch.csv"] + [f"branch_ckpts/{f.name}"
@@ -319,17 +323,15 @@ def cmd_branch(args) -> int:
 
 def cmd_solitary(args) -> int:
     out = _outdir(args)
-    cfg = _dia_config(args)
-    seed = _load_seed_wave(args.seed_ckpt, args.kappa, cfg)
+    seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
     branch = continuation.continue_branch(
-        seed, "mu", args.mu_to, args.step, cfg,
-        stop_when=lambda p: p.sign_change)
+        seed, "mu", args.mu_to, args.step, stop_when=lambda p: p.sign_change)
     if not branch.sign_changes:
         print("FPUTW-ERROR kind=NoSignChange message=no alpha_P sign change "
               f"found up to mu={args.mu_to}", file=sys.stderr)
         return EXIT_NUMERICAL
     sol = continuation.find_solitary(
-        branch, cfg, **_given(args, kappa_to="scan_to", kappa_step="scan_step"))
+        branch, **_given(args, kappa_to="scan_to", kappa_step="scan_step"))
     write_csv(out / "solitary.csv", continuation.BRANCH_COLUMNS,
               [p.values() for p in sol.points])
     files = ["solitary.csv"]
@@ -356,15 +358,15 @@ def cmd_cross_section(args) -> int:
     mono_wave = _wave_at_speed(sigma, cfg.monatomic())
     kap = mono_wave.kappa
     seed = diatomic.seed_from_monatomic(mono_wave, cfg)
-    seed = diatomic.solve_wave(kap, "sigma", sigma, seed, cfg)
+    seed = diatomic.solve_wave(kap, "sigma", sigma, seed)
     traces = []
     if args.from_ is not None and abs(args.from_ - kap) > 1e-9:
         lead = continuation.continue_branch(
-            seed, "kappa", args.from_, args.step, cfg, fixed=("sigma", sigma))
+            seed, "kappa", args.from_, args.step, fixed=("sigma", sigma))
         seed = lead.waves[-1]
         traces.append(lead)
     branch = continuation.continue_branch(
-        seed, "kappa", args.to, args.step, cfg, fixed=("sigma", sigma),
+        seed, "kappa", args.to, args.step, fixed=("sigma", sigma),
         keep_waves=False)
     traces.append(branch)
     write_csv(out / "cross_section.csv", continuation.BRANCH_COLUMNS,
@@ -386,7 +388,7 @@ def _wave_at_speed(sigma: float,
     f0, k0 = w.sigma - sigma, kap
     kap1 = kap * (1.0 + 0.05 * np.sign(-f0))
     for _ in range(20):
-        w = monatomic.solve_profile(kap1, mcfg, guess=w)
+        w = monatomic.solve_profile(kap1, guess=w)
         f1 = w.sigma - sigma
         if abs(f1) < 1e-10 or f1 == f0:
             break
@@ -521,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--driver", choices=("sigma", "mu", "beta_p"), default="mu")
     p.add_argument("--to", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--step", type=_step, required=True)
     p.add_argument("--step-in-m", dest="step_in_m", action="store_true",
                    help="step the mu driver uniformly in m")
     p.add_argument("--seed-ckpt", dest="seed_ckpt")
@@ -532,10 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--mu-to", dest="mu_to", type=float, default=2.5,
                    help="search range for the alpha_P sign change")
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--step", type=_step, default=0.1)
     p.add_argument("--scan-to", dest="scan_to", type=float,
                    help="continue the solitary branch in kappa to this value")
-    p.add_argument("--scan-step", dest="scan_step", type=float)
+    p.add_argument("--scan-step", dest="scan_step", type=_step)
     p.add_argument("--seed-ckpt", dest="seed_ckpt")
     p.set_defaults(func=cmd_solitary)
 
@@ -545,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_", type=float,
                    help="starting kappa (default: equal-mass anchor)")
     p.add_argument("--to", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--step", type=_step, required=True)
     p.set_defaults(func=cmd_cross_section)
 
     p = sub.add_parser("simulate", help="direct FPUT lattice integration")

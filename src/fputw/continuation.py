@@ -40,9 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diatomic import (DiatomicConfig, DiatomicWave, SCALAR_NAMES,
-                       kappa_tangent_guess, refresh_ripple_guess, save_wave,
-                       solve_wave)
+from .diatomic import (DiatomicWave, SCALAR_NAMES, kappa_tangent_guess,
+                       refresh_ripple_guess, save_wave, solve_wave)
 from .errors import NonConvergenceError, ProblemSizeError
 from .mfde import FactorCache
 from .solution import PiecewiseSolution
@@ -149,8 +148,7 @@ def _extrapolate(last: DiatomicWave, prev: DiatomicWave, r: float) -> DiatomicWa
 
 
 def continue_branch(seed: DiatomicWave, driver: str, target: float,
-                    step: float, cfg: DiatomicConfig = DiatomicConfig(), *,
-                    fixed: tuple[str, float] | None = None,
+                    step: float, *, fixed: tuple[str, float] | None = None,
                     step_in_m: bool = False,
                     max_points: int = 2000,
                     keep_waves: bool = True,
@@ -240,12 +238,12 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
                 guess = _extrapolate(wave, prev_wave,
                                      (value - getattr(wave, cur_driver)) / d_last)
         elif prev_wave is None and cur_driver != "kappa":
-            guess = refresh_ripple_guess(wave, cur_driver, value, cfg)
+            guess = refresh_ripple_guess(wave, cur_driver, value)
         try:
             # inside the try: the tangent meets the size cap as the solve would
             if prev_wave is None and cur_driver == "kappa":
                 guess = kappa_tangent_guess(wave, kap, fix, val, reuse=factors)
-            new = solve_wave(kap, fix, val, guess, cfg, reuse=factors)
+            new = solve_wave(kap, fix, val, guess, reuse=factors)
         except ProblemSizeError:
             branch.terminated_reason = "size-cap"
             break
@@ -348,9 +346,7 @@ def classify_branch_segments(branch: Branch):
 # solitary waves
 # ---------------------------------------------------------------------------
 
-def bisect_alpha_zero(branch: Branch, index: int,
-                      cfg: DiatomicConfig = DiatomicConfig(),
-                      tol: float = 1e-8,
+def bisect_alpha_zero(branch: Branch, index: int, tol: float = 1e-8,
                       reuse: FactorCache | None = None) -> DiatomicWave:
     """Bisect the driven scalar between points index-1 and index (a marked
     alpha_P sign change) until the bracket is below ``tol`` or after
@@ -371,7 +367,7 @@ def bisect_alpha_zero(branch: Branch, index: int,
         if abs(b - a) <= tol:
             break
         mid = 0.5 * (a + b)
-        wm = solve_wave(guess.kappa, drv, mid, guess, cfg, reuse=reuse)
+        wm = solve_wave(guess.kappa, drv, mid, guess, reuse=reuse)
         guess = wm
         if wm.alpha_p * fa <= 0.0:
             b = mid
@@ -380,15 +376,14 @@ def bisect_alpha_zero(branch: Branch, index: int,
     return guess
 
 
-def freeze_solitary(wave: DiatomicWave, cfg: DiatomicConfig = DiatomicConfig(),
+def freeze_solitary(wave: DiatomicWave,
                     reuse: FactorCache | None = None) -> DiatomicWave:
     """Re-solve with beta_P frozen at zero: a genuine solitary wave."""
-    return solve_wave(wave.kappa, "beta_p", 0.0, wave, cfg, reuse=reuse)
+    return solve_wave(wave.kappa, "beta_p", 0.0, wave, reuse=reuse)
 
 
-def find_solitary(branch: Branch, cfg: DiatomicConfig = DiatomicConfig(), *,
-                  kappa_to: float | None = None, kappa_step: float = 0.125,
-                  bisect_tol: float = 1e-8) -> Branch:
+def find_solitary(branch: Branch, *, kappa_to: float | None = None,
+                  kappa_step: float = 0.125, bisect_tol: float = 1e-8) -> Branch:
     """Locate a solitary wave at the first alpha_P sign change of a branch
     and optionally continue it in kappa to ``kappa_to`` in steps of
     ``kappa_step`` (beta_P frozen at 0).
@@ -399,11 +394,11 @@ def find_solitary(branch: Branch, cfg: DiatomicConfig = DiatomicConfig(), *,
     if not branch.sign_changes:
         raise ValueError("branch has no alpha_P sign change to bisect")
     factors = FactorCache()
-    near = bisect_alpha_zero(branch, branch.sign_changes[0], cfg,
-                             tol=bisect_tol, reuse=factors)
-    sol = freeze_solitary(near, cfg, reuse=factors)
+    near = bisect_alpha_zero(branch, branch.sign_changes[0], tol=bisect_tol,
+                             reuse=factors)
+    sol = freeze_solitary(near, reuse=factors)
     if kappa_to is not None:
-        return continue_branch(sol, "kappa", kappa_to, kappa_step, cfg,
+        return continue_branch(sol, "kappa", kappa_to, kappa_step,
                                fixed=("beta_p", 0.0))
     return Branch([point_from_wave(sol)], [sol], "target-reached")
 
@@ -413,8 +408,7 @@ def find_solitary(branch: Branch, cfg: DiatomicConfig = DiatomicConfig(), *,
 STABILITY_MASSES = (0.33797458, 0.32800968, 0.32711659, 0.32702829, 0.32701947)
 
 
-def stability_family(branch: Branch, solitary: DiatomicWave,
-                     cfg: DiatomicConfig = DiatomicConfig()) -> list[DiatomicWave]:
+def stability_family(branch: Branch, solitary: DiatomicWave) -> list[DiatomicWave]:
     """The six initial conditions of the paper's stability experiment: the
     waves at ``STABILITY_MASSES`` on the mu branch of ``solitary``, then
     ``solitary`` itself (alpha_P = 0).  Each is solved at fixed mu from the
@@ -423,5 +417,5 @@ def stability_family(branch: Branch, solitary: DiatomicWave,
     for m in STABILITY_MASSES:
         mu = 1.0 / m - 1.0
         guess = min(branch.waves + [solitary], key=lambda w: abs(w.mu - mu))
-        waves.append(solve_wave(solitary.kappa, "mu", mu, guess, cfg))
+        waves.append(solve_wave(solitary.kappa, "mu", mu, guess))
     return waves + [solitary]

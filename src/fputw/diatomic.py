@@ -210,17 +210,17 @@ def solve_periodic(sigma: float, mu: float, beta_p: float,
                    cfg: DiatomicConfig = DiatomicConfig(),
                    guess: PeriodicRipple | None = None) -> PeriodicRipple:
     """Solve the nonlinear periodic problem at fixed (sigma, mu, beta_P) with
-    the computational frequency omega_P free."""
+    the computational frequency omega_P free; a ``guess`` fixes the mesh."""
     if sigma <= dispersion.sound_speed(mu) - 1e-12:
         raise dispersion.NoBracketError(
             f"sigma={sigma} at or below the sound speed C_mu")
-    mesh = cfg.ripple_mesh
-    blk, eq, bcs = _ripple_block(0, mesh, lambda p: (sigma, mu, beta_p, float(p[0])), 0)
-    prob = MfdeProblem((blk,), (eq,), 1, bcs)
     if guess is not None:
         seed, omega_p0 = guess.profile, guess.omega_p
     else:
-        seed, omega_p0 = ripple_mode_seed(sigma, mu, mesh)
+        seed, omega_p0 = ripple_mode_seed(sigma, mu, cfg.ripple_mesh)
+    blk, eq, bcs = _ripple_block(0, seed.mesh,
+                                 lambda p: (sigma, mu, beta_p, float(p[0])), 0)
+    prob = MfdeProblem((blk,), (eq,), 1, bcs)
     sols, params, rep = solve_newton(prob, [seed], [omega_p0])
     if _signed_orientation(sigma, mu, sols[0]) < 0.0:
         # converged to the mirrored orientation; at fixed beta_P the
@@ -340,19 +340,18 @@ def wave_problem(kappa: float, pm: ParamMap, solitary_mesh: Mesh,
 
 
 def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
-               cfg: DiatomicConfig = DiatomicConfig(),
                jump_tol: float | None = None,
                reuse: FactorCache | None = None) -> DiatomicWave:
     """Solve the full diatomic system at fixed kappa and one fixed scalar.
 
-    ``guess`` supplies the starting functions and all scalar values (its
-    entry for the fixed scalar is replaced by ``value``).  ``jump_tol``
-    bounds the acceptable movement of the free scalars; beyond it a
-    BranchJumpWarning is issued (the solve still returns).  ``reuse``
+    ``guess`` supplies the meshes, the starting functions and all scalar
+    values (its entry for the fixed scalar is replaced by ``value``).
+    ``jump_tol`` bounds the acceptable movement of the free scalars; beyond
+    it a BranchJumpWarning is issued (the solve still returns).  ``reuse``
     carries a sparse LU between solves (see :func:`fputw.mfde.solve_newton`).
     """
     pm = ParamMap(fix, value)
-    prob = wave_problem(kappa, pm, cfg.solitary_mesh, cfg.ripple_mesh)
+    prob = wave_problem(kappa, pm, guess.solitary.mesh, guess.ripple.mesh)
     params0 = pm.pack(guess.sigma, guess.mu, guess.beta_p, guess.omega_p)
     sols, params, rep = solve_newton(prob, [guess.solitary, guess.ripple],
                                      params0, reuse)
@@ -395,18 +394,18 @@ def wave_residual_norm(wave: DiatomicWave) -> float:
 # seeds
 # ---------------------------------------------------------------------------
 
-def refresh_ripple_guess(wave: DiatomicWave, fix: str, value: float,
-                         cfg: DiatomicConfig = DiatomicConfig()) -> DiatomicWave:
+def refresh_ripple_guess(wave: DiatomicWave, fix: str, value: float) -> DiatomicWave:
     """The guess for a solve holding ``fix`` at ``value``: a ripple-free
-    wave gets the linearized mode at (wave.sigma, mu), mu = ``value`` for a
-    mu fix and wave.mu otherwise, so the first Newton step does not crawl
-    under damping; the mode falls back to wave.mu below the sound speed.
-    A wave with a ripple, or one where no mode exists, comes back as is."""
+    wave gets the linearized mode on its ripple mesh at (wave.sigma, mu),
+    mu = ``value`` for a mu fix and wave.mu otherwise, so the first Newton
+    step does not crawl under damping; the mode falls back to wave.mu below
+    the sound speed.  A wave with a ripple, or one where no mode exists,
+    comes back as is."""
     if wave.beta_p != 0.0:
         return wave
     for mu in (value if fix == "mu" else wave.mu, wave.mu):
         try:
-            rip, omega_p = ripple_mode_seed(wave.sigma, mu, cfg.ripple_mesh)
+            rip, omega_p = ripple_mode_seed(wave.sigma, mu, wave.ripple.mesh)
         except FputwError:
             continue
         return replace(wave, ripple=rip, omega_p=omega_p)

@@ -189,7 +189,6 @@ class MfdeProblem:
 class NewtonReport:
     iterations: int             # Newton and chord steps taken
     residual_norm: float
-    converged: bool
     factorizations: int = 0     # sparse LU factorizations made by this solve
 
 
@@ -259,9 +258,13 @@ class Layout:
 
     def pack(self, solutions: Sequence[PiecewiseSolution], params) -> np.ndarray:
         x = np.empty(self.size)
-        for b, sol in enumerate(solutions):
+        for off, blk, sol in zip(self.coeff_offsets, self.problem.blocks,
+                                 solutions, strict=True):
+            if sol.mesh != blk.mesh or sol.ncomp != blk.ncomp:
+                raise ValueError(f"block {blk.name!r} has {blk.ncomp} components on "
+                                 f"{blk.mesh}, its solution {sol.ncomp} on {sol.mesh}")
             flat = sol.coeffs.transpose(1, 0, 2).ravel()
-            x[self.coeff_offsets[b]:self.coeff_offsets[b] + flat.size] = flat
+            x[off:off + flat.size] = flat
         x[self.param_offset:] = np.asarray(params, dtype=float)
         return x
 
@@ -563,7 +566,7 @@ def solve_newton(problem: MfdeProblem, guesses: Sequence[PiecewiseSolution],
         if reuse is not None and lu is not None:
             reuse.lu = lu
         sols, p = lay.unpack(x)
-        return sols, p, NewtonReport(iterations, norm, True, factorizations)
+        return sols, p, NewtonReport(iterations, norm, factorizations)
 
     for it in range(MAX_ITER):
         if norm <= TOL:

@@ -166,23 +166,23 @@ def solve_profile(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
                   guess: MonatomicWave | None = None) -> MonatomicWave:
     """Solve the kappa-parametrized wave with sigma free.
 
-    Without a guess, small kappa starts from the KdV-limit seed
-    Phi = sech^2(tau/2)/8, sigma = 1 + kappa^2/24; larger kappa walks an
-    internal continuation ladder from kappa = 0.5.
+    A guess fixes the mesh.  Without one, small kappa starts on ``cfg.mesh``
+    from the KdV-limit seed Phi = sech^2(tau/2)/8, sigma = 1 + kappa^2/24;
+    larger kappa walks an internal continuation ladder from kappa = 0.5.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if guess is not None:
-        return _solve_profile_once(kappa, cfg, guess.profile, guess.sigma)
+        return _solve_profile_once(kappa, guess.profile, guess.sigma)
     k0, *ladder = _kappa_ladder(kappa)
-    wave = _solve_profile_once(k0, cfg, _sech2_seed(cfg.mesh), 1.0 + k0 * k0 / 24.0)
+    wave = _solve_profile_once(k0, _sech2_seed(cfg.mesh), 1.0 + k0 * k0 / 24.0)
     for kap in ladder:
-        wave = _solve_profile_once(kap, cfg, wave.profile, wave.sigma)
+        wave = _solve_profile_once(kap, wave.profile, wave.sigma)
     return wave
 
 
-def _solve_profile_once(kappa, cfg, profile_guess, sigma_guess) -> MonatomicWave:
-    prob = _profile_problem(kappa, cfg.mesh)
+def _solve_profile_once(kappa, profile_guess, sigma_guess) -> MonatomicWave:
+    prob = _profile_problem(kappa, profile_guess.mesh)
     sols, params, rep = solve_newton(prob, [profile_guess], [sigma_guess])
     wave = MonatomicWave(kappa, float(params[0]), sols[0],
                          rep.residual_norm, rep.iterations)

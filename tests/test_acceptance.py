@@ -52,7 +52,7 @@ def scan_row(scan, kappa):
 def branch25(scan):
     _, wave, _ = scan_row(scan, 2.5)
     seed = di.seed_from_monatomic(wave, CFG)
-    branch = continue_branch(seed, "mu", 2.3, 0.1, CFG,
+    branch = continue_branch(seed, "mu", 2.3, 0.1,
                              stop_when=lambda p: p.sign_change)
     assert branch.sign_changes, "kappa=2.5 branch must cross alpha_P = 0"
     return branch
@@ -60,14 +60,14 @@ def branch25(scan):
 
 @pytest.fixture(scope="module")
 def solitary25(branch25):
-    return find_solitary(branch25, CFG, bisect_tol=1e-10)
+    return find_solitary(branch25, bisect_tol=1e-10)
 
 
 @pytest.fixture(scope="module")
 def six_ics(branch25, solitary25):
     """The six initial-condition waves at the paper masses (alpha_P = 0 uses
     the frozen solitary wave)."""
-    return stability_family(branch25, solitary25.waves[0], CFG)
+    return stability_family(branch25, solitary25.waves[0])
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_criterion_06_equal_mass_reduction(scan):
     t0 = time.perf_counter()
     _, mono_wave, _ = scan_row(scan, 1.0)
     seed = di.seed_from_monatomic(mono_wave, CFG)
-    wave = di.solve_wave(1.0, "mu", 0.0, seed, CFG)
+    wave = di.solve_wave(1.0, "mu", 0.0, seed)
     tau = np.linspace(0.0, CFG.length, 4001)
     v2 = np.max(np.abs(wave.solitary.eval(tau, 2)))
     dphi = np.max(np.abs(wave.solitary.eval(tau, 0) - mono_wave.phi(tau)))
@@ -156,7 +156,7 @@ def test_criterion_06_equal_mass_reduction(scan):
 def test_criterion_07_solitary_branch_anchor(solitary25):
     p = solitary25.points[0]
     # one kappa step along the solitary branch: it is not horizontal in m
-    step = continue_branch(solitary25.waves[0], "kappa", 2.45, 0.05, CFG,
+    step = continue_branch(solitary25.waves[0], "kappa", 2.45, 0.05,
                            fixed=("beta_p", 0.0))
     q = step.points[-1]
     slope = (q.m - p.m) / (q.kappa - p.kappa)
@@ -173,7 +173,7 @@ def test_criterion_08_micropteron_slope(scan):
     seed = di.seed_from_monatomic(wave, CFG)
     alphas = {}
     for target in (0.02, -0.02):
-        br = continue_branch(seed, "mu", target, 0.01, CFG)
+        br = continue_branch(seed, "mu", target, 0.01)
         alphas[target] = br.points[-1].alpha_p
     slope = (alphas[0.02] - alphas[-0.02]) / 0.04
     rel = abs(-slope - row.k_coeff) / abs(row.k_coeff)
@@ -187,9 +187,9 @@ def test_criterion_09_connection_point():
     t0 = time.perf_counter()
     mw = mono.solve_profile(2.0515, MCFG)
     seed = di.seed_from_monatomic(mw, CFG)
-    coarse = continue_branch(seed, "mu", 0.105, 0.02, CFG, step_in_m=True,
+    coarse = continue_branch(seed, "mu", 0.105, 0.02, step_in_m=True,
                              max_points=400)
-    fine = continue_branch(coarse.waves[-1], "mu", 0.045, 0.004, CFG,
+    fine = continue_branch(coarse.waves[-1], "mu", 0.045, 0.004,
                            step_in_m=True, max_points=400)
     window = (0.0784 - 0.01, 0.0784 + 0.01)
     roots, hops = [], []
@@ -197,7 +197,7 @@ def test_criterion_09_connection_point():
         m_here = fine.points[idx].m
         if not (window[0] - 0.02 <= m_here <= window[1] + 0.02):
             continue
-        w = bisect_alpha_zero(fine, idx, CFG, tol=1e-9)
+        w = bisect_alpha_zero(fine, idx, tol=1e-9)
         if abs(w.alpha_p) < 1e-6:
             roots.append((w.m, w.alpha_p))
         else:
@@ -288,7 +288,7 @@ def test_criterion_12_property_suites():
 
     # symmetry involution and transformed residual
     mw = mono.solve_profile(1.0, MCFG)
-    br = continue_branch(di.seed_from_monatomic(mw, CFG), "mu", 0.5, 0.1, CFG)
+    br = continue_branch(di.seed_from_monatomic(mw, CFG), "mu", 0.5, 0.1)
     w = br.waves[-1]
     w2 = di.symmetry_transform(di.symmetry_transform(w))
     invol = max(abs(w2.mu - w.mu), abs(w2.sigma - w.sigma),

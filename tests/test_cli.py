@@ -317,6 +317,23 @@ def test_branch_zero_step_is_usage_error(tmp_path, mono_ckpt):
     assert res.returncode == 2
     assert "step" in res.stderr
     assert not (tmp_path / "branch.csv").exists()
+    assert not (tmp_path / "branch_ckpts").exists()
+
+
+def test_solitary_zero_scan_step_fails_before_solving(tmp_path, mono_ckpt,
+                                                      monkeypatch):
+    from fputw import continuation, diatomic
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --scan-step")
+
+    monkeypatch.setattr(diatomic, "solve_wave", no_solve)
+    monkeypatch.setattr(continuation, "solve_wave", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solitary", "--kappa", "1.0", "--mu-to", "0.2",
+                  "--scan-to", "1.2", "--scan-step", "0", "--mesh", "256",
+                  "--seed-ckpt", str(mono_ckpt), "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +354,24 @@ def test_joint_checkpoint_seeds_wave_and_simulate(tmp_path, joint_ckpt):
                      "--out", str(tmp_path / "sim")]) == 0
     _, rows = read_csv(tmp_path / "sim" / "diagnostics.csv")
     assert len(rows) == 3 and float(rows[0][1]) > 0
+
+
+def test_diatomic_seed_must_match_the_mesh_options(tmp_path, joint_ckpt, capsys):
+    # every solve takes its meshes from the seed, so a seed on other meshes
+    # than the options name is refused before any solve
+    assert cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0", "--mesh", "256",
+                     "--seed-ckpt", str(joint_ckpt),
+                     "--out", str(tmp_path / "seed")]) == 0
+    seed = str(tmp_path / "seed" / "wave.ckpt")
+    assert cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0.02", "--mesh", "256",
+                     "--seed-ckpt", seed, "--out", str(tmp_path / "a")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0.02", "--seed-ckpt", seed,
+                  "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "intervals=256" in err and "intervals=512" in err
+    assert not (tmp_path / "b" / "wave.csv").exists()
 
 
 def test_non_wave_checkpoint_is_usage_error(tmp_path):

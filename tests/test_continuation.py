@@ -20,7 +20,7 @@ def seed():
 
 
 def test_branch_records_and_target(seed):
-    branch = continue_branch(seed, "mu", -0.1, 0.05, CFG)
+    branch = continue_branch(seed, "mu", -0.1, 0.05)
     assert branch.terminated_reason == "target-reached"
     assert branch.points[-1].mu == pytest.approx(-0.1, abs=1e-12)
     mus = branch.scalar("mu")
@@ -31,8 +31,8 @@ def test_branch_records_and_target(seed):
 
 
 def test_retraceability(seed):
-    out = continue_branch(seed, "mu", -0.1, 0.05, CFG)
-    back = continue_branch(out.waves[-1], "mu", 0.0, 0.05, CFG)
+    out = continue_branch(seed, "mu", -0.1, 0.05)
+    back = continue_branch(out.waves[-1], "mu", 0.0, 0.05)
     assert back.terminated_reason == "target-reached"
     final = back.points[-1]
     assert abs(final.mu - seed.mu) < 1e-12
@@ -42,7 +42,7 @@ def test_retraceability(seed):
 
 
 def test_step_in_m_lands_on_masses(seed):
-    branch = continue_branch(seed, "mu", 0.8, 0.1, CFG, step_in_m=True)
+    branch = continue_branch(seed, "mu", 0.8, 0.1, step_in_m=True)
     assert branch.terminated_reason == "target-reached"
     ms = branch.scalar("m")
     assert ms[-1] == pytest.approx(0.8, abs=1e-12)
@@ -51,10 +51,10 @@ def test_step_in_m_lands_on_masses(seed):
 
 
 def test_branch_restart_from_checkpoint(seed, tmp_path):
-    straight = continue_branch(seed, "mu", 0.15, 0.05, CFG)
+    straight = continue_branch(seed, "mu", 0.15, 0.05)
     p = tmp_path / "mid.ckpt"
     di.save_wave(straight.waves[1], p)
-    resumed = continue_branch(di.load_wave(p), "mu", 0.15, 0.05, CFG)
+    resumed = continue_branch(di.load_wave(p), "mu", 0.15, 0.05)
     assert resumed.terminated_reason == "target-reached"
     a, b = straight.points[-1], resumed.points[-1]
     assert a.mu == b.mu
@@ -64,28 +64,28 @@ def test_branch_restart_from_checkpoint(seed, tmp_path):
 
 def test_alpha_sign_change_marked(seed):
     # alpha_P is odd-ish through mu=0: crossing it must set the marker
-    down = continue_branch(seed, "mu", -0.04, 0.04, CFG)
-    up = continue_branch(down.waves[-1], "mu", 0.04, 0.04, CFG)
+    down = continue_branch(seed, "mu", -0.04, 0.04)
+    up = continue_branch(down.waves[-1], "mu", 0.04, 0.04)
     assert len(up.sign_changes) == 1
 
 
 def test_stop_when(seed):
-    branch = continue_branch(seed, "mu", 0.5, 0.05, CFG,
+    branch = continue_branch(seed, "mu", 0.5, 0.05,
                              stop_when=lambda p: p.mu >= 0.1)
     assert branch.terminated_reason == "stop-condition"
     assert branch.points[-1].mu == pytest.approx(0.1, abs=1e-12)
 
 
 def test_jump_warning(seed):
-    branch = continue_branch(seed, "mu", 0.1, 0.05, CFG)
+    branch = continue_branch(seed, "mu", 0.1, 0.05)
     with pytest.warns(BranchJumpWarning):
-        di.solve_wave(1.0, "mu", 0.12, branch.waves[-1], CFG, jump_tol=1e-9)
+        di.solve_wave(1.0, "mu", 0.12, branch.waves[-1], jump_tol=1e-9)
 
 
 def test_factor_reuse_from_neighbouring_mu(seed):
-    base = continue_branch(seed, "mu", 0.1, 0.05, CFG).waves[-1]
+    base = continue_branch(seed, "mu", 0.1, 0.05).waves[-1]
     factors = FactorCache()
-    near = di.solve_wave(1.0, "mu", 0.1001, base, CFG, reuse=factors)
+    near = di.solve_wave(1.0, "mu", 0.1001, base, reuse=factors)
     assert factors.lu is not None
     pm = di.ParamMap("mu", 0.1002)
     prob = di.wave_problem(1.0, pm, CFG.solitary_mesh, CFG.ripple_mesh)
@@ -109,7 +109,7 @@ def test_branch_factorizes_less_than_once_per_point(seed, monkeypatch):
         return factorize(J, *args, **kwargs)
 
     monkeypatch.setattr(mfde, "factorize", counting_factorize)
-    branch = continue_branch(seed, "mu", 0.05, 0.01, CFG)
+    branch = continue_branch(seed, "mu", 0.05, 0.01)
     assert branch.terminated_reason == "target-reached"
     assert 0 < len(calls) < len(branch.points)
 
@@ -118,7 +118,7 @@ def test_branch_factorizes_less_than_once_per_point(seed, monkeypatch):
 def test_zero_or_non_finite_step_is_rejected(seed, step):
     # a zero step would re-solve the seed's own value until max_points
     with pytest.raises(ValueError, match="step"):
-        continue_branch(seed, "mu", 0.5, step, CFG, max_points=30)
+        continue_branch(seed, "mu", 0.5, step, max_points=30)
 
 
 @pytest.mark.parametrize("driver, fixed", [("mu", None), ("kappa", ("mu", 0.0))])
@@ -126,15 +126,15 @@ def test_size_cap_ends_the_trace(seed, monkeypatch, driver, fixed):
     # the first mu step meets the cap in solve_newton, the first kappa step
     # in the Euler predictor; both are the LU-making calls the cap bounds
     monkeypatch.setattr("fputw.mfde.MAX_UNKNOWNS", 4000)
-    branch = continue_branch(seed, driver, 1.1, 0.05, CFG, fixed=fixed)
+    branch = continue_branch(seed, driver, 1.1, 0.05, fixed=fixed)
     assert branch.terminated_reason == "size-cap"
     assert len(branch.points) == 1
 
 
 def test_find_solitary_needs_sign_change(seed):
-    branch = continue_branch(seed, "mu", -0.05, 0.05, CFG)
+    branch = continue_branch(seed, "mu", -0.05, 0.05)
     with pytest.raises(ValueError):
-        find_solitary(branch, CFG)
+        find_solitary(branch)
 
 
 def test_branch_segment_classification():
@@ -165,8 +165,7 @@ def test_driver_switch_and_fold_marking(monkeypatch):
     increments reverse and the fold marker must be set."""
     import fputw.continuation as cont
 
-    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
-                   reuse=None):
+    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
         if fix == "sigma":
             if value > 1.5:             # past the fold tip: no solution
                 raise NonConvergenceError("past fold", 1.0, 25)
@@ -181,16 +180,14 @@ def test_driver_switch_and_fold_marking(monkeypatch):
                                fixed_param=fix)
 
     monkeypatch.setattr(cont, "solve_wave", fake_solve)
-    cfg = di.DiatomicConfig(length=4.0, solitary_intervals=4,
-                            ripple_intervals=4, gauss_order=2)
     seed_wave = di.DiatomicWave(1.0, 1.5 - 0.04, -0.2, 0.0, 10.0,
                                 _dummy_solution(), _dummy_solution(4),
                                 1e-12, 0, fixed_param="mu")
     # approach the fold tip from mu < 0 by stepping mu, then drive sigma
     # upward: sigma stalls at 1.5, the driver switches to mu, and sigma's
     # reversal afterwards must set the fold marker
-    warm = cont.continue_branch(seed_wave, "mu", -0.05, 0.01, cfg)
-    branch = cont.continue_branch(warm.waves[-1], "sigma", 1.6, 0.01, cfg,
+    warm = cont.continue_branch(seed_wave, "mu", -0.05, 0.01)
+    branch = cont.continue_branch(warm.waves[-1], "sigma", 1.6, 0.01,
                                   max_points=40)
     assert "mu" in {p.fixed_param for p in branch.points}   # switch happened
     assert branch.folds                                      # fold recorded
@@ -204,8 +201,7 @@ def test_switch_keeps_step_direction(monkeypatch):
     sign instead of turning the trace around."""
     import fputw.continuation as cont
 
-    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
-                   reuse=None):
+    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
         if fix == "sigma":
             if value > 1.5:
                 raise NonConvergenceError("past fold", 1.0, 25)
@@ -220,13 +216,11 @@ def test_switch_keeps_step_direction(monkeypatch):
                                fixed_param=fix)
 
     monkeypatch.setattr(cont, "solve_wave", fake_solve)
-    cfg = di.DiatomicConfig(length=4.0, solitary_intervals=4,
-                            ripple_intervals=4, gauss_order=2)
     seed_wave = di.DiatomicWave(1.0, 1.5 - 0.04, 0.2, 0.0, 10.0,
                                 _dummy_solution(), _dummy_solution(4),
                                 1e-12, 0, fixed_param="mu")
-    warm = cont.continue_branch(seed_wave, "mu", 0.05, 0.01, cfg)
-    branch = cont.continue_branch(warm.waves[-1], "sigma", 1.6, 0.01, cfg,
+    warm = cont.continue_branch(seed_wave, "mu", 0.05, 0.01)
+    branch = cont.continue_branch(warm.waves[-1], "sigma", 1.6, 0.01,
                                   max_points=15)
     fixed = [p.fixed_param for p in branch.points]
     switched = len(fixed) - fixed[::-1].index("sigma") - 1   # last sigma point
@@ -243,8 +237,7 @@ def test_s_shaped_branch_marks_both_folds(monkeypatch):
     of sigma is a fold."""
     import fputw.continuation as cont
 
-    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
-                   reuse=None):
+    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
         if fix == "sigma":
             roots = np.roots([1.0, 0.0, -1.0, -value])
             real = roots[np.abs(roots.imag) < 1e-12].real
@@ -260,13 +253,11 @@ def test_s_shaped_branch_marks_both_folds(monkeypatch):
                                fixed_param=fix)
 
     monkeypatch.setattr(cont, "solve_wave", fake_solve)
-    cfg = di.DiatomicConfig(length=4.0, solitary_intervals=4,
-                            ripple_intervals=4, gauss_order=2)
     mu0 = -0.8
     seed_wave = di.DiatomicWave(1.0, mu0 ** 3 - mu0, mu0, 0.0, 10.0,
                                 _dummy_solution(), _dummy_solution(4),
                                 1e-12, 0, fixed_param="sigma")
-    branch = cont.continue_branch(seed_wave, "sigma", 0.5, 0.02, cfg,
+    branch = cont.continue_branch(seed_wave, "sigma", 0.5, 0.02,
                                   max_points=400)
     assert branch.terminated_reason == "target-reached"
     assert [e.note for e in branch.events if e.kind == "switch"] == ["sigma"]
@@ -298,10 +289,6 @@ def test_branch_point_values_schema():
 # step halving, predictor and events on stubbed solves
 # ---------------------------------------------------------------------------
 
-TINY_CFG = di.DiatomicConfig(length=4.0, solitary_intervals=4,
-                             ripple_intervals=4, gauss_order=2)
-
-
 def _stub_wave(kappa, sigma, mu, fix):
     return di.DiatomicWave(kappa, sigma, mu, 1e-3, 10.0, _dummy_solution(),
                            _dummy_solution(), 1e-12, 2, fixed_param=fix)
@@ -312,8 +299,7 @@ def _recording_solve(calls, fails):
     value, guess)`` holds, otherwise returns a wave with mu = (kappa - 1)^2/2
     on a kappa trace (sigma fixed) and sigma = 1.5 - mu^2 on a mu trace."""
 
-    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
-                   reuse=None):
+    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
         calls.append((kappa, fix, value, guess.kappa, guess.sigma, guess.mu))
         if fails(kappa, fix, value, guess):
             raise NonConvergenceError("stub failure", 0.5, 25)
@@ -340,7 +326,7 @@ def test_clamped_failed_step_is_not_resolved(monkeypatch):
     monkeypatch.setattr(cont, "kappa_tangent_guess", lambda wave, *a, **k: wave)
     k0 = 1.57059
     seed = _stub_wave(k0, 1.1, 0.5 * (k0 - 1.0) ** 2, "sigma")
-    branch = cont.continue_branch(seed, "kappa", 1.565, 0.05, TINY_CFG,
+    branch = cont.continue_branch(seed, "kappa", 1.565, 0.05,
                                   fixed=("sigma", 1.1))
     assert branch.terminated_reason == "target-reached"
     assert _no_repeated_solve(calls)
@@ -368,7 +354,7 @@ def test_all_failing_kappa_trace_ends_at_step_floor(monkeypatch):
                         _recording_solve(calls, lambda *args: True))
     monkeypatch.setattr(cont, "kappa_tangent_guess", lambda wave, *a, **k: wave)
     seed = _stub_wave(1.57059, 1.1, 0.1, "sigma")
-    branch = cont.continue_branch(seed, "kappa", 1.565, 0.05, TINY_CFG,
+    branch = cont.continue_branch(seed, "kappa", 1.565, 0.05,
                                   fixed=("sigma", 1.1))
     assert branch.terminated_reason == "step-floor"
     assert len(branch.points) == 1
@@ -385,7 +371,7 @@ def test_all_failing_mu_steps_switch_driver(monkeypatch):
     monkeypatch.setattr(cont, "solve_wave", _recording_solve(
         calls, lambda kappa, fix, value, guess: fix == "mu" and value > 0.2 + 1e-12))
     seed = _stub_wave(1.0, 1.5, 0.0, "mu")
-    branch = cont.continue_branch(seed, "mu", 0.25, 0.1, TINY_CFG,
+    branch = cont.continue_branch(seed, "mu", 0.25, 0.1,
                                   max_points=5)
     assert _no_repeated_solve(calls)
     mu_calls = [c[2] for c in calls if c[1] == "mu"]
@@ -416,7 +402,7 @@ def test_two_failing_drivers_end_at_step_floor(monkeypatch):
 
     monkeypatch.setattr(cont, "solve_wave", bounded_solve)
     seed = _stub_wave(1.0, 1.5, 0.0, "mu")
-    branch = cont.continue_branch(seed, "mu", 0.25, 0.05, TINY_CFG)
+    branch = cont.continue_branch(seed, "mu", 0.25, 0.05)
     assert branch.terminated_reason == "step-floor"
     assert [p.mu for p in branch.points] == pytest.approx([0.0, 0.05, 0.1])
     switches = [e for e in branch.events if e.kind == "switch"]
@@ -435,7 +421,7 @@ def test_kappa_trace_uses_secant_predictor(monkeypatch):
     monkeypatch.setattr(cont, "kappa_tangent_guess", lambda wave, *a, **k: wave)
     k0 = 1.5
     seed = _stub_wave(k0, 1.1, 0.5 * (k0 - 1.0) ** 2, "sigma")
-    branch = cont.continue_branch(seed, "kappa", 1.2, 0.1, TINY_CFG,
+    branch = cont.continue_branch(seed, "kappa", 1.2, 0.1,
                                   fixed=("sigma", 1.1))
     assert branch.terminated_reason == "target-reached"
     assert len(calls) == 3
@@ -471,7 +457,7 @@ def xsec_seed():
     ``cross-section`` builds it."""
     mono_wave = _wave_at_speed(1.1, XSEC_CFG.monatomic())
     seed = di.seed_from_monatomic(mono_wave, XSEC_CFG)
-    return di.solve_wave(mono_wave.kappa, "sigma", 1.1, seed, XSEC_CFG)
+    return di.solve_wave(mono_wave.kappa, "sigma", 1.1, seed)
 
 
 def test_tangent_first_kappa_step_needs_no_halving(xsec_seed, monkeypatch):
@@ -480,7 +466,7 @@ def test_tangent_first_kappa_step_needs_no_halving(xsec_seed, monkeypatch):
     import fputw.continuation as cont
 
     def trace():
-        return cont.continue_branch(xsec_seed, "kappa", 1.565, 0.05, XSEC_CFG,
+        return cont.continue_branch(xsec_seed, "kappa", 1.565, 0.05,
                                     fixed=("sigma", 1.1))
 
     branch = trace()
@@ -506,7 +492,7 @@ def test_tangent_guess_is_first_order(xsec_seed):
 
     def guess_errors(d):
         guess = di.kappa_tangent_guess(xsec_seed, k0 - d, "sigma", 1.1)
-        solved = di.solve_wave(k0 - d, "sigma", 1.1, guess, XSEC_CFG)
+        solved = di.solve_wave(k0 - d, "sigma", 1.1, guess)
         return np.array([di.wave_residual_norm(guess),
                          abs(guess.mu - solved.mu)])
 
@@ -520,8 +506,7 @@ def _valley_solve(calls, mu_fails, mu_limit=np.inf):
     the fold or beyond |mu| > ``mu_limit``; a mu solve fails when
     ``mu_fails(value)``.  Every call is recorded."""
 
-    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
-                   reuse=None):
+    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
         calls.append((fix, value))
         if fix == "sigma":
             root = np.sqrt(max(value - 1.0, 0.0))
@@ -547,7 +532,7 @@ def test_switch_back_while_stepping_down_keeps_direction(monkeypatch):
     monkeypatch.setattr(cont, "solve_wave",
                         _valley_solve(calls, lambda mu: mu > 0.1))
     seed = _stub_wave(1.0, 1.04, -0.2, "sigma")
-    branch = cont.continue_branch(seed, "sigma", 0.5, 0.01, TINY_CFG,
+    branch = cont.continue_branch(seed, "sigma", 0.5, 0.01,
                                   max_points=60)
     assert [e.note for e in branch.events if e.kind == "switch"] == ["sigma", "mu"]
     assert len(branch.folds) == 1
@@ -566,7 +551,7 @@ def test_switch_back_to_mu_steps_in_m(monkeypatch):
     monkeypatch.setattr(cont, "solve_wave", _valley_solve(
         calls, lambda mu: 0.112 < mu < 0.3, mu_limit=0.35))
     seed = _stub_wave(1.0, 1.0, 0.0, "mu")
-    branch = cont.continue_branch(seed, "mu", 0.5, 0.1, TINY_CFG,
+    branch = cont.continue_branch(seed, "mu", 0.5, 0.1,
                                   step_in_m=True, max_points=30)
     assert [e.note for e in branch.events if e.kind == "switch"] == ["mu", "sigma"]
     fixed = [c[0] for c in calls]
@@ -590,7 +575,7 @@ def test_switch_cap_scales_with_halving(monkeypatch):
     monkeypatch.setattr(cont, "solve_wave",
                         _valley_solve(calls, lambda mu: 0.1 < mu < 0.2))
     seed = _stub_wave(1.0, 1.0, 0.0, "mu")
-    branch = cont.continue_branch(seed, "mu", 0.5, 0.02, TINY_CFG,
+    branch = cont.continue_branch(seed, "mu", 0.5, 0.02,
                                   step_in_m=True)
     assert [e.note for e in branch.events if e.kind == "switch"] == ["mu"]
     assert branch.terminated_reason == "target-reached"
@@ -605,8 +590,7 @@ def test_stability_family_solves_each_mass_from_nearest_wave(monkeypatch):
 
     calls = []
 
-    def fake_solve(kappa, fix, value, guess, cfg=None, jump_tol=None,
-                   reuse=None):
+    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
         calls.append((kappa, fix, value, guess))
         return _stub_wave(kappa, 1.5, value, fix)
 
@@ -616,7 +600,7 @@ def test_stability_family_solves_each_mass_from_nearest_wave(monkeypatch):
     # so the solves' kappa can only come from the solitary wave
     branch = Branch(waves=[_stub_wave(2.4, 1.5, mu, "mu")
                            for mu in (0.0, 1.95, 1.95, 2.05, 2.0572)])
-    waves = cont.stability_family(branch, solitary, TINY_CFG)
+    waves = cont.stability_family(branch, solitary)
     assert [c[:3] for c in calls] == [(2.5, "mu", 1.0 / m - 1.0)
                                       for m in cont.STABILITY_MASSES]
     expected = [branch.waves[i] for i in (1, 3, 4)] + [solitary, solitary]

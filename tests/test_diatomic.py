@@ -19,7 +19,7 @@ def mono_k1():
 @pytest.fixture(scope="module")
 def equal_mass_wave(mono_k1):
     seed = di.seed_from_monatomic(mono_k1, CFG)
-    return di.solve_wave(1.0, "mu", 0.0, seed, CFG)
+    return di.solve_wave(1.0, "mu", 0.0, seed)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def wave_mu1(mono_k1):
     # m = 0.5 (mu = 1) reached by continuation with secant prediction
     from fputw.continuation import continue_branch
     seed = di.seed_from_monatomic(mono_k1, CFG)
-    branch = continue_branch(seed, "mu", 1.0, 0.1, CFG)
+    branch = continue_branch(seed, "mu", 1.0, 0.1)
     assert branch.terminated_reason == "target-reached"
     return branch.waves[-1]
 
@@ -201,7 +201,7 @@ def test_reconstruct_parity(wave_mu1):
 def test_small_mass_component_does_not_vanish():
     mu = 1.0 / 0.05 - 1.0
     seed = di.seed_from_small_mass(2.0, mu, CFG)
-    w = di.solve_wave(2.0, "mu", mu, seed, CFG)
+    w = di.solve_wave(2.0, "mu", mu, seed)
     s1, s2 = w.s_components()
     xi = np.linspace(0.0, CFG.length / 2.0, 1601)
     assert np.max(np.abs(s2(xi))) > 0.1 * np.max(np.abs(s1(xi)))
@@ -245,26 +245,27 @@ def test_wave_checkpoint_roundtrip(wave_mu1, tmp_path):
 
 def test_size_cap_enforced(mono_k1):
     big = di.DiatomicConfig(solitary_intervals=2048, ripple_intervals=256)
-    seed_mono = mono.solve_profile(1.0, CFG.monatomic())
-    with pytest.raises((ProblemSizeError, ValueError)):
-        seed = di.seed_from_monatomic(seed_mono, big)
-        di.solve_wave(1.0, "mu", 0.0, seed, big)
+    seed = di.seed_from_monatomic(mono_k1, CFG)
+    seed = dataclasses.replace(seed, solitary=seed.solitary.resample(big.solitary_mesh),
+                               ripple=seed.ripple.resample(big.ripple_mesh))
+    with pytest.raises(ProblemSizeError):
+        di.solve_wave(1.0, "mu", 0.0, seed)
 
 
 def test_refresh_ripple_guess(mono_k1):
     seed = di.seed_from_monatomic(mono_k1, CFG)
     rippled = dataclasses.replace(seed, beta_p=0.01)
-    assert di.refresh_ripple_guess(rippled, "mu", 0.1, CFG) is rippled
+    assert di.refresh_ripple_guess(rippled, "mu", 0.1) is rippled
     # a ripple-free wave gets the mode at the fixed mu, or at its own mu
-    got = di.refresh_ripple_guess(seed, "mu", 0.1, CFG)
+    got = di.refresh_ripple_guess(seed, "mu", 0.1)
     rip, omega_p = di.ripple_mode_seed(seed.sigma, 0.1, CFG.ripple_mesh)
     assert np.array_equal(got.ripple.coeffs, rip.coeffs)
     assert got.omega_p == omega_p
     moved = dataclasses.replace(seed, mu=0.05)
-    got = di.refresh_ripple_guess(moved, "sigma", moved.sigma, CFG)
+    got = di.refresh_ripple_guess(moved, "sigma", moved.sigma)
     rip, omega_p = di.ripple_mode_seed(moved.sigma, 0.05, CFG.ripple_mesh)
     assert np.array_equal(got.ripple.coeffs, rip.coeffs)
     assert got.omega_p == omega_p
     # below the sound speed no mode exists at either mass
     slow = dataclasses.replace(seed, sigma=0.5)
-    assert di.refresh_ripple_guess(slow, "mu", 0.1, CFG) is slow
+    assert di.refresh_ripple_guess(slow, "mu", 0.1) is slow
