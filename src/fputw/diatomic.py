@@ -440,7 +440,8 @@ def seed_from_monatomic(mono: MonatomicWave,
     profile (V2 = 0; ripple = linearized mode at (sigma, 0))."""
     mesh_v = cfg.solitary_mesh
     if mono.profile.mesh != mesh_v:
-        raise ValueError("monatomic profile must live on the solitary mesh")
+        raise ValueError(f"monatomic profile is on {mono.profile.mesh}, "
+                         f"not on the solitary mesh {mesh_v}")
     z = np.zeros_like(mono.profile.coeffs[0])
     coeffs = np.stack([mono.profile.coeffs[0], mono.profile.coeffs[1], z, z])
     solitary = PiecewiseSolution(mesh_v, coeffs, SOLITARY_POLICIES)

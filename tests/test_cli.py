@@ -356,22 +356,24 @@ def test_joint_checkpoint_seeds_wave_and_simulate(tmp_path, joint_ckpt):
     assert len(rows) == 3 and float(rows[0][1]) > 0
 
 
-def test_diatomic_seed_must_match_the_mesh_options(tmp_path, joint_ckpt, capsys):
-    # every solve takes its meshes from the seed, so a seed on other meshes
-    # than the options name is refused before any solve
+def test_seed_must_match_the_mesh_options(tmp_path, joint_ckpt, capsys):
+    # every solve takes its meshes from the seed, so a diatomic or monatomic
+    # seed on other meshes than the options name is refused before any solve
     assert cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0", "--mesh", "256",
                      "--seed-ckpt", str(joint_ckpt),
                      "--out", str(tmp_path / "seed")]) == 0
     seed = str(tmp_path / "seed" / "wave.ckpt")
     assert cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0.02", "--mesh", "256",
                      "--seed-ckpt", seed, "--out", str(tmp_path / "a")]) == 0
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0.02", "--seed-ckpt", seed,
-                  "--out", str(tmp_path / "b")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "intervals=256" in err and "intervals=512" in err
-    assert not (tmp_path / "b" / "wave.csv").exists()
+    capsys.readouterr()
+    for ckpt in (seed, str(joint_ckpt)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0.02", "--seed-ckpt", ckpt,
+                      "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "intervals=256" in err and "intervals=512" in err
+        assert not (tmp_path / "b" / "wave.csv").exists()
 
 
 def test_non_wave_checkpoint_is_usage_error(tmp_path):
