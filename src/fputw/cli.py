@@ -31,9 +31,9 @@ from .errors import FputwError
 
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
-N_QUAD_HELP = ("points of the midpoint sum that cross-checks I_chi for the "
-               "reliable flag; I_eta, I_chi and K come from Gauss quadrature "
-               "on the integrand's breakpoints")
+N_QUAD_HELP = ("points of the midpoint sum that cross-checks I_chi for the reliable "
+               f"flag (default %(default)s, at least {monatomic.N_QUAD_MIN}); I_eta, "
+               "I_chi and K come from Gauss quadrature on the integrand's breakpoints")
 
 
 def fmt(v) -> str:
@@ -118,8 +118,7 @@ def _resolve_mu(args) -> float | None:
 
 
 def _outdir(args) -> Path:
-    out = os.environ.get("FPUTW_OUT") or args.out or "."
-    path = Path(out)
+    path = Path(os.environ.get("FPUTW_OUT") or args.out or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -143,6 +142,14 @@ def _step(text: str) -> float:
     if step == 0.0 or not np.isfinite(step):
         raise argparse.ArgumentTypeError(f"step must be non-zero and finite, got {text}")
     return step
+
+
+def _n_quad(text: str) -> int:
+    """argparse type of --n-quad: an integer of at least monatomic.N_QUAD_MIN."""
+    if (n := int(text)) < monatomic.N_QUAD_MIN:
+        raise argparse.ArgumentTypeError(
+            f"n_quad must be at least {monatomic.N_QUAD_MIN}, got {text}")
+    return n
 
 
 def _parse_fix(text: str) -> tuple[str, float]:
@@ -210,7 +217,8 @@ def cmd_mono_scan(args) -> int:
         monatomic.save_joint(wave, jost, out / files[-1])
     write_manifest(out, "mono-scan",
                    {"from": args.from_, "to": args.to, "step": args.step,
-                    "aborted": res.aborted_reason or "no"}, files)
+                    "n_quad": args.n_quad, "aborted": res.aborted_reason or "no"},
+                   files)
     if res.aborted_reason:
         print(f"FPUTW-ERROR kind=NonConvergence message={res.aborted_reason}",
               file=sys.stderr)
@@ -486,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--step", type=float, default=0.25)
-    p.add_argument("--n-quad", dest="n_quad", type=int, default=10 ** 6,
+    p.add_argument("--n-quad", type=_n_quad, default=monatomic.N_QUAD,
                    help=N_QUAD_HELP)
     p.set_defaults(func=cmd_mono_scan)
 
@@ -498,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kc", help="ripple-amplitude coefficient K_sigma")
     common(p)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--n-quad", dest="n_quad", type=int, default=10 ** 6,
+    p.add_argument("--n-quad", type=_n_quad, default=monatomic.N_QUAD,
                    help=N_QUAD_HELP)
     p.set_defaults(func=cmd_kc)
 

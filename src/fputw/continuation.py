@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -300,18 +301,10 @@ def _pick_switch(branch: Branch, cur_driver: str):
     """Choose the next driver: the free scalar with the largest recent move."""
     if len(branch.points) < 2:
         return None
-    best = None
-    for name in SCALAR_NAMES:
-        if name == cur_driver:
-            continue
-        incr = _last_increment(branch, name)
-        scale = max(1e-9, abs(getattr(branch.points[-1], name)))
-        rel = abs(incr) / scale
-        if best is None or rel > best[0]:
-            best = (rel, name)
-    if best is None or best[0] == 0.0:
-        return None
-    return best[1]
+    last = branch.points[-1]
+    rel = lambda n: abs(_last_increment(branch, n)) / max(1e-9, abs(getattr(last, n)))
+    name = max((n for n in SCALAR_NAMES if n != cur_driver), key=rel)
+    return name if _last_increment(branch, name) != 0.0 else None
 
 
 MIN_SMALL_RIPPLE_EXTENT = 0.01
@@ -323,22 +316,14 @@ def classify_branch_segments(branch: Branch):
     small-ripple threshold keep the "small-ripple" label only when the run
     spans at least ``MIN_SMALL_RIPPLE_EXTENT`` in mu; shorter runs fall back
     to the sign class.  Returns one class string per point."""
-    classes = [p.ripple_class for p in branch.points]
-    out = list(classes)
-    i = 0
-    while i < len(classes):
-        if classes[i] != "small-ripple":
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(classes) and classes[j + 1] == "small-ripple":
-            j += 1
-        extent = abs(branch.points[j].mu - branch.points[i].mu)
-        if extent < MIN_SMALL_RIPPLE_EXTENT:
-            for k in range(i, j + 1):
-                a = branch.points[k].alpha_p
-                out[k] = "positive" if a > 0 else ("negative" if a < 0 else "solitary")
-        i = j + 1
+    out = []
+    for cls, run in groupby(branch.points, key=lambda p: p.ripple_class):
+        run = list(run)
+        if cls == "small-ripple" and abs(run[-1].mu - run[0].mu) < MIN_SMALL_RIPPLE_EXTENT:
+            out += ["positive" if p.alpha_p > 0 else ("negative" if p.alpha_p < 0
+                    else "solitary") for p in run]
+        else:
+            out += [cls] * len(run)
     return out
 
 
@@ -367,12 +352,11 @@ def bisect_alpha_zero(branch: Branch, index: int, tol: float = 1e-8,
         if abs(b - a) <= tol:
             break
         mid = 0.5 * (a + b)
-        wm = solve_wave(guess.kappa, drv, mid, guess, reuse=reuse)
-        guess = wm
-        if wm.alpha_p * fa <= 0.0:
+        guess = solve_wave(guess.kappa, drv, mid, guess, reuse=reuse)
+        if guess.alpha_p * fa <= 0.0:
             b = mid
         else:
-            a, fa = mid, wm.alpha_p
+            a, fa = mid, guess.alpha_p
     return guess
 
 

@@ -65,6 +65,7 @@ plan.  Affine offsets are not cached; they are re-evaluated at every use.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -633,9 +634,19 @@ def diagonal_blocks(row_unit, col_unit, reads):
     with "v's columns carry rows of u" are the diagonal blocks; each is
     square, and its rows read only its own columns and those of blocks
     solved before it.  A flow that cannot place every row means the matrix
-    is structurally singular, which is left to ``splu`` to report.
+    is structurally singular, which is left to ``splu`` to report.  The
+    last few splits are cached on the bytes of the three arrays, so the
+    arrays returned are read-only.
     """
-    nu = len(reads)
+    return _split(np.asarray(row_unit, np.intp).tobytes(),
+                  np.asarray(col_unit, np.intp).tobytes(),
+                  np.asarray(reads, bool).tobytes(), len(reads))
+
+
+@functools.lru_cache(maxsize=8)
+def _split(row_unit: bytes, col_unit: bytes, reads: bytes, nu: int):
+    row_unit, col_unit = (np.frombuffer(u, np.intp) for u in (row_unit, col_unit))
+    reads = np.frombuffer(reads, bool).reshape(nu, nu)
     supply = np.bincount(row_unit, minlength=nu)
     # network: source 0, row units 1..nu, column units nu+1..2nu, sink 2nu+1
     cap = np.zeros((2 * nu + 2, 2 * nu + 2), dtype=np.int32)
@@ -656,7 +667,9 @@ def diagonal_blocks(row_unit, col_unit, reads):
     first = np.full(ncomp, nu)
     np.minimum.at(first, comp, np.arange(nu))
     _, block = np.unique(reach * nu + first[comp], return_inverse=True)
-    return block[row_unit], block[col_unit]
+    rows, cols = block[row_unit], block[col_unit]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 class BlockLU:

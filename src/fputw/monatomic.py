@@ -36,6 +36,7 @@ from .solution import Extension, Mesh, PiecewiseSolution
 
 PHASE_SLOPE = 0.2208053960  # leading-order omega*theta / kappa
 KC_FIT = (1.93756, 4.06704)  # I_chi/I_eta ~ a * exp(-b / kappa)
+N_QUAD, N_QUAD_MIN = 10 ** 5, 10 ** 4  # midpoints of the I_chi cross-check, floor
 
 _LADDER_START = 0.5
 _LADDER_STEP = 0.25
@@ -158,8 +159,7 @@ def _check_profile_sign(wave: MonatomicWave):
 def _kappa_ladder(target: float) -> list[float]:
     if target <= _LADDER_START + 1e-12:
         return [target]
-    ks = list(np.arange(_LADDER_START, target, _LADDER_STEP))
-    return ks + [target]
+    return [*np.arange(_LADDER_START, target, _LADDER_STEP), target]
 
 
 def solve_profile(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
@@ -275,9 +275,7 @@ def solve_jost(wave: MonatomicWave, guess: JostSolution | None = None):
     mesh = wave.profile.mesh
     prob = joint_problem(kappa, mesh)
     if guess is not None:
-        ups = guess.remainder
-        psi0 = 1.0 / guess.beta
-        theta0 = guess.theta
+        ups, psi0, theta0 = guess.remainder, 1.0 / guess.beta, guess.theta
     else:
         ups, psi0, theta0 = _default_jost_seed(mesh, kappa, wave.sigma)
     coeffs = np.concatenate([wave.profile.coeffs, ups.coeffs], axis=0)
@@ -348,11 +346,6 @@ def compute_psi(wave: MonatomicWave, jost: JostSolution, which: str):
     raise ValueError(f"which must be 'eta' or 'chi', got {which!r}")
 
 
-def _midpoint_integral(f, length: float, n: int) -> float:
-    tau = (np.arange(n) + 0.5) * (length / n)
-    return float(np.sum(f(tau)) * (length / n))
-
-
 def _breakpoints(wave: MonatomicWave, jost: JostSolution) -> np.ndarray:
     """Sorted points of [0, L] between which the projection integrands are
     smooth: the knots of the profile and remainder meshes, and the profile
@@ -380,7 +373,7 @@ def _piecewise_gauss(f, breaks: np.ndarray, nodes: int) -> float:
 
 
 def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
-                          n_quad: int = 10 ** 6,
+                          n_quad: int = N_QUAD,
                           require_reliable: bool = False) -> AmplitudeCoefficient:
     """Projection integrals I_eta, I_chi and K = -I_chi / I_eta, with the
     analytic monitor for I_eta.
@@ -398,8 +391,8 @@ def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
     points (``i_chi_refined``).  ``require_reliable=True`` raises
     :class:`UnreliableQuadratureError` carrying both values.
     """
-    if n_quad < 10 ** 4:
-        raise ValueError("n_quad must be at least 1e4")
+    if n_quad < N_QUAD_MIN:
+        raise ValueError(f"n_quad must be at least {N_QUAD_MIN}, got {n_quad}")
     kappa, L = wave.kappa, wave.length
     om, th, beta = jost.omega, jost.theta, jost.beta
 
@@ -417,7 +410,8 @@ def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
     # under which the analytic monitor holds exactly (see LEDGER.md, entry 3).
     i_eta = 4.0 * kappa * _piecewise_gauss(lambda t: gamma_part(t) * psi_eta(t), breaks, nodes)
     i_chi = 2.0 * kappa * _piecewise_gauss(lambda t: gamma_part(t) * psi_chi(t), breaks, nodes)
-    i_chi_mid = 2.0 * kappa * _midpoint_integral(lambda t: gamma_part(t) * psi_chi(t), L, n_quad)
+    tau = (np.arange(n_quad) + 0.5) * (L / n_quad)
+    i_chi_mid = 2.0 * kappa * float(np.sum(gamma_part(tau) * psi_chi(tau)) * (L / n_quad))
 
     monitor = abs(i_eta + dispersion.b_plus_prime(om, jost.sigma, 0.0)
                   * np.sin(om * th)) / abs(i_eta)
@@ -536,7 +530,7 @@ def joint_from_checkpoint(ck: checkpoint.Checkpoint) -> tuple[MonatomicWave, Jos
 
 
 def kappa_scan(kappa_start: float, kappa_end: float, step: float = 0.25,
-               cfg: MonatomicConfig = MonatomicConfig(), n_quad: int = 10 ** 6,
+               cfg: MonatomicConfig = MonatomicConfig(), n_quad: int = N_QUAD,
                seed: tuple[MonatomicWave, JostSolution] | None = None) -> ScanResult:
     """Continuation scan over kappa; each row reuses the previous solution
     as its guess.  Aborts at the first non-convergence, keeping the rows

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -334,6 +335,39 @@ def test_solitary_zero_scan_step_fails_before_solving(tmp_path, mono_ckpt,
                   "--scan-to", "1.2", "--scan-step", "0", "--mesh", "256",
                   "--seed-ckpt", str(mono_ckpt), "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kc", "--kappa", "2.0", "--mesh", "128"],
+    ["mono-scan", "--from", "2.0", "--to", "2.5"]])
+def test_small_n_quad_fails_before_solving(tmp_path, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --n-quad")
+
+    monkeypatch.setattr(mono, "solve_joint", no_solve)
+    monkeypatch.setattr(mono, "solve_profile", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--n-quad", "100", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_n_quad_defaults_have_one_home():
+    for func in (mono.amplitude_coefficient, mono.kappa_scan):
+        assert inspect.signature(func).parameters["n_quad"].default == mono.N_QUAD
+    parser = cli.build_parser()
+    for argv in (["kc", "--kappa", "1"], ["mono-scan", "--from", "1", "--to", "2"]):
+        assert parser.parse_args(argv).n_quad == mono.N_QUAD
+
+
+def test_manifests_record_the_default_n_quad(tmp_path):
+    assert cli.main(["kc", "--kappa", "0.5", "--mesh", "64",
+                     "--out", str(tmp_path / "kc")]) == 0
+    assert cli.main(["mono-scan", "--from", "0.5", "--to", "0.5", "--mesh", "64",
+                     "--out", str(tmp_path / "scan")]) == 0
+    for sub in ("kc", "scan"):
+        manifest = (tmp_path / sub / "manifest.txt").read_text().splitlines()
+        assert "param n_quad=100000" in manifest
 
 
 @pytest.fixture(scope="module")

@@ -468,6 +468,25 @@ def test_unit_split_is_square_and_lower_triangular(data):
     assert np.allclose(lu.solve(b), np.linalg.solve(A, b), rtol=1e-9, atol=1e-9)
 
 
+def test_unit_split_is_found_once_per_structure(monkeypatch):
+    # two units, the second reading the first: two blocks
+    row_unit = col_unit = np.array([0, 0, 1, 1])
+    reads = np.array([[True, False], [True, True]])
+    flows = []
+    real = mfde.csgraph.maximum_flow
+    monkeypatch.setattr(mfde.csgraph, "maximum_flow",
+                        lambda *a, **k: flows.append(1) or real(*a, **k))
+    mfde._split.cache_clear()
+    first = diagonal_blocks(row_unit, col_unit, reads)
+    again = diagonal_blocks(row_unit.copy(), col_unit.copy(), reads.copy())
+    assert len(flows) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert not any(b.flags.writeable for b in again)
+    # the units reading each other are one block: a new split, and None
+    assert diagonal_blocks(row_unit, col_unit, np.ones((2, 2), bool)) is None
+    assert len(flows) == 2
+
+
 def test_profile_jacobian_factors_whole():
     from fputw import monatomic as mono
     cfg = mono.MonatomicConfig(intervals=128)

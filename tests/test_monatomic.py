@@ -154,6 +154,16 @@ def test_quadrature_stability(joint_k1):
     assert coeff.reliable
 
 
+def test_default_cross_check_agrees_with_gauss():
+    # the default midpoint count is fine enough and not commensurate with the
+    # knots: kappa = 0.5 is its worst case on the default mesh (7e-14)
+    wave, jost = mono.solve_joint(0.5, CFG)
+    coeff = mono.amplitude_coefficient(wave, jost)
+    assert coeff.n_quad == mono.N_QUAD
+    assert abs(coeff.i_chi_refined - coeff.i_chi) <= 1e-9 * abs(coeff.i_chi)
+    assert coeff.reliable
+
+
 def test_amplitude_requires_enough_points(joint_k1):
     wave, jost = joint_k1
     with pytest.raises(ValueError):
