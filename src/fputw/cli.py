@@ -436,10 +436,10 @@ def _load_lattice_ic(args) -> lattice.LatticeState:
 
 
 def cmd_simulate(args) -> int:
-    out = _outdir(args)
-    state = _load_lattice_ic(args)
     cfg = lattice.SimConfig(**_given(args, dt="dt", horizon="T",
                                      recenter_period="recenter_period"))
+    state = _load_lattice_ic(args)
+    out = _outdir(args)
     series = lattice.run_simulation(state, cfg)
     write_csv(out / "diagnostics.csv", lattice.DiagnosticSeries.COLUMNS,
               series.rows())

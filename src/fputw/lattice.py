@@ -75,11 +75,14 @@ class SimConfig:
     baseline_time: float = 100.0
 
     def __post_init__(self):
+        for name in ("dt", "horizon", "recenter_period", "sample_stride"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.dt > DT_CAP:
             raise ValueError(f"dt must respect the cap {DT_CAP}")
-        for name in ("dt", "horizon", "recenter_period", "sample_stride"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         # the run counts whole steps per sample and whole samples per
         # recenter period and horizon, and labels each sample by its stride
         for num, den in (("sample_stride", "dt"), ("horizon", "sample_stride"),
@@ -345,8 +348,13 @@ def sample_initial_condition(wave: DiatomicWave | MonatomicWave,
     Displacements come from (r_odd, r_even) evaluated at j - peak_site;
     momenta enforce the traveling-wave relation by tail-to-site quadrature,
     so the state is an exact wave sample up to integration error.  Warns
-    when the tails have not decayed at the grid edges.
+    when the tails have not decayed at the grid edges; raises ValueError
+    for ``n < 1`` or a ``peak_site`` outside ``1..n``.
     """
+    if n < 1:
+        raise ValueError(f"the lattice needs at least one site, got {n}")
+    if not 1 <= peak_site <= n:
+        raise ValueError(f"peak site {peak_site} is outside the lattice sites 1..{n}")
     if isinstance(wave, MonatomicWave):
         r_odd = r_even = wave.wave_profile
         sigma, mass_ratio = wave.sigma, 1.0

@@ -40,6 +40,7 @@ N_QUAD, N_QUAD_MIN = 10 ** 5, 10 ** 4  # midpoints of the I_chi cross-check, flo
 
 _LADDER_START = 0.5
 _LADDER_STEP = 0.25
+_LADDER_SPACING = 0.5  # mesh spacing of the ladder; 1.0 loses positivity
 
 
 @dataclass(frozen=True)
@@ -169,15 +170,28 @@ def solve_profile(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
     A guess fixes the mesh.  Without one, small kappa starts on ``cfg.mesh``
     from the KdV-limit seed Phi = sech^2(tau/2)/8, sigma = 1 + kappa^2/24;
     larger kappa walks an internal continuation ladder from kappa = 0.5.
+    The ladder runs on a mesh of the same length and Gauss order with
+    spacing 0.5 (64 intervals at L = 32), or on ``cfg.mesh`` when that is
+    not finer, and one last solve at ``kappa`` starts on ``cfg.mesh`` from
+    the ladder's wave; the returned ``iterations`` count that solve only.
+    A spacing of 1.0 lets the ladder's profile dip below zero
+    (:class:`NegativeProfileWarning`); at 0.5 it agrees with a ladder on the
+    default mesh to 1e-10 in sigma and coefficients.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if guess is not None:
         return _solve_profile_once(kappa, guess.profile, guess.sigma)
     k0, *ladder = _kappa_ladder(kappa)
-    wave = _solve_profile_once(k0, _sech2_seed(cfg.mesh), 1.0 + k0 * k0 / 24.0)
+    mesh = cfg.mesh
+    coarse = max(4, int(np.ceil(mesh.length / _LADDER_SPACING)))
+    if ladder and coarse < mesh.intervals:
+        mesh = Mesh(mesh.length, coarse, mesh.gauss_order)
+    wave = _solve_profile_once(k0, _sech2_seed(mesh), 1.0 + k0 * k0 / 24.0)
     for kap in ladder:
         wave = _solve_profile_once(kap, wave.profile, wave.sigma)
+    if mesh != cfg.mesh:
+        wave = _solve_profile_once(kappa, wave.profile.resample(cfg.mesh), wave.sigma)
     return wave
 
 

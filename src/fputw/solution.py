@@ -46,8 +46,8 @@ class Mesh:
     gauss_order: int = 3
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError(f"mesh length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"mesh length must be positive and finite, got {self.length}")
         if self.intervals < 4:
             raise ValueError(f"need at least 4 intervals, got {self.intervals}")
         if not 2 <= self.gauss_order <= _MAX_GAUSS:

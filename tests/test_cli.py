@@ -311,6 +311,39 @@ def test_simulate_rejects_options_its_ic_ignores(tmp_path, mono_ckpt, capsys,
     assert not (tmp_path / "sim" / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("extra, name", [
+    (["--T", "inf"], "horizon"),
+    (["--T", "1e400"], "horizon"),
+    (["--T", "nan"], "horizon"),
+    (["--T", "1", "--dt", "nan"], "dt"),
+    (["--T", "1", "--recenter-period", "inf"], "recenter_period")])
+def test_simulate_rejects_non_finite_times(tmp_path, mono_ckpt, capsys,
+                                          extra, name):
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--ic", str(mono_ckpt), *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"{name} must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, match", [
+    (["--peak-site", "1000"], "peak site 1000 is outside the lattice sites 1..400"),
+    (["--sites", "3"], "peak site 200 is outside the lattice sites 1..3"),
+    (["--sites", "0"], "at least one site")])
+def test_simulate_rejects_an_initial_condition_off_the_lattice(
+        tmp_path, mono_ckpt, capsys, extra, match):
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--ic", str(mono_ckpt), "--T", "2", *extra,
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and match in err
+    assert not out.exists()
+
+
 def test_branch_zero_step_is_usage_error(tmp_path, mono_ckpt):
     res = run_cli(["branch", "--kappa", "1.0", "--to", "0.1", "--step", "0",
                    "--mesh", "256", "--seed-ckpt", str(mono_ckpt),

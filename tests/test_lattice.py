@@ -352,8 +352,27 @@ def test_simconfig_rejects_fractional_counts(kwargs):
         lat.SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["dt", "horizon", "recenter_period",
+                                  "sample_stride"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_simconfig_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        lat.SimConfig(**{name: value})
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"horizon": 100.0}, {"horizon": 102.0},
                                     {"horizon": 1000.0}, {"horizon": 5000.0}])
 def test_simconfig_builds_default_and_acceptance_horizons(kwargs):
     cfg = lat.SimConfig(**kwargs)
     assert cfg.horizon == kwargs.get("horizon", 5000.0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n": 0}, "at least one site"),
+    ({"n": -3}, "at least one site"),
+    ({"peak_site": 0}, "outside the lattice sites 1..400"),
+    ({"peak_site": 401}, "outside the lattice sites 1..400"),
+    ({"n": 3}, "peak site 200 is outside the lattice sites 1..3")])
+def test_initial_condition_must_lie_on_the_lattice(mono_wave, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        lat.sample_initial_condition(mono_wave, **kwargs)

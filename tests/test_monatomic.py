@@ -338,3 +338,51 @@ def test_scan_aborts_persisting_rows(monkeypatch):
     assert res.completed == 1
     assert res.rows[0].kappa == 0.5
     assert "kappa=0.75" in res.aborted_reason
+
+
+@pytest.fixture
+def newton_meshes(monkeypatch):
+    """The mesh of every Newton solve that ``monatomic`` makes."""
+    meshes = []
+    real = mono.solve_newton
+
+    def recording(problem, guesses, params, reuse=None):
+        meshes.append(guesses[0].mesh)
+        return real(problem, guesses, params, reuse)
+
+    monkeypatch.setattr(mono, "solve_newton", recording)
+    return meshes
+
+
+LADDER_MESH = Mesh(CFG.length, 64, CFG.gauss_order)
+
+
+def test_ladder_runs_on_the_ladder_mesh(newton_meshes):
+    wave = mono.solve_profile(2.5, CFG)
+    rungs = len(mono._kappa_ladder(2.5))
+    assert newton_meshes == [LADDER_MESH] * rungs + [CFG.mesh]
+    assert wave.profile.mesh == CFG.mesh
+
+
+def test_no_ladder_solves_once_on_the_config_mesh(newton_meshes):
+    wave = mono.solve_profile(0.5, CFG)
+    assert newton_meshes == [CFG.mesh]
+    assert wave.profile.mesh == CFG.mesh
+
+
+def test_config_mesh_as_coarse_as_the_ladder_walks_it(newton_meshes):
+    cfg = mono.MonatomicConfig(intervals=64)
+    mono.solve_profile(1.0, cfg)
+    assert newton_meshes == [cfg.mesh] * 3
+
+
+def test_ladder_mesh_wave_agrees_with_the_full_mesh_ladder():
+    kappa = 2.5
+    ref = mono._solve_profile_once(0.5, mono._sech2_seed(CFG.mesh),
+                                   1.0 + 0.5 ** 2 / 24.0)
+    for kap in np.arange(0.75, kappa + 1e-12, 0.25):
+        ref = mono._solve_profile_once(kap, ref.profile, ref.sigma)
+    assert ref.kappa == kappa
+    wave = mono.solve_profile(kappa, CFG)
+    assert abs(wave.sigma - ref.sigma) <= 1e-9
+    assert np.max(np.abs(wave.profile.coeffs - ref.profile.coeffs)) <= 1e-9

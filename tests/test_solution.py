@@ -20,6 +20,9 @@ def test_mesh_rejects_bad_sizes():
         Mesh(1.0, 16, 1)
     with pytest.raises(ValueError):
         Mesh(1.0, 16, 6)
+    for length in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Mesh(length, 16, 3)
 
 
 def test_collocation_points_interval_major():
