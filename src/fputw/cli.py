@@ -144,6 +144,21 @@ def _step(text: str) -> float:
     return step
 
 
+def _finite(text: str, positive: bool = False) -> float:
+    """argparse type of a float option that reaches a solve: finite, and
+    positive where ``positive``."""
+    value = float(text)
+    if not np.isfinite(value) or (positive and value <= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be {'positive and ' if positive else ''}finite, got {text}")
+    return value
+
+
+def _kappa(text: str) -> float:
+    """argparse type of --kappa: positive and finite."""
+    return _finite(text, positive=True)
+
+
 def _n_quad(text: str) -> int:
     """argparse type of --n-quad: an integer of at least monatomic.N_QUAD_MIN."""
     if (n := int(text)) < monatomic.N_QUAD_MIN:
@@ -153,15 +168,14 @@ def _n_quad(text: str) -> int:
 
 
 def _parse_fix(text: str) -> tuple[str, float]:
+    """argparse type of --fix: ``name=value`` with a finite value."""
     name, _, val = text.partition("=")
     name = name.strip().lower().replace("-", "_")
-    if name == "beta_P".lower():
-        name = "beta_p"
     if name not in diatomic.SCALAR_NAMES:
-        raise ValueError(f"--fix must name one of sigma/mu/beta_p, got {name!r}")
+        raise argparse.ArgumentTypeError(f"must name one of sigma/mu/beta_p, got {name!r}")
     if not val:
-        raise ValueError("--fix needs the form name=value")
-    return name, float(val)
+        raise argparse.ArgumentTypeError("needs the form name=value")
+    return name, _finite(val)
 
 
 def _load_wave(ck: checkpoint.Checkpoint):
@@ -282,7 +296,7 @@ def cmd_periodic(args) -> int:
 
 def cmd_wave(args) -> int:
     out = _outdir(args)
-    fix_name, fix_value = _parse_fix(args.fix)
+    fix_name, fix_value = args.fix
     seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
     gap = abs(fix_value - getattr(seed, fix_name))
     if gap > 0.05:
@@ -491,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mono-scan", help="kappa scan of monatomic waves + K")
     common(p)
-    p.add_argument("--from", dest="from_", type=float, required=True)
-    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--from", dest="from_", type=_finite, required=True)
+    p.add_argument("--to", type=_finite, required=True)
     p.add_argument("--step", type=float, default=0.25)
     p.add_argument("--n-quad", type=_n_quad, default=monatomic.N_QUAD,
                    help=N_QUAD_HELP)
@@ -500,37 +514,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jost", help="solve the joint wave + Jost system")
     common(p)
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_kappa, required=True)
     p.set_defaults(func=cmd_jost)
 
     p = sub.add_parser("kc", help="ripple-amplitude coefficient K_sigma")
     common(p)
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_kappa, required=True)
     p.add_argument("--n-quad", type=_n_quad, default=monatomic.N_QUAD,
                    help=N_QUAD_HELP)
     p.set_defaults(func=cmd_kc)
 
     p = sub.add_parser("periodic", help="nonlinear periodic ripple")
     common(p)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--beta-P", dest="beta_P", type=float)
+    p.add_argument("--sigma", type=_finite)
+    p.add_argument("--mu", type=_finite)
+    p.add_argument("--m", type=_finite)
+    p.add_argument("--beta-P", dest="beta_P", type=_finite)
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("wave", help="single diatomic wave solve")
     common(p)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--fix", required=True, help="sigma|mu|beta_p=value")
+    p.add_argument("--kappa", type=_kappa, required=True)
+    p.add_argument("--fix", type=_parse_fix, required=True, help="sigma|mu|beta_p=value")
     p.add_argument("--seed-ckpt", dest="seed_ckpt",
                    help="seed checkpoint (or 'auto')")
     p.set_defaults(func=cmd_wave)
 
     p = sub.add_parser("branch", help="iso-kappa branch continuation")
     common(p)
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_kappa, required=True)
     p.add_argument("--driver", choices=("sigma", "mu", "beta_p"), default="mu")
-    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--to", type=_finite, required=True)
     p.add_argument("--step", type=_step, required=True)
     p.add_argument("--step-in-m", dest="step_in_m", action="store_true",
                    help="step the mu driver uniformly in m")
@@ -539,11 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solitary", help="locate and scan solitary waves")
     common(p)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--mu-to", dest="mu_to", type=float, default=2.5,
+    p.add_argument("--kappa", type=_kappa, required=True)
+    p.add_argument("--mu-to", dest="mu_to", type=_finite, default=2.5,
                    help="search range for the alpha_P sign change")
     p.add_argument("--step", type=_step, default=0.1)
-    p.add_argument("--scan-to", dest="scan_to", type=float,
+    p.add_argument("--scan-to", dest="scan_to", type=_finite,
                    help="continue the solitary branch in kappa to this value")
     p.add_argument("--scan-step", dest="scan_step", type=_step)
     p.add_argument("--seed-ckpt", dest="seed_ckpt")
@@ -551,10 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cross-section", help="iso-sigma kappa scan")
     common(p)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--from", dest="from_", type=float,
+    p.add_argument("--sigma", type=_finite, required=True)
+    p.add_argument("--from", dest="from_", type=_finite,
                    help="starting kappa (default: equal-mass anchor)")
-    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--to", type=_finite, required=True)
     p.add_argument("--step", type=_step, required=True)
     p.set_defaults(func=cmd_cross_section)
 

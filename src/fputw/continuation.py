@@ -25,10 +25,10 @@ halving, switch, fold and the termination is logged in ``Branch.events``.
 A trace that must switch again before any point is accepted after a switch
 ends at the step floor.
 
-Solitary branches are found by bisecting a marked sign change in the driven
-parameter (beta_P still free), freezing beta_P = 0, and continuing in kappa
-with (sigma, mu) free.  ``stability_family`` builds the waves of the lattice
-stability experiment around a solitary wave.
+Solitary branches are found by Illinois regula falsi on a marked sign change
+in the driven parameter (beta_P still free), freezing beta_P = 0, and
+continuing in kappa with (sigma, mu) free.  ``stability_family`` builds the
+waves of the lattice stability experiment around a solitary wave.
 """
 
 from __future__ import annotations
@@ -333,31 +333,32 @@ def classify_branch_segments(branch: Branch):
 
 def bisect_alpha_zero(branch: Branch, index: int, tol: float = 1e-8,
                       reuse: FactorCache | None = None) -> DiatomicWave:
-    """Bisect the driven scalar between points index-1 and index (a marked
-    alpha_P sign change) until the bracket is below ``tol`` or after
-    ``BISECT_MAX_SOLVES`` solves; returns the wave of the last midpoint
-    solved (still with beta_P free), or point ``index``'s wave when the
-    bracket is already below ``tol``.  ``reuse`` carries the sparse LU from
-    solve to solve."""
+    """Close in on the alpha_P sign change marked at point ``index`` (the
+    driven scalar between points index-1 and index) by Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) until the bracket, which keeps the sign
+    change and so closes on a jump like on a zero, is at most ``tol`` wide,
+    at an exact alpha_P = 0 or after ``BISECT_MAX_SOLVES`` solves.  Returns
+    the wave of the last solve (beta_P still free), or point ``index``'s wave
+    when the bracket is already below ``tol``; ``reuse`` carries the LU."""
     if not branch.points[index].sign_change:
         raise ValueError("index does not mark an alpha_P sign change")
     if not branch.waves:
         raise ValueError("branch must retain waves for bisection")
-    wa, wb = branch.waves[index - 1], branch.waves[index]
-    drv = wb.fixed_param
+    wa, wave = branch.waves[index - 1], branch.waves[index]
+    drv = wave.fixed_param
     a, fa = getattr(wa, drv), wa.alpha_p
-    b = getattr(wb, drv)
-    guess = wb
+    b, fb = getattr(wave, drv), wave.alpha_p
     for _ in range(BISECT_MAX_SOLVES):
-        if abs(b - a) <= tol:
+        if abs(b - a) <= tol or fb == 0.0:
             break
-        mid = 0.5 * (a + b)
-        guess = solve_wave(guess.kappa, drv, mid, guess, reuse=reuse)
-        if guess.alpha_p * fa <= 0.0:
-            b = mid
+        c = b - fb * (b - a) / (fb - fa)
+        wave = solve_wave(wave.kappa, drv, c, wave, reuse=reuse)
+        if wave.alpha_p * fb < 0.0:
+            a, fa = b, fb
         else:
-            a, fa = mid, guess.alpha_p
-    return guess
+            fa *= 0.5
+        b, fb = c, wave.alpha_p
+    return wave
 
 
 def freeze_solitary(wave: DiatomicWave,

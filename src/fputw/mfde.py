@@ -17,12 +17,14 @@ Discretization: each component is a piecewise polynomial of degree k per
 interval (see :mod:`fputw.solution`); the equation is enforced at the k
 Gauss-Legendre points of every interval, continuity is enforced at the
 interior mesh points, and the boundary functionals complete the square
-system.  The Jacobian is assembled structurally: sparse evaluation operators
+system.  The Jacobian is assembled structurally: the evaluation operators
 (coefficients -> shifted values, including extension folds) are exact, the
-pointwise nonlinearity is differentiated by finite differences slot by slot,
-and free-parameter columns are finite differences of the full residual.  A
-dense column-by-column finite-difference Jacobian (`fd_jacobian`) is provided
-as an independent cross-check for small problems.
+pointwise nonlinearity is differentiated by finite differences, all
+components of a slot perturbed at once on stacked copies of the points (one
+``rhs`` call per slot), and free-parameter columns are finite differences of
+the full residual.  A dense column-by-column finite-difference Jacobian
+(`fd_jacobian`) is provided as an independent cross-check for small
+problems.
 
 Stacking order of the residual: per block, collocation equations
 (interval-major, then Gauss node, then component) followed by continuity
@@ -55,12 +57,16 @@ irreducible system gets one ``splu`` as a whole.  The joint wave + Jost
 system splits this way, because the profile rows never read the Jost
 unknowns, and so does the diatomic system at beta_P = 0.
 
-Each assembler (one per :func:`solve_newton` call) caches evaluation plans:
-for every slot and boundary probe, where its points fold into the mesh under
-each extension policy.  Plans depend only on the points and the policy, so
-constant shifts are folded once per solve, parameter-dependent shifts again
-only when their points change, and components with equal policies share one
-plan.  Affine offsets are not cached; they are re-evaluated at every use.
+Each assembler (one per :func:`solve_newton` call) compiles evaluation into
+gather tables, like the basis tables of COLSYS/COLNEW (Ascher, Christiansen
+& Russell 1981): per slot or boundary probe point, the coefficient index,
+local coordinate and sign after folding.  Constant shifts are folded once
+per solve, parameter-dependent ones when their points change, and policies
+that differ only in +-1 signs share a fold.  The slots of an equation that
+read one block, and the value probes on a block, take one Horner pass over
+gathered coefficients, op for op as :meth:`PiecewiseSolution.eval`, so the
+results are bitwise those of per-point evaluation.  Affine offsets are
+re-evaluated at every use.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (BoundaryCountError, FputwError, NonConvergenceError,
                      ProblemSizeError, SingularJacobianError)
-from .solution import Extension, Mesh, PiecewiseSolution
+from .solution import Extension, Mesh, PiecewiseSolution, fold_offset
 
 # Relative finite-difference step of the slot, boundary and parameter
 # Jacobian entries (and of the dense oracle).
@@ -269,72 +275,76 @@ class Layout:
         x[self.param_offset:] = np.asarray(params, dtype=float)
         return x
 
+    def block_coeffs(self, x: np.ndarray, b: int) -> np.ndarray:
+        """Block b's coefficients in x as an (M, ncomp, k+1) view."""
+        blk = self.problem.blocks[b]
+        shape = (blk.mesh.intervals, blk.ncomp, blk.mesh.gauss_order + 1)
+        return x[self.coeff_offsets[b]:][:np.prod(shape)].reshape(shape)
+
     def unpack(self, x: np.ndarray):
-        sols = []
         params = x[self.param_offset:].copy()
-        for b, blk in enumerate(self.problem.blocks):
-            m, n, k1 = blk.mesh.intervals, blk.ncomp, blk.mesh.gauss_order + 1
-            off = self.coeff_offsets[b]
-            coeffs = x[off:off + m * n * k1].reshape(m, n, k1).transpose(1, 0, 2).copy()
-            sols.append(PiecewiseSolution(blk.mesh, coeffs, blk.policy_factory(params)))
+        sols = [PiecewiseSolution(blk.mesh, self.block_coeffs(x, b).transpose(1, 0, 2).copy(),
+                                  blk.policy_factory(params))
+                for b, blk in enumerate(self.problem.blocks)]
         return sols, params
 
-    def collocation_rows(self) -> np.ndarray:
-        """Boolean mask selecting the collocation rows of the residual."""
-        mask = np.zeros(self.size, dtype=bool)
-        for b, blk in enumerate(self.problem.blocks):
-            n = blk.ncomp * blk.mesh.intervals * blk.mesh.gauss_order
-            mask[self.colloc_offsets[b]:self.colloc_offsets[b] + n] = True
-        return mask
 
+class _Gather:
+    """Gather table of one block: per row (component ``comps[r]``) and
+    point the absolute coefficient base ``Layout.coeff_index(block, idx, c,
+    0)``, local coordinate and sign, and affine terms ``(row, comp, terms)``."""
 
-class _PlanCache:
-    """Evaluation plans of one assembler, keyed by slot or boundary probe.
+    def __init__(self, comps, base, s, sign, affine):
+        self.comps, self.base, self.s, self.sign, self.affine = comps, base, s, sign, affine
 
-    A plan (see :meth:`PiecewiseSolution.plan`) depends only on the
-    evaluation points and on the component's :class:`Extension`, so it is
-    kept while the points of its key stay exactly equal, and components with
-    equal policies share it.
-    Affine offsets are not part of a plan: ``left_offset`` is excluded from
-    policy equality and may depend on the free parameters, so it is
-    re-evaluated from the fold terms at every use.  Each key keeps its two
-    most recent point sets, so the shifted points of a finite-difference
-    parameter column (or of a rejected trial step) do not evict the plan of
-    the current iterate.
-    """
+    @classmethod
+    def join(cls, parts):
+        """The rows of ``parts`` stacked in order."""
+        starts = np.cumsum([0] + [len(g.comps) for g in parts])
+        return cls(np.concatenate([g.comps for g in parts]),
+                   *(np.concatenate([getattr(g, a) for g in parts])
+                     for a in ("base", "s", "sign")),
+                   [(a + r, c, t) for a, g in zip(starts, parts) for r, c, t in g.affine])
 
-    DEPTH = 2
-
-    def __init__(self):
-        self._entries: dict[object, list] = {}
-
-    def plans(self, key, pts: np.ndarray) -> dict:
-        """The per-policy plans of ``pts`` under ``key``."""
-        entries = self._entries.setdefault(key, [])
-        for i, (known, plans) in enumerate(entries):
-            if np.array_equal(known, pts):
-                if i:
-                    entries.insert(0, entries.pop(i))
-                return plans
-        entries.insert(0, (pts, {}))
-        del entries[self.DEPTH:]
-        return entries[0][1]
-
-    @staticmethod
-    def plan(plans: dict, sol: PiecewiseSolution, pts: np.ndarray, comp: int):
-        policy = sol.policies[comp]
-        plan = plans.get(policy)
-        if plan is None:
-            plan = plans[policy] = sol.plan(pts, comp)
-        return plan
+    def values(self, x: np.ndarray, k: int, policies) -> np.ndarray:
+        """``sign * v + offset``, v the Horner sum ``v*s + x[base+j]`` (j = k..0,
+        from zeros): :meth:`PiecewiseSolution.plan_values`, op for op."""
+        v = np.zeros_like(self.s)
+        for j in range(k, -1, -1):
+            v = v * self.s + x[self.base + j]
+        off = np.zeros(self.s.shape)
+        for row, c, terms in self.affine:
+            off[row] = fold_offset(policies[c], terms, off.shape[1:])
+        return self.sign * v + off
 
 
 class _Assembler:
     def __init__(self, problem: MfdeProblem):
         problem.validate()
         self.problem = problem
-        self.layout = Layout(problem)
-        self._plans = _PlanCache()
+        self.layout = lay = Layout(problem)
+        self._entries: dict[object, list] = {}
+        self._probes = {}
+        # per equation: slots grouped by the block they read (each group with
+        # its last stacked table), the own-derivative and continuity entries
+        self._equations = []
+        for eq in problem.equations:
+            b = eq.block
+            mesh, n = problem.blocks[b].mesh, problem.blocks[b].ncomp
+            m, k = mesh.intervals, mesh.gauss_order
+            groups = [(sb, [si for si, slot in enumerate(eq.slots) if slot.block == sb], [None])
+                      for sb in dict.fromkeys(slot.block for slot in eq.slots)]
+            base_rows = lay.colloc_offsets[b] + np.arange(m * k) * n
+            own = [(base_rows + c, lay.coeff_index(b, np.repeat(np.arange(m), k), c, j),
+                    j * np.tile(mesh.gauss_nodes, m) ** (j - 1) / mesh.h)
+                   for c in range(n) for j in range(1, k + 1)]
+            cont = []
+            for c in range(n):
+                crows = lay.cont_offsets[b] + np.arange(m - 1) * n + c
+                cont += [(crows, lay.coeff_index(b, np.arange(m - 1), c, j), np.ones(m - 1))
+                         for j in range(k + 1)]
+                cont.append((crows, lay.coeff_index(b, np.arange(1, m), c, 0), -np.ones(m - 1)))
+            self._equations.append((groups, base_rows, own, cont))
 
     # -- residual ---------------------------------------------------------
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -353,118 +363,67 @@ class _Assembler:
     def _assemble(self, x: np.ndarray, want_jac: bool):
         lay = self.layout
         prob = self.problem
-        sols, params = lay.unpack(x)
+        params = x[lay.param_offset:].copy()
+        policies = [blk.policy_factory(params) for blk in prob.blocks]
         r = np.zeros(lay.size)
-        rows, cols, data = [], [], []
-        reads = np.zeros((lay.nunits, lay.nunits), dtype=bool)
+        entries = []
+        reads = np.diag(np.arange(lay.nunits) < lay.bc_unit)   # each component its own
 
-        def add(rr, cc, dd, ru, cu):
-            """Entries (rr, cc, dd), made by rows of unit ru reading
-            columns of unit cu."""
-            rows.append(np.asarray(rr).ravel())
-            cols.append(np.asarray(cc).ravel())
-            data.append(np.asarray(dd).ravel())
-            reads[ru, cu] = True
-
-        for eq in prob.equations:
+        for eq, (groups, base_rows, own, cont) in zip(prob.equations, self._equations):
             b = eq.block
-            blk = prob.blocks[b]
-            mesh = blk.mesh
-            k = mesh.gauss_order
+            mesh = prob.blocks[b].mesh
+            m, k = mesh.intervals, mesh.gauss_order
             tau = mesh.collocation_points
-            npts = tau.size
-            n = blk.ncomp
-            unit = lay.comp_units[b]
-
-            # slot values (and plans for the jacobian chain)
-            slot_vals = []
-            slot_plans = []
-            for si, slot in enumerate(eq.slots):
-                src = sols[slot.block]
-                pts = tau if slot.locate is None else slot.locate(tau, params)
-                plans = self._plans.plans(("slot", b, si), pts)
-                vals = np.empty((src.ncomp, npts))
-                comp_plans = []
-                for c in range(src.ncomp):
-                    plan = self._plans.plan(plans, src, pts, c)
-                    vals[c] = src.plan_values(plan, c)
-                    comp_plans.append(plan)
-                slot_vals.append(vals)
-                slot_plans.append(comp_plans)
+            slot_vals = [None] * len(eq.slots)
+            for sb, slots, last in groups:
+                pols, nsrc = policies[sb], prob.blocks[sb].ncomp
+                parts = []
+                for si in slots:
+                    locate = eq.slots[si].locate
+                    pts = tau if locate is None else locate(tau, params)
+                    plans = self._plans(("slot", b, si), pts)
+                    if pols not in plans:
+                        rows = [(plans, pts, c) for c in range(nsrc)]
+                        plans[pols] = self._gather(sb, pols, rows)
+                    parts.append(plans[pols])
+                if last[0] is None or last[0][0] != parts:
+                    last[0] = parts, _Gather.join(parts)
+                vals = last[0][1].values(x, prob.blocks[sb].mesh.gauss_order, pols)
+                for i, si in enumerate(slots):
+                    slot_vals[si] = vals[i * nsrc:(i + 1) * nsrc]
 
             F = np.asarray(eq.rhs(tau, slot_vals, params))
-            # own derivative values at the collocation points
-            i_of_pt = np.repeat(np.arange(mesh.intervals), k)
-            s_of_pt = np.tile(mesh.gauss_nodes, mesh.intervals)
-            base_rows = lay.colloc_offsets[b] + np.arange(npts) * n
-            for c in range(n):
-                r[base_rows + c] = (sols[b]._horner(c, i_of_pt, s_of_pt, 1)
-                                    / mesh.h - F[c])
-
+            # own derivative at the collocation points; continuity of the ends
+            X = lay.block_coeffs(x, b)
+            n = X.shape[1]
+            deriv = np.zeros((m, k, n))
+            for j in range(k, 0, -1):
+                deriv = deriv * mesh.gauss_nodes[:, None] + j * X[:, None, :, j]
+            r[lay.colloc_offsets[b]:][:m * k * n] = (deriv.reshape(-1, n) / mesh.h - F.T).ravel()
+            r[lay.cont_offsets[b]:][:(m - 1) * n] = (X[:-1].sum(axis=2) - X[1:, :, 0]).ravel()
             if want_jac:
-                # d(u'_c)/d coeffs
-                for c in range(n):
-                    for j in range(1, k + 1):
-                        add(base_rows + c,
-                            lay.coeff_index(b, i_of_pt, c, j),
-                            j * s_of_pt ** (j - 1) / mesh.h, unit + c, unit + c)
-                # -d rhs / d slot values, chained through evaluation operators
-                for si, slot in enumerate(eq.slots):
-                    src_n = prob.blocks[slot.block].ncomp
-                    for c in range(src_n):
-                        u = slot_vals[si][c]
-                        h = FD_STEP * np.maximum(1.0, np.abs(u))
-                        pert = [v.copy() if t == si else v for t, v in enumerate(slot_vals)]
-                        pert[si][c] = u + h
-                        F2 = np.asarray(eq.rhs(tau, pert, params))
-                        sens = (F2 - F) / h  # (n, npts)
-                        if not np.any(sens):
-                            continue
-                        idx, s, sign, _ = slot_plans[si][c]
-                        for ct in range(n):
-                            row_ct = base_rows + ct
-                            sc = sens[ct]
-                            if not np.any(sc):
-                                continue
-                            src_unit = lay.comp_units[slot.block] + c
-                            for j in range(k + 1):
-                                add(row_ct,
-                                    lay.coeff_index(slot.block, idx, c, j),
-                                    -sc * sign * s ** j, unit + ct, src_unit)
-
-            # continuity: end of interval i == start of interval i+1
-            m = mesh.intervals
-            crow0 = lay.cont_offsets[b]
-            for c in range(n):
-                cf = sols[b].coeffs[c]
-                left = cf[:-1].sum(axis=1)        # value at s=1
-                right = cf[1:, 0]                 # value at s=0
-                crows = crow0 + np.arange(m - 1) * n + c
-                r[crows] = left - right
-                if want_jac:
-                    for j in range(k + 1):
-                        add(crows, lay.coeff_index(b, np.arange(m - 1), c, j),
-                            np.ones(m - 1), unit + c, unit + c)
-                    add(crows, lay.coeff_index(b, np.arange(1, m), c, 0),
-                        -np.ones(m - 1), unit + c, unit + c)
+                entries += own + self._chain(eq, groups, base_rows, slot_vals, F, params,
+                                             reads) + cont
 
         # boundary conditions
+        vals, structs = self._probe_values(x, policies)
+        start = 0
         for q, bc in enumerate(prob.boundary_conditions):
-            row = lay.bc_offset + q
-            vals, structs = self._probe_values(sols, bc)
-            g = float(bc.func(vals, params))
+            row, end = lay.bc_offset + q, start + len(bc.probes)
+            v = vals[start:end]
+            g = float(bc.func(v, params))
             r[row] = g
             if want_jac:
-                for pi, (probe, vstruct) in enumerate(zip(bc.probes, structs)):
-                    hv = FD_STEP * max(1.0, abs(vals[pi]))
-                    v2 = vals.copy()
+                for pi, (probe, (pcols, pdata)) in enumerate(zip(bc.probes, structs[start:end])):
+                    hv = FD_STEP * max(1.0, abs(v[pi]))
+                    v2 = v.copy()
                     v2[pi] += hv
                     dg = (float(bc.func(v2, params)) - g) / hv
                     if dg == 0.0:
                         continue
-                    pcols, pdata = vstruct
-                    add(np.full(pcols.size, row), pcols, dg * pdata,
-                        lay.bc_unit + q, lay.comp_units[probe.block] + probe.comp)
+                    entries.append((np.full(pcols.size, row), pcols, dg * pdata))
+                    reads[lay.bc_unit + q, lay.comp_units[probe.block] + probe.comp] = True
+            start = end
 
         if not want_jac:
             return r, None, None
@@ -477,38 +436,113 @@ class _Assembler:
             rp = self._assemble(xp, want_jac=False)[0]
             col = (rp - r) / hp
             nz = np.nonzero(col)[0]
-            add(nz, np.full(nz.size, lay.param_offset + pj), col[nz],
-                lay.row_unit[nz], lay.param_unit + pj)
+            entries.append((nz, np.full(nz.size, lay.param_offset + pj), col[nz]))
+            reads[lay.row_unit[nz], lay.param_unit + pj] = True
 
-        J = sp.coo_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(lay.size, lay.size)).tocsc()
+        rows, cols, data = (np.concatenate([np.ravel(e[i]) for e in entries]) for i in range(3))
+        J = sp.coo_matrix((data, (rows, cols)), shape=(lay.size, lay.size)).tocsc()
         return r, J, reads
 
-    def _probe_values(self, sols, bc: BoundaryCondition):
-        vals = np.empty(len(bc.probes))
-        structs = []
-        lay = self.layout
-        for pi, probe in enumerate(bc.probes):
-            sol = sols[probe.block]
-            mesh = sol.mesh
-            k = mesh.gauss_order
-            if probe.kind == "integral":
-                vals[pi] = sol.integral(probe.comp)
-                i = np.repeat(np.arange(mesh.intervals), k + 1)
-                j = np.tile(np.arange(k + 1), mesh.intervals)
-                cols = lay.coeff_index(probe.block, i, probe.comp, j)
-                data = np.tile(mesh.h / (np.arange(k + 1) + 1.0), mesh.intervals)
-            else:
-                pts = np.array([probe.tau])
-                plans = self._plans.plans(("probe", probe.block, probe.tau), pts)
-                plan = self._plans.plan(plans, sol, pts, probe.comp)
-                idx, s, sign, _ = plan
-                vals[pi] = float(sol.plan_values(plan, probe.comp)[0])
-                cols = lay.coeff_index(probe.block, np.repeat(idx, k + 1),
-                                       probe.comp, np.arange(k + 1))
-                data = sign[0] * s[0] ** np.arange(k + 1)
-            structs.append((cols, data))
+    def _plans(self, key, pts: np.ndarray) -> dict:
+        """The plans and gather tables of ``pts`` under a slot or probe key.
+        A key keeps its two most recent point sets, so the shifted points of
+        a finite-difference parameter column (or of a rejected trial step)
+        do not evict those of the current iterate."""
+        entries = self._entries.setdefault(key, [])
+        for i, (known, plans) in enumerate(entries):
+            if np.array_equal(known, pts):
+                if i:
+                    entries.insert(0, entries.pop(i))
+                return plans
+        entries.insert(0, (pts, {}))
+        del entries[2:]
+        return entries[0][1]
+
+    def _gather(self, b: int, policies, rows) -> _Gather:
+        """The gather table of block b at ``rows`` of ``(plans, pts, comp)``.
+        Policies with the same rules share one :meth:`PiecewiseSolution.plan`,
+        their +-1 signs following from its reflection counts; an affine
+        policy gets its own, without the parameter-dependent offset."""
+        sol = PiecewiseSolution.zeros(self.problem.blocks[b].mesh, policies)
+        for plans, pts, c in rows:
+            ext = policies[c]
+            if ext not in plans:
+                rules = ("fold", ext if ext.left == "affine" else (ext.left, ext.right))
+                if rules not in plans:
+                    plans[rules] = ext, sol.plan(pts, c)
+                maker, (idx, s, sign, terms, flips) = plans[rules]
+                if ext != maker:
+                    sign = np.where(sign == 0.0, 0.0,
+                                    ext.left_sign ** flips[0] * ext.right_sign ** flips[1])
+                plans[ext] = idx, s, sign, terms
+        comps = np.array([c for *_, c in rows])
+        idx, s, sign, terms = zip(*(plans[policies[c]] for plans, _, c in rows))
+        return _Gather(comps, self.layout.coeff_index(b, np.array(idx), comps[:, None], 0),
+                       np.array(s), np.array(sign),
+                       [(i, c, t) for i, (c, t) in enumerate(zip(comps, terms)) if t])
+
+    def _chain(self, eq, groups, base_rows, slot_vals, F, params, reads):
+        """Entries ``-dF/d(slot value) * d(slot value)/d(coefficient)``.  The
+        points are repeated once per component of a slot, so ``eq.rhs`` runs
+        once per slot; entries come ordered by slot (grouped by the block
+        read), component, rhs component, power and point."""
+        tau = self.problem.blocks[eq.block].mesh.collocation_points
+        npts = tau.size
+        out, units = [], self.layout.comp_units
+        for sb, slots, last in groups:
+            tab = last[0][1]
+            powers = np.arange(self.problem.blocks[sb].mesh.gauss_order + 1)
+            for i, si in enumerate(slots):
+                u = slot_vals[si]
+                n = len(u)
+                h = FD_STEP * np.maximum(1.0, np.abs(u))
+                pert = [np.tile(v, n) for v in slot_vals]
+                for c in range(n):
+                    pert[si][c, c * npts:(c + 1) * npts] = u[c] + h[c]
+                F2 = np.asarray(eq.rhs(np.tile(tau, n), pert, params))
+                sens = (F2.reshape(len(F), n, npts).transpose(1, 0, 2) - F) / h[:, None, :]
+                c, ct = np.nonzero(sens.any(axis=2))
+                rr = i * n + c
+                s = tab.s[rr]
+                pows = np.stack([s ** j for j in powers], axis=1)
+                data = ((-sens[c, ct]) * tab.sign[rr])[:, None, :] * pows
+                out.append((np.broadcast_to((base_rows + ct[:, None])[:, None, :], data.shape),
+                            tab.base[rr][:, None, :] + powers[:, None], data))
+                reads[units[eq.block] + ct, units[sb] + tab.comps[rr]] = True
+        return out
+
+    def _probe_values(self, x: np.ndarray, policies):
+        """Every probe's value and the constant ``(cols, data)`` of its
+        Jacobian entries, in boundary-condition order.  The value probes on
+        one block form one gather table, built once per tuple of policies."""
+        blocks, lay = self.problem.blocks, self.layout
+        probes = [p for bc in self.problem.boundary_conditions for p in bc.probes]
+        if (key := tuple(policies)) not in self._probes:
+            groups, structs = {}, []
+            for f, p in enumerate(probes):
+                mesh = blocks[p.block].mesh
+                js, m = np.arange(mesh.gauss_order + 1), mesh.intervals
+                if p.kind == "integral":
+                    cols = lay.coeff_index(p.block, np.repeat(np.arange(m), len(js)), p.comp,
+                                           np.tile(js, m))
+                    structs.append((cols, np.tile(mesh.h / (js + 1.0), m)))
+                    continue
+                pts = np.array([p.tau])
+                tab = self._gather(p.block, policies[p.block],
+                                   [(self._plans(("probe", p.block, p.tau), pts), pts, p.comp)])
+                groups.setdefault(p.block, []).append((f, tab))
+                structs.append((tab.base[0, 0] + js, tab.sign[0, 0] * tab.s[0, 0] ** js))
+            self._probes[key] = structs, [(b, [f for f, _ in g], _Gather.join([t for _, t in g]))
+                                          for b, g in groups.items()]
+        structs, groups = self._probes[key]
+        vals = np.empty(len(probes))
+        for b, where, tab in groups:
+            vals[where] = tab.values(x, blocks[b].mesh.gauss_order, policies[b])[:, 0]
+        for f, p in enumerate(probes):
+            if p.kind == "integral":
+                mesh = blocks[p.block].mesh
+                coeffs = np.ascontiguousarray(lay.block_coeffs(x, p.block)[:, p.comp])
+                vals[f] = mesh.h * np.sum(coeffs @ (1.0 / (np.arange(mesh.gauss_order + 1) + 1.0)))
         return vals, structs
 
 
@@ -789,4 +823,6 @@ def refined_collocation_norm(problem: MfdeProblem, solutions, params) -> float:
     fine_sols = [sol.resample(blk.mesh) for sol, blk in zip(solutions, fine_blocks)]
     asm = _Assembler(fine)
     r = asm.residual(asm.layout.pack(fine_sols, params))
-    return float(np.max(np.abs(r[asm.layout.collocation_rows()[:r.size]])))
+    colloc = [r[o:o + b.ncomp * b.mesh.intervals * b.mesh.gauss_order]
+              for o, b in zip(asm.layout.colloc_offsets, fine_blocks)]
+    return float(np.max(np.abs(np.concatenate(colloc))))

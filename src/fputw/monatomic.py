@@ -158,6 +158,8 @@ def _check_profile_sign(wave: MonatomicWave):
 
 
 def _kappa_ladder(target: float) -> list[float]:
+    if not np.isfinite(target):
+        raise ValueError(f"kappa must be finite, got {target}")
     if target <= _LADDER_START + 1e-12:
         return [target]
     return [*np.arange(_LADDER_START, target, _LADDER_STEP), target]

@@ -137,6 +137,19 @@ def _vandermonde_inv(k: int) -> np.ndarray:
     return np.linalg.inv(V)
 
 
+def fold_offset(ext: Extension, terms, shape) -> np.ndarray:
+    """Affine offset of folded points: ``sum sign * left_offset(x)`` over
+    the ``terms`` of :meth:`PiecewiseSolution.fold`, with policy ``ext``."""
+    off = np.zeros(shape)
+    for where, x, sign in terms:
+        if ext.left_offset is None:
+            raise ExtensionCoverageError(
+                f"affine policy {ext.label!r} needs its offset rebound "
+                "before exterior evaluation")
+        off[where] += sign * ext.left_offset(x)
+    return off
+
+
 @dataclass
 class PiecewiseSolution:
     """Collocation representation of n components on a shared mesh.
@@ -185,20 +198,22 @@ class PiecewiseSolution:
     def fold(self, tau: np.ndarray, comp: int):
         """Fold exterior points into [0, L] through the component's policy.
 
-        Returns ``(q, sign, terms)`` with q inside the mesh and
+        Returns ``(q, sign, terms, flips)`` with q inside the mesh and
         u(tau) = sign * u(q) + offset; ``sign`` is 0 where a zero rule
         applied.  ``terms`` lists ``(where, x, sign)`` for every left fold
-        through an affine rule, from which :meth:`fold_offset` builds the
-        offset.  The result depends only on the points and the equality
-        fields of the component's policy, never on its ``left_offset``.
+        through an affine rule, from which :func:`fold_offset` builds the
+        offset; ``flips`` counts each point's left and right reflections.
+        The result depends only on the points and the equality fields of
+        the component's policy, never on its ``left_offset``.
         """
         ext = self.policies[comp]
         L = self.mesh.length
         x = np.array(tau, dtype=float, copy=True)
         sign = np.ones_like(x)
         terms = []
+        flips = np.zeros((2,) + x.shape, dtype=int)
         if x.size == 0:
-            return x, sign, terms
+            return x, sign, terms, flips
         max_folds = int(np.max(np.abs(x)) / L) + 4
         for _ in range(max_folds):
             left = (x < 0.0) & (sign != 0.0)
@@ -212,6 +227,7 @@ class PiecewiseSolution:
                 if ext.left == "affine":
                     terms.append((left, x[left], sign[left]))
                 sign[left] *= ext.left_sign
+                flips[0][left] += 1
                 x[left] = -x[left]
                 right = (x > L) & (sign != 0.0)
             if right.any():
@@ -223,24 +239,12 @@ class PiecewiseSolution:
                     x[right] = 0.0
                 else:
                     sign[right] *= ext.right_sign
+                    flips[1][right] += 1
                     x[right] = 2.0 * L - x[right]
         else:
             if (((x < 0.0) | (x > L)) & (sign != 0.0)).any():
                 raise ExtensionCoverageError("extension folding did not terminate")
-        return x, sign, terms
-
-    def fold_offset(self, comp: int, terms, shape) -> np.ndarray:
-        """Affine offset of folded points: ``sum sign * left_offset(x)``
-        over the ``terms`` of :meth:`fold`, with this solution's policy."""
-        off = np.zeros(shape)
-        ext = self.policies[comp]
-        for where, x, sign in terms:
-            if ext.left_offset is None:
-                raise ExtensionCoverageError(
-                    f"affine policy {ext.label!r} needs its offset rebound "
-                    "before exterior evaluation")
-            off[where] += sign * ext.left_offset(x)
-        return off
+        return x, sign, terms, flips
 
     # -- evaluation ---------------------------------------------------------
     def _locate(self, q: np.ndarray):
@@ -265,18 +269,20 @@ class PiecewiseSolution:
         return self._horner(comp, *self._locate(q), deriv) / self.mesh.h ** deriv
 
     def plan(self, tau: np.ndarray, comp: int):
-        """``(idx, s, sign, terms)``: the interval, local coordinate, sign and
-        affine terms of :meth:`fold` at the points.  Like the fold, it serves
-        every solution on this mesh with an equal policy."""
-        q, sign, terms = self.fold(tau, comp)
+        """``(idx, s, sign, terms, flips)``: the interval and local coordinate
+        of the folded points, and the sign, affine terms and reflection
+        counts of :meth:`fold`.  Like the fold, it serves every solution on
+        this mesh with an equal policy."""
+        q, sign, terms, flips = self.fold(tau, comp)
         idx, s = self._locate(q)
-        return idx, s, sign, terms
+        return idx, s, sign, terms, flips
 
     def plan_values(self, plan, comp: int) -> np.ndarray:
         """Values of one component at the points of a :meth:`plan`, with the
         affine offset evaluated from this solution's policy."""
-        idx, s, sign, terms = plan
-        return sign * self._horner(comp, idx, s) + self.fold_offset(comp, terms, s.shape)
+        idx, s, sign, terms, _ = plan
+        return (sign * self._horner(comp, idx, s)
+                + fold_offset(self.policies[comp], terms, s.shape))
 
     def eval(self, tau, comp: int, deriv: int = 0):
         """Evaluate one component, resolving exterior points via its policy.

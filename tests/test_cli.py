@@ -530,3 +530,44 @@ def test_stability_script_rejects_horizon_before_baseline(tmp_path, monkeypatch,
     assert exc.value.code == 2
     assert "baseline time 100" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["jost", "--kappa", "inf"], "--kappa"),
+    (["jost", "--kappa", "nan"], "--kappa"),
+    (["jost", "--kappa", "-1"], "--kappa"),
+    (["kc", "--kappa", "0"], "--kappa"),
+    (["mono-scan", "--from", "2.0", "--to", "inf"], "--to"),
+    (["mono-scan", "--from", "nan", "--to", "2.5"], "--from"),
+    (["cross-section", "--sigma", "nan", "--to", "1.2", "--step", "0.05"], "--sigma"),
+    (["cross-section", "--sigma", "1.1", "--from", "inf", "--to", "1.2",
+      "--step", "0.05"], "--from"),
+    (["cross-section", "--sigma", "1.1", "--to=-inf", "--step", "0.05"], "--to"),
+    (["branch", "--kappa", "1.0", "--to", "nan", "--step", "0.1"], "--to"),
+    (["solitary", "--kappa", "2.5", "--mu-to", "nan"], "--mu-to"),
+    (["solitary", "--kappa", "2.5", "--scan-to", "inf"], "--scan-to"),
+    (["periodic", "--sigma", "inf", "--mu", "0.1"], "--sigma"),
+    (["periodic", "--sigma", "1.5", "--mu", "nan"], "--mu"),
+    (["periodic", "--sigma", "1.5", "--m", "inf"], "--m"),
+    (["periodic", "--sigma", "1.5", "--mu", "0.1", "--beta-P", "nan"], "--beta-P"),
+    (["wave", "--kappa", "1.0", "--fix", "mu=nan"], "--fix")])
+def test_non_finite_options_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                             argv, flag):
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"solved before checking {flag}")
+
+    monkeypatch.setattr(mono, "solve_profile", no_solve)
+    monkeypatch.setattr(mono, "solve_joint", no_solve)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "finite" in err
+    assert not out.exists()
+
+
+def test_kappa_ladder_names_a_non_finite_kappa():
+    for kappa in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            mono._kappa_ladder(kappa)

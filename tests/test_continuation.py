@@ -608,3 +608,89 @@ def test_stability_family_solves_each_mass_from_nearest_wave(monkeypatch):
     assert len(waves) == len(cont.STABILITY_MASSES) + 1
     assert [w.mu for w in waves[:-1]] == [c[2] for c in calls]
     assert waves[-1] is solitary
+
+
+# ---------------------------------------------------------------------------
+# closing the alpha_P bracket (Illinois) on stubbed solves
+# ---------------------------------------------------------------------------
+
+def _alpha_branch(monkeypatch, alpha, lo=0.0, hi=1.0):
+    """A two-point mu branch with an alpha_P sign change between ``lo`` and
+    ``hi``, and a stub solve_wave with alpha_P = alpha(mu) that records the
+    mu of every solve."""
+    import types
+    import fputw.continuation as cont
+
+    def wave(mu):
+        return types.SimpleNamespace(kappa=2.5, mu=mu, alpha_p=alpha(mu),
+                                     fixed_param="mu")
+
+    calls = []
+
+    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
+        assert (kappa, fix) == (2.5, "mu")
+        calls.append(value)
+        return wave(value)
+
+    monkeypatch.setattr(cont, "solve_wave", fake_solve)
+    points = [BranchPoint(2.5, 1.5, mu, 1e-3, 10.0, alpha(mu), "positive", "mu",
+                          2, 1e-12) for mu in (lo, hi)]
+    points[1].sign_change = True
+    return Branch(points, [wave(lo), wave(hi)]), calls
+
+
+def _bracket(branch, calls, wave, alpha):
+    """Width of the tightest solved bracket of a sign change ending at
+    ``wave``: its distance to the nearest solved mu of opposite alpha_P."""
+    solved = [w.mu for w in branch.waves] + calls
+    return min(abs(mu - wave.mu) for mu in solved if alpha(mu) * wave.alpha_p < 0.0)
+
+
+def test_alpha_zero_closes_faster_than_bisection(monkeypatch):
+    import fputw.continuation as cont
+    alpha = lambda mu: np.tanh(20.0 * (mu - 0.3)) * (1.0 + mu)
+    branch, calls = _alpha_branch(monkeypatch, alpha)
+    tol = 1e-8
+    wave = cont.bisect_alpha_zero(branch, 1, tol=tol)
+    assert abs(wave.mu - 0.3) <= tol
+    assert _bracket(branch, calls, wave, alpha) <= tol
+    # bisection halves the unit bracket 27 times to reach 1e-8
+    assert len(calls) < np.ceil(np.log2(1.0 / tol)) / 2
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 0.0), (0.399, 0.4003)])
+def test_alpha_zero_closes_onto_a_jump(monkeypatch, lo, hi):
+    """alpha_P jumps from -1e-3 to 2e-3 at mu = 0.4 without a zero: the
+    returned wave sits within tol of the jump with |alpha_P| not small,
+    which criterion 09 reads as a hop."""
+    import fputw.continuation as cont
+    alpha = lambda mu: -1e-3 if mu < 0.4 else 2e-3
+    branch, calls = _alpha_branch(monkeypatch, alpha, lo, hi)
+    wave = cont.bisect_alpha_zero(branch, 1, tol=1e-9)
+    assert abs(wave.mu - 0.4) <= 1e-9 and abs(wave.alpha_p) >= 1e-3
+    assert _bracket(branch, calls, wave, alpha) <= 1e-9
+    assert len(calls) <= cont.BISECT_MAX_SOLVES
+
+
+def test_alpha_zero_stops_at_the_solve_cap_or_an_exact_zero(monkeypatch):
+    import fputw.continuation as cont
+    branch, calls = _alpha_branch(monkeypatch, lambda mu: -1e-3 if mu < 0.4 else 2e-3)
+    monkeypatch.setattr(cont, "BISECT_MAX_SOLVES", 5)
+    wave = cont.bisect_alpha_zero(branch, 1, tol=0.0)
+    assert len(calls) == 5 and wave.mu == calls[-1]
+    # an exact alpha_P = 0 ends the search; a bracket below tol makes no solve
+    branch, calls = _alpha_branch(monkeypatch, lambda mu: mu - 0.5)
+    assert cont.bisect_alpha_zero(branch, 1, tol=0.0).alpha_p == 0.0
+    assert calls == [0.5]
+    assert cont.bisect_alpha_zero(branch, 1, tol=1.0) is branch.waves[1]
+
+
+def test_alpha_zero_rejects_unmarked_index_and_dropped_waves(monkeypatch):
+    import fputw.continuation as cont
+    branch, calls = _alpha_branch(monkeypatch, lambda mu: mu - 0.5)
+    with pytest.raises(ValueError, match="does not mark"):
+        cont.bisect_alpha_zero(branch, 0)
+    branch.waves = []
+    with pytest.raises(ValueError, match="retain waves"):
+        cont.bisect_alpha_zero(branch, 1)
+    assert calls == []

@@ -547,3 +547,71 @@ def test_carried_block_factor_drives_chord_steps():
     assert factors.lu is carried
     assert np.max(np.abs(again[0].coeffs - sols[0].coeffs)) < 1e-9
     assert np.max(np.abs(params2 - params)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# gather tables of the assembler against PiecewiseSolution.eval
+# ---------------------------------------------------------------------------
+
+def _small_wave_problem(rng):
+    """A diatomic wave problem on small meshes with a random candidate: the
+    zero-extended solitary policies read at tau +- kappa, the periodic
+    ripple policies at omega_P-scaled points several periods out."""
+    from fputw import diatomic as di
+    mesh = Mesh(4.0, 8, 2)
+    pm = di.ParamMap("mu", 0.1)
+    prob = di.wave_problem(1.0, pm, mesh, mesh)
+    sols = [PiecewiseSolution(mesh, 0.1 * rng.standard_normal((4, 8, 3)), pol)
+            for pol in (di.SOLITARY_POLICIES, di.RIPPLE_POLICIES)]
+    return prob, sols, pm.pack(1.2, 0.1, 0.01, 2.7)
+
+
+def _small_joint_problem(rng):
+    """The joint wave + Jost problem, whose Jost components fold through
+    affine policies, on a small mesh with a random candidate."""
+    from fputw import monatomic as mono
+    mesh = Mesh(4.0, 8, 2)
+    prob = mono.joint_problem(1.0, mesh)
+    sol = PiecewiseSolution(mesh, 0.1 * rng.standard_normal((4, 8, 3)),
+                            prob.blocks[0].policy_factory([1.05, 0.8, 0.3]))
+    return prob, [sol], np.array([1.05, 0.8, 0.3])
+
+
+@pytest.mark.parametrize("make, moved", [(_small_wave_problem, -1),
+                                         (_small_joint_problem, -2)])
+def test_gathered_slot_values_equal_eval_bitwise(rng, make, moved):
+    from dataclasses import replace
+    prob, sols, params = make(rng)
+    seen = []
+
+    def recording(rhs):
+        def wrapped(tau, slots, p):
+            seen.append([np.array(v) for v in slots])
+            return rhs(tau, slots, p)
+        return wrapped
+
+    prob = replace(prob, equations=tuple(replace(eq, rhs=recording(eq.rhs))
+                                         for eq in prob.equations))
+    asm = mfde._Assembler(prob)
+    x = asm.layout.pack(sols, params)
+    x2 = x.copy()
+    x2[moved] += 0.05          # omega_P moves the ripple slots, psi the offsets
+    for y in (x, x2, x):
+        seen.clear()
+        asm.residual(y)
+        sol_y, p = asm.layout.unpack(y)
+        for eq, slots in zip(prob.equations, seen):
+            tau = prob.blocks[eq.block].mesh.collocation_points
+            for spec, vals in zip(eq.slots, slots):
+                pts = tau if spec.locate is None else spec.locate(tau, p)
+                src = sol_y[spec.block]
+                ref = np.array([src.eval(pts, c) for c in range(src.ncomp)])
+                assert np.array_equal(vals.view(np.int64), ref.view(np.int64))
+
+
+def test_diatomic_structural_jacobian_matches_fd_oracle(rng):
+    prob, sols, params = _small_wave_problem(rng)
+    J_fd = fd_jacobian(prob, sols, params)
+    J_st = structural_jacobian(prob, sols, params)
+    scale = max(1.0, np.max(np.abs(J_fd)))
+    assert np.max(np.abs(J_fd - J_st)) / scale < 1e-6
