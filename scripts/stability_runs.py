@@ -41,7 +41,7 @@ def main(argv=None):
 
     summary = []
     for wave in waves:
-        state = lat.sample_initial_condition(wave, resolution=512)
+        state = lat.sample_initial_condition(wave)
         series = lat.run_simulation(state, sim)
         tag = f"m{wave.m:.8f}"
         write_csv(out / f"diatomic_{tag}.csv", lat.DiagnosticSeries.COLUMNS,
@@ -51,7 +51,7 @@ def main(argv=None):
         print(f"m={wave.m:.8f} alpha_P={wave.alpha_p:+.3e} "
               f"Gamma({args.T:g})={series.gamma_at(args.T):+.3e}")
 
-    state = lat.sample_initial_condition(mw, resolution=512)
+    state = lat.sample_initial_condition(mw)
     series = lat.run_simulation(state, sim)
     write_csv(out / "monatomic_baseline.csv", lat.DiagnosticSeries.COLUMNS,
               series.rows())

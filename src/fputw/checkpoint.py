@@ -194,21 +194,20 @@ _LEFT_TOKENS = {"even": ("reflect", 1.0), "odd": ("reflect", -1.0),
                 "none": ("none", 1.0)}
 _RIGHT_TOKENS = {"zero": ("zero", 1.0), "none": ("none", 1.0),
                  "reflect+": ("reflect", 1.0), "reflect-": ("reflect", -1.0)}
+_LEFT_NAMES = {rule: token for token, rule in _LEFT_TOKENS.items()}
+_RIGHT_NAMES = {rule: token for token, rule in _RIGHT_TOKENS.items()}
 
 
 def _policy_tokens(ext: Extension) -> tuple[str, str]:
     """The (left, right) tokens of a policy; :func:`_policy_from_tokens`
-    reads them back."""
-    if ext.left == "none":
-        lt = "none"
-    elif ext.left == "affine":
+    reads them back.  A policy no token describes raises ValueError."""
+    if ext.left == "affine":
         lt = f"affine{ext.left_sign:+g}:{ext.label or 'anon'}"
     else:
-        lt = "even" if ext.left_sign > 0 else "odd"
-    if ext.right in ("none", "zero"):
-        rt = ext.right
-    else:
-        rt = "reflect+" if ext.right_sign > 0 else "reflect-"
+        lt = _LEFT_NAMES.get((ext.left, ext.left_sign))
+    rt = _RIGHT_NAMES.get((ext.right, ext.right_sign))
+    if lt is None or rt is None:
+        raise ValueError(f"no checkpoint token for the policy {ext}")
     return lt, rt
 
 

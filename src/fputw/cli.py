@@ -5,8 +5,9 @@ a manifest listing outputs with their SHA-256 hashes; only the manifest
 timestamp varies between identical runs.  Each file is written to a
 temporary name and renamed into place, so an interrupted run never leaves a
 truncated output.  Exit codes: 0 success, 1 numerical failure
-(machine-readable reason on stderr), 2 usage errors (a missing input file
-among them).
+(machine-readable reason on stderr), 2 usage errors (an input file that
+is missing, a directory or unreadable among them, reported before the
+output directory is made).
 
 Any option may also come from a flat key-value config file (``--config``)
 with a [global] section and one section per subcommand; a key is the option
@@ -202,16 +203,13 @@ def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
         if abs(wave.kappa - kappa) > 1e-9 * max(1.0, abs(kappa)):
             raise ValueError(f"seed checkpoint is at kappa={wave.kappa!r}, "
                              f"not --kappa {kappa!r}")
-    if isinstance(wave, diatomic.DiatomicWave):
-        meshes = (wave.solitary.mesh, wave.ripple.mesh)
-        if meshes != (cfg.solitary_mesh, cfg.ripple_mesh):
-            raise ValueError(f"seed checkpoint is on the meshes {meshes}, the mesh "
-                             f"options give {(cfg.solitary_mesh, cfg.ripple_mesh)}")
-        return wave
-    return diatomic.seed_from_monatomic(wave, cfg)
-
-
-WAVE_COLUMNS = continuation.BRANCH_COLUMNS
+    if isinstance(wave, monatomic.MonatomicWave):
+        wave = diatomic.seed_from_monatomic(wave, cfg)
+    meshes = (wave.solitary.mesh, wave.ripple.mesh)
+    if meshes != (cfg.solitary_mesh, cfg.ripple_mesh):
+        raise ValueError(f"seed checkpoint is on the meshes {meshes}, the mesh "
+                         f"options give {(cfg.solitary_mesh, cfg.ripple_mesh)}")
+    return wave
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +293,9 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_wave(args) -> int:
-    out = _outdir(args)
     fix_name, fix_value = args.fix
     seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
+    out = _outdir(args)
     gap = abs(fix_value - getattr(seed, fix_name))
     if gap > 0.05:
         # distant target: walk there by continuation instead of one jump
@@ -311,7 +309,7 @@ def cmd_wave(args) -> int:
     else:
         seed = diatomic.refresh_ripple_guess(seed, fix_name, fix_value)
         wave = diatomic.solve_wave(args.kappa, fix_name, fix_value, seed)
-    write_csv(out / "wave.csv", WAVE_COLUMNS,
+    write_csv(out / "wave.csv", continuation.BRANCH_COLUMNS,
               [continuation.point_from_wave(wave).values()])
     diatomic.save_wave(wave, out / "wave.ckpt")
     write_manifest(out, "wave",
@@ -323,8 +321,8 @@ def cmd_wave(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    out = _outdir(args)
     seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
+    out = _outdir(args)
     ckpt_dir = out / "branch_ckpts"
     ckpt_dir.mkdir(exist_ok=True)
     branch = continuation.continue_branch(
@@ -344,8 +342,8 @@ def cmd_branch(args) -> int:
 
 
 def cmd_solitary(args) -> int:
-    out = _outdir(args)
     seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
+    out = _outdir(args)
     branch = continuation.continue_branch(
         seed, "mu", args.mu_to, args.step, stop_when=lambda p: p.sign_change)
     if not branch.sign_changes:
@@ -468,11 +466,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    out = _outdir(args)
     wave = diatomic.load_wave(args.ckpt)
+    out = _outdir(args)
     mirrored = diatomic.symmetry_transform(wave)
     diatomic.save_wave(mirrored, out / "transformed.ckpt")
-    write_csv(out / "transform.csv", WAVE_COLUMNS,
+    write_csv(out / "transform.csv", continuation.BRANCH_COLUMNS,
               [continuation.point_from_wave(w).values()
                for w in (wave, mirrored)])
     write_manifest(out, "transform", {"ckpt": str(args.ckpt)},
@@ -581,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recenter-period", dest="recenter_period", type=float)
     p.add_argument("--sites", type=int)
     p.add_argument("--peak-site", dest="peak_site", type=int)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--m", type=float)
+    p.add_argument("--mu", type=_finite)
+    p.add_argument("--m", type=_finite)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("transform", help="apply the m <-> 1/m symmetry")
@@ -603,7 +601,8 @@ def main(argv=None) -> int:
         print(f"FPUTW-ERROR kind={type(exc).__name__} message={exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
 
 

@@ -339,6 +339,23 @@ def wave_problem(kappa: float, pm: ParamMap, solitary_mesh: Mesh,
     return MfdeProblem((blk_v, blk_p), (eq_v, eq_p), 3, bcs)
 
 
+def _newton_system(wave: DiatomicWave, fix: str, value: float):
+    """``(pm, problem_at, sols, params)``: the parameter map holding ``fix``
+    at ``value``, the wave problem at a given kappa on the meshes of
+    ``wave``, and ``wave`` as Newton solutions and parameters."""
+    pm = ParamMap(fix, value)
+    meshes = wave.solitary.mesh, wave.ripple.mesh
+    return (pm, lambda kappa: wave_problem(kappa, pm, *meshes), [wave.solitary, wave.ripple],
+            pm.pack(wave.sigma, wave.mu, wave.beta_p, wave.omega_p))
+
+
+def _wave_of(pm: ParamMap, kappa: float, sols, params, residual_norm, iterations):
+    """The wave of Newton solutions and parameters under ``pm``."""
+    sigma, mu, beta_p, omega_p = pm.unpack(params)
+    return DiatomicWave(kappa, sigma, mu, beta_p, omega_p, sols[0], sols[1],
+                        residual_norm, iterations, fixed_param=pm.fixed)
+
+
 def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
                jump_tol: float | None = None,
                reuse: FactorCache | None = None) -> DiatomicWave:
@@ -350,25 +367,23 @@ def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
     it a BranchJumpWarning is issued (the solve still returns).  ``reuse``
     carries a sparse LU between solves (see :func:`fputw.mfde.solve_newton`).
     """
-    pm = ParamMap(fix, value)
-    prob = wave_problem(kappa, pm, guess.solitary.mesh, guess.ripple.mesh)
-    params0 = pm.pack(guess.sigma, guess.mu, guess.beta_p, guess.omega_p)
-    sols, params, rep = solve_newton(prob, [guess.solitary, guess.ripple],
-                                     params0, reuse)
-    sigma, mu, beta_p, omega_p = pm.unpack(params)
-    if fix == "beta_p" and value != 0.0 and _signed_orientation(sigma, mu, sols[1]) < 0.0:
+    pm, problem_at, guesses, params0 = _newton_system(guess, fix, value)
+    prob = problem_at(kappa)
+    sols, params, rep = solve_newton(prob, guesses, params0, reuse)
+    wave = _wave_of(pm, kappa, sols, params, rep.residual_norm, rep.iterations)
+    if fix == "beta_p" and value != 0.0 and \
+            _signed_orientation(wave.sigma, wave.mu, wave.ripple) < 0.0:
         # beta_P pinned: move to the convention branch by re-solving from
         # the mirrored ripple profile
         sols, params, rep = solve_newton(prob, [sols[0], _flip(sols[1])],
                                          params, reuse)
-        sigma, mu, beta_p, omega_p = pm.unpack(params)
-        if _signed_orientation(sigma, mu, sols[1]) < 0.0:
+        wave = _wave_of(pm, kappa, sols, params, rep.residual_norm, rep.iterations)
+        if _signed_orientation(wave.sigma, wave.mu, wave.ripple) < 0.0:
             warnings.warn("ripple orientation inequality still violated",
                           OrientationFlipWarning)
     else:
-        beta_p, sols[1] = _canonical(sigma, mu, beta_p, sols[1])
-    wave = DiatomicWave(kappa, sigma, mu, beta_p, omega_p, sols[0], sols[1],
-                        rep.residual_norm, rep.iterations, fixed_param=fix)
+        wave.beta_p, wave.ripple = _canonical(wave.sigma, wave.mu, wave.beta_p,
+                                              wave.ripple)
     if jump_tol is not None:
         dist = max(abs(wave.sigma - guess.sigma), abs(wave.mu - guess.mu),
                    abs(wave.beta_p - guess.beta_p))
@@ -383,10 +398,8 @@ def wave_residual_norm(wave: DiatomicWave) -> float:
     """Re-assemble the residual of a wave on its own meshes under its own
     parameters."""
     fix = wave.fixed_param or "mu"
-    pm = ParamMap(fix, getattr(wave, fix))
-    prob = wave_problem(wave.kappa, pm, wave.solitary.mesh, wave.ripple.mesh)
-    params = pm.pack(wave.sigma, wave.mu, wave.beta_p, wave.omega_p)
-    r = assemble_residual(prob, [wave.solitary, wave.ripple], params)
+    _, problem_at, sols, params = _newton_system(wave, fix, getattr(wave, fix))
+    r = assemble_residual(problem_at(wave.kappa), sols, params)
     return float(np.max(np.abs(r)))
 
 
@@ -420,31 +433,22 @@ def kappa_tangent_guess(wave: DiatomicWave, kappa: float, fix: str, value: float
     difference at wave.kappa + FD_STEP max(1, |wave.kappa|) (see
     :func:`fputw.mfde.euler_predictor`).  The Jacobian's LU at the wave goes
     to ``reuse``."""
-    pm = ParamMap(fix, value)
+    pm, problem_at, sols, params = _newton_system(wave, fix, value)
     k0 = wave.kappa
     dk = FD_STEP * max(1.0, abs(k0))
-    meshes = wave.solitary.mesh, wave.ripple.mesh
-    sols, params = euler_predictor(
-        wave_problem(k0, pm, *meshes), wave_problem(k0 + dk, pm, *meshes),
-        [wave.solitary, wave.ripple],
-        pm.pack(wave.sigma, wave.mu, wave.beta_p, wave.omega_p),
-        dk, kappa - k0, reuse)
-    sigma, mu, beta_p, omega_p = pm.unpack(params)
-    return DiatomicWave(kappa, sigma, mu, beta_p, omega_p, sols[0], sols[1],
-                        wave.residual_norm, 0, fixed_param=fix)
+    sols, params = euler_predictor(problem_at(k0), problem_at(k0 + dk), sols, params,
+                                   dk, kappa - k0, reuse)
+    return _wave_of(pm, kappa, sols, params, wave.residual_norm, 0)
 
 
 def seed_from_monatomic(mono: MonatomicWave,
                         cfg: DiatomicConfig = DiatomicConfig()) -> DiatomicWave:
     """Exact diatomic wave at mu = 0, beta_P = 0 built from a monatomic
-    profile (V2 = 0; ripple = linearized mode at (sigma, 0))."""
-    mesh_v = cfg.solitary_mesh
-    if mono.profile.mesh != mesh_v:
-        raise ValueError(f"monatomic profile is on {mono.profile.mesh}, "
-                         f"not on the solitary mesh {mesh_v}")
+    profile (V2 = 0 on the profile's mesh; ripple = linearized mode at
+    (sigma, 0) on the ripple mesh of ``cfg``)."""
     z = np.zeros_like(mono.profile.coeffs[0])
     coeffs = np.stack([mono.profile.coeffs[0], mono.profile.coeffs[1], z, z])
-    solitary = PiecewiseSolution(mesh_v, coeffs, SOLITARY_POLICIES)
+    solitary = PiecewiseSolution(mono.profile.mesh, coeffs, SOLITARY_POLICIES)
     ripple, omega_p = ripple_mode_seed(mono.sigma, 0.0, cfg.ripple_mesh)
     return DiatomicWave(mono.kappa, mono.sigma, 0.0, 0.0, omega_p,
                         solitary, ripple, mono.residual_norm, 0, fixed_param="mu")

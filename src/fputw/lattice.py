@@ -32,6 +32,7 @@ from .errors import EnergyDriftWarning, NonFiniteStateError
 from .monatomic import MonatomicWave
 
 DT_CAP = 1e-3
+IC_RESOLUTION = 512  # grid points per unit xi of a sampled wave's momentum quadrature
 
 
 class LatticeState:
@@ -328,7 +329,7 @@ def run_simulation(state: LatticeState, cfg: SimConfig = SimConfig()) -> Diagnos
 # ---------------------------------------------------------------------------
 
 def _momentum_profiles(r_odd, r_even, sigma: float, mass_ratio: float,
-                       xi_max: float, resolution: int = 256):
+                       xi_max: float, resolution: int):
     """Integrate m_par c p' = F(r_par) - F(r_other(.-1)) from the decaying
     left tail by the cumulative trapezoid rule on a fine grid."""
     h = 1.0 / resolution
@@ -341,8 +342,7 @@ def _momentum_profiles(r_odd, r_even, sigma: float, mass_ratio: float,
 
 
 def sample_initial_condition(wave: DiatomicWave | MonatomicWave,
-                             peak_site: int = 200, n: int = 400,
-                             resolution: int = 256) -> LatticeState:
+                             peak_site: int = 200, n: int = 400) -> LatticeState:
     """Sample the solitary part of a wave onto the lattice.
 
     Displacements come from (r_odd, r_even) evaluated at j - peak_site;
@@ -368,10 +368,10 @@ def sample_initial_condition(wave: DiatomicWave | MonatomicWave,
     r = np.where(sites % 2 == 1, r_odd(xi_sites), r_even(xi_sites))
     xi_max = float(np.ceil(support)) + 2.0   # integer, so sites land on grid nodes
     xi, p_odd, p_even = _momentum_profiles(r_odd, r_even, sigma, mass_ratio,
-                                           xi_max, resolution)
+                                           xi_max, IC_RESOLUTION)
     p = np.zeros(n)
     inside = np.abs(xi_sites) <= xi_max
-    pos = np.rint((xi_sites[inside] + xi_max) * resolution).astype(int)
+    pos = np.rint((xi_sites[inside] + xi_max) * IC_RESOLUTION).astype(int)
     odd_mask = (sites[inside] % 2 == 1)
     p[inside] = np.where(odd_mask, p_odd[pos], p_even[pos])
     peak = np.max(np.abs(r))

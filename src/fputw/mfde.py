@@ -44,18 +44,18 @@ factorizes the Jacobian there once, predicts along the tangent and leaves
 that LU in the :class:`FactorCache` for the first solve.
 
 Factorization splits block lower-triangular systems (:func:`factorize`).
-The assembler records, as it adds entries, which *units* each unit's rows
-read: a unit is one (function block, component) with its collocation and
+Which *units* each unit's rows read is read off the assembled entries: a
+unit is one (function block, component) with its collocation and
 continuity rows and its coefficient columns, one boundary condition, or one
 free parameter.  A maximum flow from row units to column units and the
 strongly connected components of the oriented unit graph give the diagonal
-blocks in solve order, found on a graph of a few dozen nodes without a pass
-over the nonzeros.  Each diagonal block gets its own ``splu`` and the solve
-is a block forward substitution (:class:`BlockLU`, after the
-block-triangular form of KLU, Davis and Palamadai Natarajan 2010); an
-irreducible system gets one ``splu`` as a whole.  The joint wave + Jost
-system splits this way, because the profile rows never read the Jost
-unknowns, and so does the diatomic system at beta_P = 0.
+blocks in solve order, found on a graph of a few dozen nodes.  Each diagonal
+block gets its own ``splu`` and the solve is a block forward substitution
+(:class:`BlockLU`, after the block-triangular form of KLU, Davis and
+Palamadai Natarajan 2010); an irreducible system gets one ``splu`` as a
+whole.  The joint wave + Jost system splits this way, because the profile
+rows never read the Jost unknowns, and so does the diatomic system at
+beta_P = 0.
 
 Each assembler (one per :func:`solve_newton` call) compiles evaluation into
 gather tables, like the basis tables of COLSYS/COLNEW (Ascher, Christiansen
@@ -63,10 +63,10 @@ gather tables, like the basis tables of COLSYS/COLNEW (Ascher, Christiansen
 local coordinate and sign after folding.  Constant shifts are folded once
 per solve, parameter-dependent ones when their points change, and policies
 that differ only in +-1 signs share a fold.  The slots of an equation that
-read one block, and the value probes on a block, take one Horner pass over
-gathered coefficients, op for op as :meth:`PiecewiseSolution.eval`, so the
-results are bitwise those of per-point evaluation.  Affine offsets are
-re-evaluated at every use.
+read one block, the value probes on a block and the collocation derivative
+take one Horner pass over gathered coefficients, :func:`fputw.solution.horner`
+as in :meth:`PiecewiseSolution.eval`, so the results are bitwise those of
+per-point evaluation.  Affine offsets are re-evaluated at every use.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (BoundaryCountError, FputwError, NonConvergenceError,
                      ProblemSizeError, SingularJacobianError)
-from .solution import Extension, Mesh, PiecewiseSolution, fold_offset
+from .solution import (Extension, Mesh, PiecewiseSolution, fold_offset, horner,
+                       interval_integral)
 
 # Relative finite-difference step of the slot, boundary and parameter
 # Jacobian entries (and of the dense oracle).
@@ -243,18 +244,18 @@ class Layout:
         self.bc_offset = row
         # units of the block split (see diagonal_blocks): one per (block,
         # component), then one per boundary condition, then one per parameter
-        self.comp_units = np.cumsum([0] + [b.ncomp for b in problem.blocks])
-        self.bc_unit = int(self.comp_units[-1])
-        self.param_unit = self.bc_unit + len(problem.boundary_conditions)
-        self.nunits = self.param_unit + problem.nparams
+        comp_units = np.cumsum([0] + [b.ncomp for b in problem.blocks])
+        bc_unit = int(comp_units[-1])
+        param_unit = bc_unit + len(problem.boundary_conditions)
+        self.nunits = param_unit + problem.nparams
         row_units, col_units = [], []
         for b, blk in enumerate(problem.blocks):
             m, n, k = blk.mesh.intervals, blk.ncomp, blk.mesh.gauss_order
-            comps = self.comp_units[b] + np.arange(n)
+            comps = comp_units[b] + np.arange(n)
             row_units += [np.tile(comps, m * k), np.tile(comps, m - 1)]
             col_units.append(np.repeat(np.tile(comps, m), k + 1))
-        row_units.append(self.bc_unit + np.arange(len(problem.boundary_conditions)))
-        col_units.append(self.param_unit + np.arange(problem.nparams))
+        row_units.append(bc_unit + np.arange(len(problem.boundary_conditions)))
+        col_units.append(param_unit + np.arange(problem.nparams))
         self.row_unit = np.concatenate(row_units)
         self.col_unit = np.concatenate(col_units)
 
@@ -290,32 +291,27 @@ class Layout:
 
 
 class _Gather:
-    """Gather table of one block: per row (component ``comps[r]``) and
-    point the absolute coefficient base ``Layout.coeff_index(block, idx, c,
-    0)``, local coordinate and sign, and affine terms ``(row, comp, terms)``."""
+    """Gather table of one block: per row (one component) and point the
+    absolute coefficient base ``Layout.coeff_index(block, idx, c, 0)``, local
+    coordinate and sign, and affine terms ``(row, comp, terms)``."""
 
-    def __init__(self, comps, base, s, sign, affine):
-        self.comps, self.base, self.s, self.sign, self.affine = comps, base, s, sign, affine
+    def __init__(self, base, s, sign, affine):
+        self.base, self.s, self.sign, self.affine = base, s, sign, affine
 
     @classmethod
     def join(cls, parts):
         """The rows of ``parts`` stacked in order."""
-        starts = np.cumsum([0] + [len(g.comps) for g in parts])
-        return cls(np.concatenate([g.comps for g in parts]),
-                   *(np.concatenate([getattr(g, a) for g in parts])
+        starts = np.cumsum([0] + [len(g.s) for g in parts])
+        return cls(*(np.concatenate([getattr(g, a) for g in parts])
                      for a in ("base", "s", "sign")),
                    [(a + r, c, t) for a, g in zip(starts, parts) for r, c, t in g.affine])
 
     def values(self, x: np.ndarray, k: int, policies) -> np.ndarray:
-        """``sign * v + offset``, v the Horner sum ``v*s + x[base+j]`` (j = k..0,
-        from zeros): :meth:`PiecewiseSolution.plan_values`, op for op."""
-        v = np.zeros_like(self.s)
-        for j in range(k, -1, -1):
-            v = v * self.s + x[self.base + j]
+        """``sign * horner + offset``, as :meth:`PiecewiseSolution.eval`."""
         off = np.zeros(self.s.shape)
         for row, c, terms in self.affine:
             off[row] = fold_offset(policies[c], terms, off.shape[1:])
-        return self.sign * v + off
+        return self.sign * horner(x, self.base, self.s, k) + off
 
 
 class _Assembler:
@@ -325,8 +321,9 @@ class _Assembler:
         self.layout = lay = Layout(problem)
         self._entries: dict[object, list] = {}
         self._probes = {}
-        # per equation: slots grouped by the block they read (each group with
-        # its last stacked table), the own-derivative and continuity entries
+        # per equation: itself, its slots grouped by the block read (each with
+        # its last stacked table), its own derivative's gather base and nodes,
+        # and the own-derivative and continuity entries
         self._equations = []
         for eq in problem.equations:
             b = eq.block
@@ -335,8 +332,9 @@ class _Assembler:
             groups = [(sb, [si for si, slot in enumerate(eq.slots) if slot.block == sb], [None])
                       for sb in dict.fromkeys(slot.block for slot in eq.slots)]
             base_rows = lay.colloc_offsets[b] + np.arange(m * k) * n
-            own = [(base_rows + c, lay.coeff_index(b, np.repeat(np.arange(m), k), c, j),
-                    j * np.tile(mesh.gauss_nodes, m) ** (j - 1) / mesh.h)
+            point_idx, nodes = np.repeat(np.arange(m), k), np.tile(mesh.gauss_nodes, m)
+            own = [(base_rows + c, lay.coeff_index(b, point_idx, c, j),
+                    j * nodes ** (j - 1) / mesh.h)
                    for c in range(n) for j in range(1, k + 1)]
             cont = []
             for c in range(n):
@@ -344,7 +342,8 @@ class _Assembler:
                 cont += [(crows, lay.coeff_index(b, np.arange(m - 1), c, j), np.ones(m - 1))
                          for j in range(k + 1)]
                 cont.append((crows, lay.coeff_index(b, np.arange(1, m), c, 0), -np.ones(m - 1)))
-            self._equations.append((groups, base_rows, own, cont))
+            dbase = lay.coeff_index(b, point_idx, np.arange(n)[:, None], 0)
+            self._equations.append((eq, groups, dbase, nodes, base_rows, own, cont))
 
     # -- residual ---------------------------------------------------------
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -355,7 +354,7 @@ class _Assembler:
 
     def factor(self, x: np.ndarray):
         """``(r, lu)``: the residual at x and the :func:`factorize` LU of
-        the Jacobian there, split by the unit reads recorded in assembly."""
+        the Jacobian there, split by the unit reads of its entries."""
         r, J, reads = self._assemble(x, want_jac=True)
         lay = self.layout
         return r, factorize(J, diagonal_blocks(lay.row_unit, lay.col_unit, reads))
@@ -367,9 +366,8 @@ class _Assembler:
         policies = [blk.policy_factory(params) for blk in prob.blocks]
         r = np.zeros(lay.size)
         entries = []
-        reads = np.diag(np.arange(lay.nunits) < lay.bc_unit)   # each component its own
 
-        for eq, (groups, base_rows, own, cont) in zip(prob.equations, self._equations):
+        for eq, groups, dbase, nodes, base_rows, own, cont in self._equations:
             b = eq.block
             mesh = prob.blocks[b].mesh
             m, k = mesh.intervals, mesh.gauss_order
@@ -396,14 +394,11 @@ class _Assembler:
             # own derivative at the collocation points; continuity of the ends
             X = lay.block_coeffs(x, b)
             n = X.shape[1]
-            deriv = np.zeros((m, k, n))
-            for j in range(k, 0, -1):
-                deriv = deriv * mesh.gauss_nodes[:, None] + j * X[:, None, :, j]
-            r[lay.colloc_offsets[b]:][:m * k * n] = (deriv.reshape(-1, n) / mesh.h - F.T).ravel()
+            deriv = horner(x, dbase, nodes, k, deriv=1) / mesh.h
+            r[lay.colloc_offsets[b]:][:m * k * n] = (deriv - F).T.ravel()
             r[lay.cont_offsets[b]:][:(m - 1) * n] = (X[:-1].sum(axis=2) - X[1:, :, 0]).ravel()
             if want_jac:
-                entries += own + self._chain(eq, groups, base_rows, slot_vals, F, params,
-                                             reads) + cont
+                entries += own + self._chain(eq, groups, base_rows, slot_vals, F, params) + cont
 
         # boundary conditions
         vals, structs = self._probe_values(x, policies)
@@ -414,7 +409,7 @@ class _Assembler:
             g = float(bc.func(v, params))
             r[row] = g
             if want_jac:
-                for pi, (probe, (pcols, pdata)) in enumerate(zip(bc.probes, structs[start:end])):
+                for pi, (pcols, pdata) in enumerate(structs[start:end]):
                     hv = FD_STEP * max(1.0, abs(v[pi]))
                     v2 = v.copy()
                     v2[pi] += hv
@@ -422,7 +417,6 @@ class _Assembler:
                     if dg == 0.0:
                         continue
                     entries.append((np.full(pcols.size, row), pcols, dg * pdata))
-                    reads[lay.bc_unit + q, lay.comp_units[probe.block] + probe.comp] = True
             start = end
 
         if not want_jac:
@@ -437,10 +431,11 @@ class _Assembler:
             col = (rp - r) / hp
             nz = np.nonzero(col)[0]
             entries.append((nz, np.full(nz.size, lay.param_offset + pj), col[nz]))
-            reads[lay.row_unit[nz], lay.param_unit + pj] = True
 
         rows, cols, data = (np.concatenate([np.ravel(e[i]) for e in entries]) for i in range(3))
         J = sp.coo_matrix((data, (rows, cols)), shape=(lay.size, lay.size)).tocsc()
+        reads = np.zeros((lay.nunits, lay.nunits), dtype=bool)
+        reads[lay.row_unit[rows], lay.col_unit[cols]] = True
         return r, J, reads
 
     def _plans(self, key, pts: np.ndarray) -> dict:
@@ -477,18 +472,18 @@ class _Assembler:
                 plans[ext] = idx, s, sign, terms
         comps = np.array([c for *_, c in rows])
         idx, s, sign, terms = zip(*(plans[policies[c]] for plans, _, c in rows))
-        return _Gather(comps, self.layout.coeff_index(b, np.array(idx), comps[:, None], 0),
+        return _Gather(self.layout.coeff_index(b, np.array(idx), comps[:, None], 0),
                        np.array(s), np.array(sign),
                        [(i, c, t) for i, (c, t) in enumerate(zip(comps, terms)) if t])
 
-    def _chain(self, eq, groups, base_rows, slot_vals, F, params, reads):
+    def _chain(self, eq, groups, base_rows, slot_vals, F, params):
         """Entries ``-dF/d(slot value) * d(slot value)/d(coefficient)``.  The
         points are repeated once per component of a slot, so ``eq.rhs`` runs
         once per slot; entries come ordered by slot (grouped by the block
         read), component, rhs component, power and point."""
         tau = self.problem.blocks[eq.block].mesh.collocation_points
         npts = tau.size
-        out, units = [], self.layout.comp_units
+        out = []
         for sb, slots, last in groups:
             tab = last[0][1]
             powers = np.arange(self.problem.blocks[sb].mesh.gauss_order + 1)
@@ -508,7 +503,6 @@ class _Assembler:
                 data = ((-sens[c, ct]) * tab.sign[rr])[:, None, :] * pows
                 out.append((np.broadcast_to((base_rows + ct[:, None])[:, None, :], data.shape),
                             tab.base[rr][:, None, :] + powers[:, None], data))
-                reads[units[eq.block] + ct, units[sb] + tab.comps[rr]] = True
         return out
 
     def _probe_values(self, x: np.ndarray, policies):
@@ -540,9 +534,8 @@ class _Assembler:
             vals[where] = tab.values(x, blocks[b].mesh.gauss_order, policies[b])[:, 0]
         for f, p in enumerate(probes):
             if p.kind == "integral":
-                mesh = blocks[p.block].mesh
-                coeffs = np.ascontiguousarray(lay.block_coeffs(x, p.block)[:, p.comp])
-                vals[f] = mesh.h * np.sum(coeffs @ (1.0 / (np.arange(mesh.gauss_order + 1) + 1.0)))
+                vals[f] = interval_integral(lay.block_coeffs(x, p.block)[:, p.comp],
+                                            blocks[p.block].mesh.h)
         return vals, structs
 
 

@@ -225,14 +225,15 @@ def jost_policies(kappa: float, sigma: float, psi: float, theta: float):
 def joint_problem(kappa: float, mesh: Mesh) -> MfdeProblem:
     """The combined wave + Jost system on ``mesh``: components (Phi, Phi',
     Y, Y'), free scalars (sigma, psi = 1/beta, theta), seven boundary
-    conditions."""
+    conditions.  The (Phi, Phi') policies, the slots and the three profile
+    conditions are those of the profile problem."""
+    profile = _profile_problem(kappa, mesh)
     k2 = kappa * kappa
     L = mesh.length
 
     def policies(params):
         sigma, psi, theta = params
-        return (Extension.even_zero(), Extension.odd_zero(),
-                *jost_policies(kappa, sigma, psi, theta))
+        return (*_phi_policies(params), *jost_policies(kappa, sigma, psi, theta))
 
     def rhs(tau, slots, params):
         sigma, psi, theta = params
@@ -246,23 +247,19 @@ def joint_problem(kappa: float, mesh: Mesh) -> MfdeProblem:
         return np.stack([u0[1], phi_dd, u0[3], ups_dd])
 
     blk = FunctionBlockSpec("phi-ups", mesh, 4, policies)
-    eq = EquationBlock(0, (SlotSpec(0),
-                           SlotSpec(0, lambda t, p: t + kappa),
-                           SlotSpec(0, lambda t, p: t - kappa)), rhs)
+    eq = replace(profile.equations[0], rhs=rhs)
 
     def ups0_bc(v, p):
         sigma, psi, theta = p
         om = dispersion.jost_frequency(sigma)
         return v[0] + psi * np.sin(om * theta)
 
-    bcs = (value_bc(0, 0, 0.0, 0.125, name="Phi(0)"),
-           value_bc(0, 1, 0.0, 0.0, name="Phi'(0)"),
-           value_bc(0, 0, L, 0.0, name="Phi(L)"),
-           BoundaryCondition((BoundaryProbe(0, 2, "value", 0.0),), ups0_bc,
-                             name="Y(0) oddness"),
-           value_bc(0, 3, 0.0, 1.0, name="Y'(0)"),
-           value_bc(0, 2, L, 0.0, name="Y(L)"),
-           value_bc(0, 3, L, 0.0, name="Y'(L)"))
+    bcs = profile.boundary_conditions + (
+        BoundaryCondition((BoundaryProbe(0, 2, "value", 0.0),), ups0_bc,
+                          name="Y(0) oddness"),
+        value_bc(0, 3, 0.0, 1.0, name="Y'(0)"),
+        value_bc(0, 2, L, 0.0, name="Y(L)"),
+        value_bc(0, 3, L, 0.0, name="Y'(L)"))
     return MfdeProblem((blk,), (eq,), 3, bcs)
 
 

@@ -11,6 +11,10 @@ remainder identity), and either zero continuation or a signed reflection
 beyond L (the latter encodes 2L-periodic even/odd profiles).  Policies are
 applied recursively until the argument lands inside the mesh, so arguments
 several periods away fold back correctly.
+
+:func:`horner` and :func:`interval_integral` are the one Horner rule and the
+one integral of the package, for :meth:`PiecewiseSolution.eval` and the
+collocation assembler alike, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -137,6 +141,25 @@ def _vandermonde_inv(k: int) -> np.ndarray:
     return np.linalg.inv(V)
 
 
+def horner(coeffs: np.ndarray, base, s: np.ndarray, k: int,
+           deriv: int = 0) -> np.ndarray:
+    """d^deriv/ds^deriv of the degree-k polynomials with coefficients
+    ``coeffs[base + j]`` (j = 0..k) at s, by Horner's rule from zeros."""
+    vals = np.zeros_like(s)
+    for j in range(k, deriv - 1, -1):
+        term = coeffs[base + j]
+        if deriv:
+            term = math.prod(range(j - deriv + 1, j + 1)) * term
+        vals = vals * s + term
+    return vals
+
+
+def interval_integral(coeffs: np.ndarray, h: float) -> float:
+    """Exact integral of interval polynomials ``coeffs`` (M, k+1) of width h."""
+    inv = 1.0 / (np.arange(coeffs.shape[1]) + 1.0)
+    return float(h * np.sum(np.ascontiguousarray(coeffs) @ inv))
+
+
 def fold_offset(ext: Extension, terms, shape) -> np.ndarray:
     """Affine offset of folded points: ``sum sign * left_offset(x)`` over
     the ``terms`` of :meth:`PiecewiseSolution.fold`, with policy ``ext``."""
@@ -253,20 +276,10 @@ class PiecewiseSolution:
         idx = np.clip((q / mesh.h).astype(int), 0, mesh.intervals - 1)
         return idx, q / mesh.h - idx
 
-    def _horner(self, comp: int, idx: np.ndarray, s: np.ndarray,
-                deriv: int = 0) -> np.ndarray:
-        """d^deriv/ds^deriv of the interval polynomials at (idx, s)."""
-        c = self.coeffs[comp]
-        vals = np.zeros_like(s)
-        for j in range(self.mesh.gauss_order, deriv - 1, -1):
-            term = c[idx, j]
-            if deriv:
-                term = math.prod(range(j - deriv + 1, j + 1)) * term
-            vals = vals * s + term
-        return vals
-
     def _interior(self, q: np.ndarray, comp: int, deriv: int = 0) -> np.ndarray:
-        return self._horner(comp, *self._locate(q), deriv) / self.mesh.h ** deriv
+        idx, s = self._locate(q)
+        k = self.mesh.gauss_order
+        return horner(self.coeffs[comp].ravel(), idx * (k + 1), s, k, deriv) / self.mesh.h ** deriv
 
     def plan(self, tau: np.ndarray, comp: int):
         """``(idx, s, sign, terms, flips)``: the interval and local coordinate
@@ -276,13 +289,6 @@ class PiecewiseSolution:
         q, sign, terms, flips = self.fold(tau, comp)
         idx, s = self._locate(q)
         return idx, s, sign, terms, flips
-
-    def plan_values(self, plan, comp: int) -> np.ndarray:
-        """Values of one component at the points of a :meth:`plan`, with the
-        affine offset evaluated from this solution's policy."""
-        idx, s, sign, terms, _ = plan
-        return (sign * self._horner(comp, idx, s)
-                + fold_offset(self.policies[comp], terms, s.shape))
 
     def eval(self, tau, comp: int, deriv: int = 0):
         """Evaluate one component, resolving exterior points via its policy.
@@ -294,7 +300,10 @@ class PiecewiseSolution:
         arr = np.asarray(tau, dtype=float)
         x = np.atleast_1d(arr).ravel().astype(float)
         if deriv == 0:
-            vals = self.plan_values(self.plan(x, comp), comp)
+            idx, s, sign, terms, _ = self.plan(x, comp)
+            k = self.mesh.gauss_order
+            vals = (sign * horner(self.coeffs[comp].ravel(), idx * (k + 1), s, k)
+                    + fold_offset(self.policies[comp], terms, s.shape))
         else:
             if ((x < 0.0) | (x > self.mesh.length)).any():
                 raise ExtensionCoverageError("derivative evaluation requires interior points")
@@ -305,9 +314,7 @@ class PiecewiseSolution:
 
     def integral(self, comp: int) -> float:
         """Exact integral of one component over [0, L]."""
-        k = self.mesh.gauss_order
-        inv = 1.0 / (np.arange(k + 1) + 1.0)
-        return float(self.mesh.h * np.sum(self.coeffs[comp] @ inv))
+        return interval_integral(self.coeffs[comp], self.mesh.h)
 
     def sup_norm(self, comp: int) -> float:
         """Largest |value| over 12 equispaced samples per interval."""

@@ -73,7 +73,7 @@ def six_ics(branch25, solitary25):
 @pytest.fixture(scope="module")
 def mono_baseline_run(scan):
     _, wave, _ = scan_row(scan, 2.5)
-    state = lat.sample_initial_condition(wave, resolution=512)
+    state = lat.sample_initial_condition(wave)
     return lat.run_simulation(state, lat.SimConfig(horizon=1000.0))
 
 
@@ -217,7 +217,7 @@ def test_criterion_09_connection_point():
 def test_criterion_10_lattice_conservation(scan):
     t0 = time.perf_counter()
     _, wave, _ = scan_row(scan, 2.5)
-    state = lat.sample_initial_condition(wave, resolution=512)
+    state = lat.sample_initial_condition(wave)
     series = lat.run_simulation(state, lat.SimConfig(horizon=100.0))
     e = np.asarray(series.energy_full)
     drift = abs(e[-1] - e[0]) / e[0]
@@ -233,7 +233,7 @@ def test_criterion_11_stability_ordering(six_ics, mono_baseline_run):
     gammas = []
     alphas = []
     for wave in six_ics:
-        state = lat.sample_initial_condition(wave, resolution=512)
+        state = lat.sample_initial_condition(wave)
         series = lat.run_simulation(state, lat.SimConfig(horizon=1000.0))
         gammas.append(series.gamma_at(1000.0))
         alphas.append(abs(wave.alpha_p))

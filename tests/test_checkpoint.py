@@ -65,6 +65,17 @@ def test_policy_tokens_roundtrip(sample, tmp_path):
     assert sol.policies[0].right == "zero"
 
 
+def test_every_tokenized_policy_roundtrips_and_others_are_refused():
+    for ext in (Extension.even_zero(), Extension.odd_zero(), Extension.periodic_even(),
+                Extension.periodic_odd(), Extension.interior_only()):
+        assert ck._policy_from_tokens(*ck._policy_tokens(ext)) == ext
+    # no token describes these; they used to be written as "even"/"reflect+"
+    for ext in (Extension(left="reflect", left_sign=0.5, right="zero"),
+                Extension(left="reflect", right="reflect", right_sign=2.0)):
+        with pytest.raises(ValueError, match="no checkpoint token"):
+            ck._policy_tokens(ext)
+
+
 def test_affine_placeholder_refuses_exterior(tmp_path):
     mesh = Mesh(4.0, 8, 3)
     sol = PiecewiseSolution.from_callables(

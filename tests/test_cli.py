@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from fputw import cli
+from fputw import cli, continuation
+from fputw import lattice as lat
 from fputw import monatomic as mono
 
 
@@ -73,7 +74,7 @@ def test_wave_solve_and_roundtrip(tmp_path, mono_ckpt):
                    "--seed-ckpt", str(mono_ckpt), "--out", str(tmp_path)])
     assert res.returncode == 0, res.stderr
     header, rows = read_csv(tmp_path / "wave.csv")
-    assert header == list(cli.WAVE_COLUMNS)
+    assert header == list(continuation.BRANCH_COLUMNS)
     assert float(rows[0][2]) == pytest.approx(1.0)   # m = 1 at mu = 0
     # byte-identical re-serialization through the CLI transform roundtrip
     ck = (tmp_path / "wave.ckpt").read_bytes()
@@ -105,7 +106,7 @@ def test_cross_section_cli(tmp_path, mono_ckpt):
                    "--out", str(tmp_path)])
     assert res.returncode == 0, res.stderr
     header, rows = read_csv(tmp_path / "cross_section.csv")
-    assert header == list(cli.WAVE_COLUMNS)
+    assert header == list(continuation.BRANCH_COLUMNS)
     assert len(rows) >= 2
     sig = {float(r[1]) for r in rows}
     assert all(abs(s - 1.1) < 1e-9 for s in sig)
@@ -141,7 +142,7 @@ def test_branch_cli(tmp_path, mono_ckpt):
                    "--seed-ckpt", str(mono_ckpt), "--out", str(tmp_path)])
     assert res.returncode == 0, res.stderr
     header, rows = read_csv(tmp_path / "branch.csv")
-    assert header == list(cli.WAVE_COLUMNS)
+    assert header == list(continuation.BRANCH_COLUMNS)
     assert len(rows) == 3
     ckpts = sorted((tmp_path / "branch_ckpts").iterdir())
     assert len(ckpts) == 3
@@ -161,7 +162,7 @@ def test_branch_manifest_counts_events(tmp_path, mono_ckpt):
                       "switch": "0", "fold": "0", "terminated": "1"}
     # the CSV carries no event data
     header, _ = read_csv(tmp_path / "branch.csv")
-    assert header == list(cli.WAVE_COLUMNS)
+    assert header == list(continuation.BRANCH_COLUMNS)
 
 
 def test_solitary_cli(tmp_path, mono_ckpt):
@@ -170,7 +171,7 @@ def test_solitary_cli(tmp_path, mono_ckpt):
                    "--out", str(tmp_path)])
     assert res.returncode == 0, res.stderr
     header, rows = read_csv(tmp_path / "solitary.csv")
-    assert header == list(cli.WAVE_COLUMNS)
+    assert header == list(continuation.BRANCH_COLUMNS)
     assert rows[0][7] == "solitary"
     assert float(rows[0][4]) == 0.0          # beta_P frozen at zero
     assert abs(float(rows[0][2]) - 0.32701849) < 5e-3
@@ -423,6 +424,20 @@ def test_joint_checkpoint_seeds_wave_and_simulate(tmp_path, joint_ckpt):
     assert len(rows) == 3 and float(rows[0][1]) > 0
 
 
+def test_simulate_from_a_checkpoint_runs_the_library_state(tmp_path, joint_ckpt):
+    # one sampling resolution for the CLI, the stability script and the
+    # acceptance criteria: `simulate --ic` reproduces the library run
+    assert "resolution" not in inspect.signature(lat.sample_initial_condition).parameters
+    assert cli.main(["simulate", "--ic", str(joint_ckpt), "--T", "2",
+                     "--out", str(tmp_path)]) == 0
+    wave, _ = mono.load_joint(joint_ckpt)
+    series = lat.run_simulation(lat.sample_initial_condition(wave),
+                                lat.SimConfig(horizon=2.0))
+    cli.write_csv(tmp_path / "library.csv", lat.DiagnosticSeries.COLUMNS, series.rows())
+    assert ((tmp_path / "diagnostics.csv").read_bytes()
+            == (tmp_path / "library.csv").read_bytes())
+
+
 def test_seed_must_match_the_mesh_options(tmp_path, joint_ckpt, capsys):
     # every solve takes its meshes from the seed, so a diatomic or monatomic
     # seed on other meshes than the options name is refused before any solve
@@ -491,12 +506,26 @@ def test_simulate_reports_checkpoint_errors(tmp_path, mono_ckpt, capsys,
 def test_missing_input_file_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.ckpt")
     for argv in (["simulate", "--ic", missing, "--T", "1"],
-                 ["kc", "--kappa", "0.5", "--config", missing]):
+                 ["kc", "--kappa", "0.5", "--config", missing],
+                 ["wave", "--kappa", "1.0", "--fix", "mu=0", "--seed-ckpt", missing]):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "missing.ckpt" in err
+        assert not (tmp_path / "out").exists()
+    # a directory where an input file belongs
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for argv in (["simulate", "--ic", str(folder), "--T", "1"],
+                 ["transform", "--ckpt", str(folder)],
+                 ["wave", "--kappa", "1.0", "--fix", "mu=0", "--seed-ckpt", str(folder)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Is a directory" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["cross-section", "--to", "1.2", "--step", "0.05"],
@@ -550,7 +579,11 @@ def test_stability_script_rejects_horizon_before_baseline(tmp_path, monkeypatch,
     (["periodic", "--sigma", "1.5", "--mu", "nan"], "--mu"),
     (["periodic", "--sigma", "1.5", "--m", "inf"], "--m"),
     (["periodic", "--sigma", "1.5", "--mu", "0.1", "--beta-P", "nan"], "--beta-P"),
-    (["wave", "--kappa", "1.0", "--fix", "mu=nan"], "--fix")])
+    (["wave", "--kappa", "1.0", "--fix", "mu=nan"], "--fix"),
+    (["simulate", "--ic", "ic.txt", "--m", "inf"], "--m"),
+    (["simulate", "--ic", "ic.txt", "--m", "nan"], "--m"),
+    (["simulate", "--ic", "ic.txt", "--mu", "nan"], "--mu"),
+    (["simulate", "--ic", "ic.txt", "--mu", "inf"], "--mu")])
 def test_non_finite_options_are_usage_errors(tmp_path, monkeypatch, capsys,
                                              argv, flag):
     def no_solve(*args, **kwargs):

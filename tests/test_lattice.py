@@ -305,7 +305,7 @@ def mono_wave():
 
 def test_initial_condition_momentum_residual(mono_wave):
     res = 512
-    st = lat.sample_initial_condition(mono_wave, resolution=res)
+    st = lat.sample_initial_condition(mono_wave)
     prof = mono_wave.wave_profile
     xi = np.arange(-14.0, 14.0, 1.0 / res)
     _, p_odd, _ = lat._momentum_profiles(prof, prof, mono_wave.sigma, 1.0,
