@@ -155,8 +155,9 @@ def _finite(text: str, positive: bool = False) -> float:
     return value
 
 
-def _kappa(text: str) -> float:
-    """argparse type of --kappa: positive and finite."""
+def _positive(text: str) -> float:
+    """argparse type of --kappa and of the mono-scan --step: positive and
+    finite."""
     return _finite(text, positive=True)
 
 
@@ -217,10 +218,10 @@ def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
 # ---------------------------------------------------------------------------
 
 def cmd_mono_scan(args) -> int:
-    out = _outdir(args)
     cfg = _dia_config(args).monatomic()
     res = monatomic.kappa_scan(args.from_, args.to, args.step, cfg,
                                n_quad=args.n_quad)
+    out = _outdir(args)
     write_csv(out / "mono_scan.csv", monatomic.SCAN_COLUMNS,
               [r.values() for r in res.rows])
     files = ["mono_scan.csv"]
@@ -330,8 +331,8 @@ def cmd_branch(args) -> int:
         checkpoint_dir=ckpt_dir, keep_waves=False)
     write_csv(out / "branch.csv", continuation.BRANCH_COLUMNS,
               [p.values() for p in branch.points])
-    files = ["branch.csv"] + [f"branch_ckpts/{f.name}"
-                              for f in sorted(ckpt_dir.iterdir())]
+    files = ["branch.csv"] + [f"branch_ckpts/{continuation.point_file(i)}"
+                              for i in range(len(branch.points))]
     write_manifest(out, "branch",
                    {"kappa": args.kappa, "driver": args.driver, "to": args.to,
                     "step": args.step, "reason": branch.terminated_reason},
@@ -505,19 +506,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--from", dest="from_", type=_finite, required=True)
     p.add_argument("--to", type=_finite, required=True)
-    p.add_argument("--step", type=float, default=0.25)
+    p.add_argument("--step", type=_positive, default=0.25)
     p.add_argument("--n-quad", type=_n_quad, default=monatomic.N_QUAD,
                    help=N_QUAD_HELP)
     p.set_defaults(func=cmd_mono_scan)
 
     p = sub.add_parser("jost", help="solve the joint wave + Jost system")
     common(p)
-    p.add_argument("--kappa", type=_kappa, required=True)
+    p.add_argument("--kappa", type=_positive, required=True)
     p.set_defaults(func=cmd_jost)
 
     p = sub.add_parser("kc", help="ripple-amplitude coefficient K_sigma")
     common(p)
-    p.add_argument("--kappa", type=_kappa, required=True)
+    p.add_argument("--kappa", type=_positive, required=True)
     p.add_argument("--n-quad", type=_n_quad, default=monatomic.N_QUAD,
                    help=N_QUAD_HELP)
     p.set_defaults(func=cmd_kc)
@@ -532,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wave", help="single diatomic wave solve")
     common(p)
-    p.add_argument("--kappa", type=_kappa, required=True)
+    p.add_argument("--kappa", type=_positive, required=True)
     p.add_argument("--fix", type=_parse_fix, required=True, help="sigma|mu|beta_p=value")
     p.add_argument("--seed-ckpt", dest="seed_ckpt",
                    help="seed checkpoint (or 'auto')")
@@ -540,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("branch", help="iso-kappa branch continuation")
     common(p)
-    p.add_argument("--kappa", type=_kappa, required=True)
+    p.add_argument("--kappa", type=_positive, required=True)
     p.add_argument("--driver", choices=("sigma", "mu", "beta_p"), default="mu")
     p.add_argument("--to", type=_finite, required=True)
     p.add_argument("--step", type=_step, required=True)
@@ -551,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solitary", help="locate and scan solitary waves")
     common(p)
-    p.add_argument("--kappa", type=_kappa, required=True)
+    p.add_argument("--kappa", type=_positive, required=True)
     p.add_argument("--mu-to", dest="mu_to", type=_finite, default=2.5,
                    help="search range for the alpha_P sign change")
     p.add_argument("--step", type=_step, default=0.1)

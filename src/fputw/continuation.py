@@ -130,6 +130,11 @@ def event_counts(*branches: Branch) -> dict[str, int]:
     return {kind: seen[kind] for kind in EVENT_KINDS}
 
 
+def point_file(i: int) -> str:
+    """File name of the checkpoint of point i in a ``checkpoint_dir``."""
+    return f"point{i:04d}.ckpt"
+
+
 def point_from_wave(w: DiatomicWave) -> BranchPoint:
     """The branch point of a wave: ``values()`` is its BRANCH_COLUMNS row."""
     return BranchPoint(w.kappa, w.sigma, w.mu, w.beta_p, w.omega_p, w.alpha_p,
@@ -212,7 +217,7 @@ def continue_branch(seed: DiatomicWave, driver: str, target: float,
         if keep_waves:
             branch.waves.append(w)
         if checkpoint_dir is not None:
-            save_wave(w, Path(checkpoint_dir) / f"point{len(branch.points)-1:04d}.ckpt")
+            save_wave(w, Path(checkpoint_dir) / point_file(len(branch.points) - 1))
 
     def attempt(h):
         """Driver value of a step h from the current wave."""

@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checkpoint, dispersion
-from .errors import (BranchJumpWarning, CheckpointCorruptError, FputwError,
-                     OrientationFlipWarning)
+from .errors import CheckpointCorruptError, FputwError, OrientationFlipWarning
 from .mfde import (FD_STEP, BoundaryCondition, BoundaryProbe, EquationBlock,
                    FactorCache, FunctionBlockSpec, MfdeProblem, SlotSpec,
                    assemble_residual, euler_predictor, integral_bc,
@@ -357,15 +356,13 @@ def _wave_of(pm: ParamMap, kappa: float, sols, params, residual_norm, iterations
 
 
 def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
-               jump_tol: float | None = None,
                reuse: FactorCache | None = None) -> DiatomicWave:
     """Solve the full diatomic system at fixed kappa and one fixed scalar.
 
     ``guess`` supplies the meshes, the starting functions and all scalar
     values (its entry for the fixed scalar is replaced by ``value``).
-    ``jump_tol`` bounds the acceptable movement of the free scalars; beyond
-    it a BranchJumpWarning is issued (the solve still returns).  ``reuse``
-    carries a sparse LU between solves (see :func:`fputw.mfde.solve_newton`).
+    ``reuse`` carries a sparse LU between solves (see
+    :func:`fputw.mfde.solve_newton`).
     """
     pm, problem_at, guesses, params0 = _newton_system(guess, fix, value)
     prob = problem_at(kappa)
@@ -384,13 +381,6 @@ def solve_wave(kappa: float, fix: str, value: float, guess: DiatomicWave,
     else:
         wave.beta_p, wave.ripple = _canonical(wave.sigma, wave.mu, wave.beta_p,
                                               wave.ripple)
-    if jump_tol is not None:
-        dist = max(abs(wave.sigma - guess.sigma), abs(wave.mu - guess.mu),
-                   abs(wave.beta_p - guess.beta_p))
-        if dist > jump_tol:
-            warnings.warn(
-                f"solution moved {dist:.3g} from its guess (tol {jump_tol:.3g}); "
-                "possible branch jump", BranchJumpWarning)
     return wave
 
 

@@ -111,13 +111,12 @@ def _bracket_first_root(f, lo, hi_seed):
     raise NoBracketError("no sign change found for B_+")
 
 
-def critical_frequency(c, mu, reference=None) -> CriticalMode:
+def critical_frequency(c, mu) -> CriticalMode:
     """Unique positive root of B_+ and its eigenvector.
 
     Requires ``c >= C_mu`` (the closed endpoint is admitted: the root still
     exists there, and the equal-mass anchor lives exactly at c = C_0 = 1).
-    ``reference`` fixes the eigenvector sign by continuity along a path;
-    without it the convention is nu2 > 0 (nu1 > 0 on ties), matching the
+    The eigenvector convention is nu2 > 0 (nu1 > 0 on ties), matching the
     (0, 1) anchor at mu = 0.
     """
     cmu = sound_speed(mu)
@@ -141,10 +140,7 @@ def critical_frequency(c, mu, reference=None) -> CriticalMode:
     row = r1 if np.dot(r1, r1) >= np.dot(r2, r2) else r2
     nu = np.array([-row[1], row[0]])
     nu /= np.linalg.norm(nu)
-    if reference is not None:
-        if np.dot(nu, np.asarray(reference)) < 0.0:
-            nu = -nu
-    elif nu[1] < 0.0 or (nu[1] == 0.0 and nu[0] < 0.0):
+    if nu[1] < 0.0 or (nu[1] == 0.0 and nu[0] < 0.0):
         nu = -nu
     return CriticalMode(float(omega), float(nu[0]), float(nu[1]), float(c),
                         float(mu))

@@ -45,20 +45,6 @@ class DegenerateNormalizationError(FputwError):
     """The Jost normalization amplitude collapsed (|beta| < 1e-12)."""
 
 
-class UnreliableQuadratureError(FputwError):
-    """The amplitude-coefficient quadrature failed its stability check.
-
-    Carries both values of I_chi so callers can inspect the disagreement:
-    ``value_fine`` from breakpoint Gauss quadrature (the reported value) and
-    ``value_coarse`` from the midpoint-sum check.
-    """
-
-    def __init__(self, message, value_coarse, value_fine):
-        super().__init__(message)
-        self.value_coarse = value_coarse
-        self.value_fine = value_fine
-
-
 class CheckpointError(FputwError):
     """Base class for checkpoint I/O failures."""
 
@@ -81,10 +67,6 @@ class NegativeProfileWarning(UserWarning):
 
 class OrientationFlipWarning(UserWarning):
     """The periodic-ripple orientation inequality was violated."""
-
-
-class BranchJumpWarning(UserWarning):
-    """A continuation step landed suspiciously far from its predictor."""
 
 
 class EnergyDriftWarning(UserWarning):

@@ -59,13 +59,16 @@ beta_P = 0.
 
 Each assembler (one per :func:`solve_newton` call) compiles evaluation into
 gather tables, like the basis tables of COLSYS/COLNEW (Ascher, Christiansen
-& Russell 1981): per slot or boundary probe point, the coefficient index,
-local coordinate and sign after folding.  Constant shifts are folded once
-per solve, parameter-dependent ones when their points change, and policies
-that differ only in +-1 signs share a fold.  The slots of an equation that
-read one block, the value probes on a block and the collocation derivative
-take one Horner pass over gathered coefficients, :func:`fputw.solution.horner`
-as in :meth:`PiecewiseSolution.eval`, so the results are bitwise those of
+& Russell 1981).  There is one table per equation and source block, over
+the points of the equation's slots on that block in slot order, and one per
+block with value probes, over its probe points; each holds, for every
+component of its block and every point, the coefficient index, local
+coordinate and sign after folding.  A table is folded again only when its
+points change (a parameter-dependent shift) and keeps its two most recent
+point sets; policies that differ only in +-1 signs share a fold.  Each
+table and the collocation derivative take one Horner pass over gathered
+coefficients, :func:`fputw.solution.horner` as in
+:meth:`PiecewiseSolution.eval`, so the results are bitwise those of
 per-point evaluation.  Affine offsets are re-evaluated at every use.
 """
 
@@ -291,26 +294,18 @@ class Layout:
 
 
 class _Gather:
-    """Gather table of one block: per row (one component) and point the
-    absolute coefficient base ``Layout.coeff_index(block, idx, c, 0)``, local
-    coordinate and sign, and affine terms ``(row, comp, terms)``."""
+    """Gather table of one block: per component (row) and point the absolute
+    coefficient base ``Layout.coeff_index(block, idx, c, 0)``, local
+    coordinate and sign, and affine terms ``(comp, terms)``."""
 
     def __init__(self, base, s, sign, affine):
         self.base, self.s, self.sign, self.affine = base, s, sign, affine
 
-    @classmethod
-    def join(cls, parts):
-        """The rows of ``parts`` stacked in order."""
-        starts = np.cumsum([0] + [len(g.s) for g in parts])
-        return cls(*(np.concatenate([getattr(g, a) for g in parts])
-                     for a in ("base", "s", "sign")),
-                   [(a + r, c, t) for a, g in zip(starts, parts) for r, c, t in g.affine])
-
     def values(self, x: np.ndarray, k: int, policies) -> np.ndarray:
         """``sign * horner + offset``, as :meth:`PiecewiseSolution.eval`."""
         off = np.zeros(self.s.shape)
-        for row, c, terms in self.affine:
-            off[row] = fold_offset(policies[c], terms, off.shape[1:])
+        for c, terms in self.affine:
+            off[c] = fold_offset(policies[c], terms, off.shape[1:])
         return self.sign * horner(x, self.base, self.s, k) + off
 
 
@@ -319,17 +314,16 @@ class _Assembler:
         problem.validate()
         self.problem = problem
         self.layout = lay = Layout(problem)
-        self._entries: dict[object, list] = {}
-        self._probes = {}
-        # per equation: itself, its slots grouped by the block read (each with
-        # its last stacked table), its own derivative's gather base and nodes,
-        # and the own-derivative and continuity entries
+        self._plans: dict[object, list] = {}
+        # per equation: itself, its slots grouped by the block read, its own
+        # derivative's gather base and nodes, and the own-derivative and
+        # continuity entries
         self._equations = []
         for eq in problem.equations:
             b = eq.block
             mesh, n = problem.blocks[b].mesh, problem.blocks[b].ncomp
             m, k = mesh.intervals, mesh.gauss_order
-            groups = [(sb, [si for si, slot in enumerate(eq.slots) if slot.block == sb], [None])
+            groups = [(sb, [si for si, slot in enumerate(eq.slots) if slot.block == sb])
                       for sb in dict.fromkeys(slot.block for slot in eq.slots)]
             base_rows = lay.colloc_offsets[b] + np.arange(m * k) * n
             point_idx, nodes = np.repeat(np.arange(m), k), np.tile(mesh.gauss_nodes, m)
@@ -344,6 +338,23 @@ class _Assembler:
                 cont.append((crows, lay.coeff_index(b, np.arange(1, m), c, 0), -np.ones(m - 1)))
             dbase = lay.coeff_index(b, point_idx, np.arange(n)[:, None], 0)
             self._equations.append((eq, groups, dbase, nodes, base_rows, own, cont))
+        # probes in boundary-condition order: the constant Jacobian entries
+        # of the integral probes, and per block the indices, components and
+        # points of its value probes
+        probes = [p for bc in problem.boundary_conditions for p in bc.probes]
+        self._probe_entries = [None] * len(probes)
+        self._integral_probes, value_probes = [], {}
+        for f, p in enumerate(probes):
+            if p.kind == "value":
+                value_probes.setdefault(p.block, []).append((f, p.comp, p.tau))
+                continue
+            mesh = problem.blocks[p.block].mesh
+            js, m = np.arange(mesh.gauss_order + 1), mesh.intervals
+            cols = lay.coeff_index(p.block, np.repeat(np.arange(m), len(js)), p.comp,
+                                   np.tile(js, m))
+            self._probe_entries[f] = cols, np.tile(mesh.h / (js + 1.0), m)
+            self._integral_probes.append((f, p))
+        self._value_probes = [(b, *map(np.array, zip(*v))) for b, v in value_probes.items()]
 
     # -- residual ---------------------------------------------------------
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -372,23 +383,17 @@ class _Assembler:
             mesh = prob.blocks[b].mesh
             m, k = mesh.intervals, mesh.gauss_order
             tau = mesh.collocation_points
+            npts = tau.size
             slot_vals = [None] * len(eq.slots)
-            for sb, slots, last in groups:
-                pols, nsrc = policies[sb], prob.blocks[sb].ncomp
-                parts = []
-                for si in slots:
-                    locate = eq.slots[si].locate
-                    pts = tau if locate is None else locate(tau, params)
-                    plans = self._plans(("slot", b, si), pts)
-                    if pols not in plans:
-                        rows = [(plans, pts, c) for c in range(nsrc)]
-                        plans[pols] = self._gather(sb, pols, rows)
-                    parts.append(plans[pols])
-                if last[0] is None or last[0][0] != parts:
-                    last[0] = parts, _Gather.join(parts)
-                vals = last[0][1].values(x, prob.blocks[sb].mesh.gauss_order, pols)
+            tables = []
+            for sb, slots in groups:
+                pts = np.concatenate([tau if eq.slots[si].locate is None
+                                      else eq.slots[si].locate(tau, params) for si in slots])
+                tab = self._table(("slot", b, sb), sb, policies[sb], pts)
+                vals = tab.values(x, prob.blocks[sb].mesh.gauss_order, policies[sb])
                 for i, si in enumerate(slots):
-                    slot_vals[si] = vals[i * nsrc:(i + 1) * nsrc]
+                    slot_vals[si] = vals[:, i * npts:(i + 1) * npts]
+                tables.append((sb, slots, tab))
 
             F = np.asarray(eq.rhs(tau, slot_vals, params))
             # own derivative at the collocation points; continuity of the ends
@@ -398,10 +403,10 @@ class _Assembler:
             r[lay.colloc_offsets[b]:][:m * k * n] = (deriv - F).T.ravel()
             r[lay.cont_offsets[b]:][:(m - 1) * n] = (X[:-1].sum(axis=2) - X[1:, :, 0]).ravel()
             if want_jac:
-                entries += own + self._chain(eq, groups, base_rows, slot_vals, F, params) + cont
+                entries += own + self._chain(eq, tables, base_rows, slot_vals, F, params) + cont
 
         # boundary conditions
-        vals, structs = self._probe_values(x, policies)
+        vals, probe_entries = self._probe_values(x, policies, want_jac)
         start = 0
         for q, bc in enumerate(prob.boundary_conditions):
             row, end = lay.bc_offset + q, start + len(bc.probes)
@@ -409,7 +414,7 @@ class _Assembler:
             g = float(bc.func(v, params))
             r[row] = g
             if want_jac:
-                for pi, (pcols, pdata) in enumerate(structs[start:end]):
+                for pi, (pcols, pdata) in enumerate(probe_entries[start:end]):
                     hv = FD_STEP * max(1.0, abs(v[pi]))
                     v2 = v.copy()
                     v2[pi] += hv
@@ -438,30 +443,28 @@ class _Assembler:
         reads[lay.row_unit[rows], lay.col_unit[cols]] = True
         return r, J, reads
 
-    def _plans(self, key, pts: np.ndarray) -> dict:
-        """The plans and gather tables of ``pts`` under a slot or probe key.
-        A key keeps its two most recent point sets, so the shifted points of
-        a finite-difference parameter column (or of a rejected trial step)
-        do not evict those of the current iterate."""
-        entries = self._entries.setdefault(key, [])
+    def _table(self, key, b: int, policies, pts: np.ndarray) -> _Gather:
+        """The gather table of every component of block b at ``pts``, cached
+        under a slot-group or probe key.  A key keeps the plans of its two
+        most recent point sets, so the shifted points of a finite-difference
+        parameter column (or of a rejected trial step) do not evict those of
+        the current iterate.  Policies with the same rules share one
+        :meth:`PiecewiseSolution.plan`, their +-1 signs following from its
+        reflection counts; an affine policy gets its own, without the
+        parameter-dependent offset."""
+        entries = self._plans.setdefault(key, [])
         for i, (known, plans) in enumerate(entries):
             if np.array_equal(known, pts):
-                if i:
-                    entries.insert(0, entries.pop(i))
-                return plans
-        entries.insert(0, (pts, {}))
-        del entries[2:]
-        return entries[0][1]
-
-    def _gather(self, b: int, policies, rows) -> _Gather:
-        """The gather table of block b at ``rows`` of ``(plans, pts, comp)``.
-        Policies with the same rules share one :meth:`PiecewiseSolution.plan`,
-        their +-1 signs following from its reflection counts; an affine
-        policy gets its own, without the parameter-dependent offset."""
-        sol = PiecewiseSolution.zeros(self.problem.blocks[b].mesh, policies)
-        for plans, pts, c in rows:
-            ext = policies[c]
-            if ext not in plans:
+                entries.insert(0, entries.pop(i))
+                break
+        else:
+            entries.insert(0, (pts, {}))
+            del entries[2:]
+        plans = entries[0][1]
+        if policies not in plans:
+            sol = PiecewiseSolution.zeros(self.problem.blocks[b].mesh, policies)
+            rows = []
+            for c, ext in enumerate(policies):
                 rules = ("fold", ext if ext.left == "affine" else (ext.left, ext.right))
                 if rules not in plans:
                     plans[rules] = ext, sol.plan(pts, c)
@@ -469,14 +472,15 @@ class _Assembler:
                 if ext != maker:
                     sign = np.where(sign == 0.0, 0.0,
                                     ext.left_sign ** flips[0] * ext.right_sign ** flips[1])
-                plans[ext] = idx, s, sign, terms
-        comps = np.array([c for *_, c in rows])
-        idx, s, sign, terms = zip(*(plans[policies[c]] for plans, _, c in rows))
-        return _Gather(self.layout.coeff_index(b, np.array(idx), comps[:, None], 0),
-                       np.array(s), np.array(sign),
-                       [(i, c, t) for i, (c, t) in enumerate(zip(comps, terms)) if t])
+                rows.append((idx, s, sign, terms))
+            idx, s, sign, terms = zip(*rows)
+            comps = np.arange(len(policies))[:, None]
+            plans[policies] = _Gather(self.layout.coeff_index(b, np.array(idx), comps, 0),
+                                      np.array(s), np.array(sign),
+                                      [(c, t) for c, t in enumerate(terms) if t])
+        return plans[policies]
 
-    def _chain(self, eq, groups, base_rows, slot_vals, F, params):
+    def _chain(self, eq, tables, base_rows, slot_vals, F, params):
         """Entries ``-dF/d(slot value) * d(slot value)/d(coefficient)``.  The
         points are repeated once per component of a slot, so ``eq.rhs`` runs
         once per slot; entries come ordered by slot (grouped by the block
@@ -484,8 +488,7 @@ class _Assembler:
         tau = self.problem.blocks[eq.block].mesh.collocation_points
         npts = tau.size
         out = []
-        for sb, slots, last in groups:
-            tab = last[0][1]
+        for sb, slots, tab in tables:
             powers = np.arange(self.problem.blocks[sb].mesh.gauss_order + 1)
             for i, si in enumerate(slots):
                 u = slot_vals[si]
@@ -497,46 +500,34 @@ class _Assembler:
                 F2 = np.asarray(eq.rhs(np.tile(tau, n), pert, params))
                 sens = (F2.reshape(len(F), n, npts).transpose(1, 0, 2) - F) / h[:, None, :]
                 c, ct = np.nonzero(sens.any(axis=2))
-                rr = i * n + c
-                s = tab.s[rr]
+                cols = slice(i * npts, (i + 1) * npts)
+                s = tab.s[c, cols]
                 pows = np.stack([s ** j for j in powers], axis=1)
-                data = ((-sens[c, ct]) * tab.sign[rr])[:, None, :] * pows
+                data = ((-sens[c, ct]) * tab.sign[c, cols])[:, None, :] * pows
                 out.append((np.broadcast_to((base_rows + ct[:, None])[:, None, :], data.shape),
-                            tab.base[rr][:, None, :] + powers[:, None], data))
+                            tab.base[c, cols][:, None, :] + powers[:, None], data))
         return out
 
-    def _probe_values(self, x: np.ndarray, policies):
-        """Every probe's value and the constant ``(cols, data)`` of its
-        Jacobian entries, in boundary-condition order.  The value probes on
-        one block form one gather table, built once per tuple of policies."""
+    def _probe_values(self, x: np.ndarray, policies, want_jac: bool):
+        """Every probe's value and, with ``want_jac``, the constant
+        ``(cols, data)`` of its Jacobian entries, in boundary-condition
+        order.  The value probes on one block are one point set of one
+        gather table."""
         blocks, lay = self.problem.blocks, self.layout
-        probes = [p for bc in self.problem.boundary_conditions for p in bc.probes]
-        if (key := tuple(policies)) not in self._probes:
-            groups, structs = {}, []
-            for f, p in enumerate(probes):
-                mesh = blocks[p.block].mesh
-                js, m = np.arange(mesh.gauss_order + 1), mesh.intervals
-                if p.kind == "integral":
-                    cols = lay.coeff_index(p.block, np.repeat(np.arange(m), len(js)), p.comp,
-                                           np.tile(js, m))
-                    structs.append((cols, np.tile(mesh.h / (js + 1.0), m)))
-                    continue
-                pts = np.array([p.tau])
-                tab = self._gather(p.block, policies[p.block],
-                                   [(self._plans(("probe", p.block, p.tau), pts), pts, p.comp)])
-                groups.setdefault(p.block, []).append((f, tab))
-                structs.append((tab.base[0, 0] + js, tab.sign[0, 0] * tab.s[0, 0] ** js))
-            self._probes[key] = structs, [(b, [f for f, _ in g], _Gather.join([t for _, t in g]))
-                                          for b, g in groups.items()]
-        structs, groups = self._probes[key]
-        vals = np.empty(len(probes))
-        for b, where, tab in groups:
-            vals[where] = tab.values(x, blocks[b].mesh.gauss_order, policies[b])[:, 0]
-        for f, p in enumerate(probes):
-            if p.kind == "integral":
-                vals[f] = interval_integral(lay.block_coeffs(x, p.block)[:, p.comp],
-                                            blocks[p.block].mesh.h)
-        return vals, structs
+        vals = np.empty(len(self._probe_entries))
+        entries = list(self._probe_entries) if want_jac else None
+        for b, where, comps, pts in self._value_probes:
+            tab = self._table(("probe", b), b, policies[b], pts)
+            j = np.arange(pts.size)
+            vals[where] = tab.values(x, blocks[b].mesh.gauss_order, policies[b])[comps, j]
+            if want_jac:
+                js = np.arange(blocks[b].mesh.gauss_order + 1)
+                for f, c, i in zip(where, comps, j):
+                    entries[f] = tab.base[c, i] + js, tab.sign[c, i] * tab.s[c, i] ** js
+        for f, p in self._integral_probes:
+            vals[f] = interval_integral(lay.block_coeffs(x, p.block)[:, p.comp],
+                                        blocks[p.block].mesh.h)
+        return vals, entries
 
 
 def assemble_residual(problem: MfdeProblem, solutions: Sequence[PiecewiseSolution],

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import checkpoint, dispersion
 from .errors import (CheckpointCorruptError, DegenerateNormalizationError,
-                     NegativeProfileWarning, NonConvergenceError,
-                     UnreliableQuadratureError)
+                     NegativeProfileWarning, NonConvergenceError)
 from .mfde import (EquationBlock, FunctionBlockSpec, MfdeProblem, SlotSpec,
                    BoundaryCondition, BoundaryProbe, solve_newton, value_bc)
 from .solution import Extension, Mesh, PiecewiseSolution
@@ -386,8 +385,7 @@ def _piecewise_gauss(f, breaks: np.ndarray, nodes: int) -> float:
 
 
 def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
-                          n_quad: int = N_QUAD,
-                          require_reliable: bool = False) -> AmplitudeCoefficient:
+                          n_quad: int = N_QUAD) -> AmplitudeCoefficient:
     """Projection integrals I_eta, I_chi and K = -I_chi / I_eta, with the
     analytic monitor for I_eta.
 
@@ -401,8 +399,7 @@ def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
 
     The record carries the reliability flag: kappa >= 0.3 and agreement of
     I_chi within 0.1% with an independent midpoint sum over ``n_quad``
-    points (``i_chi_refined``).  ``require_reliable=True`` raises
-    :class:`UnreliableQuadratureError` carrying both values.
+    points (``i_chi_refined``).
     """
     if n_quad < N_QUAD_MIN:
         raise ValueError(f"n_quad must be at least {N_QUAD_MIN}, got {n_quad}")
@@ -430,9 +427,6 @@ def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
                   * np.sin(om * th)) / abs(i_eta)
     stable = abs(i_chi_mid - i_chi) <= 1e-3 * abs(i_chi)
     reliable = bool(kappa >= 0.3 and stable)
-    if require_reliable and not reliable:
-        raise UnreliableQuadratureError(
-            f"quadrature unreliable at kappa={kappa}", i_chi_mid, i_chi)
     return AmplitudeCoefficient(kappa, i_eta, i_chi, i_chi_mid,
                                 -i_chi / i_eta, monitor, reliable, n_quad)
 
@@ -485,8 +479,8 @@ class ScanResult:
 
 
 def kappa_values(start: float, end: float, step: float) -> np.ndarray:
-    if step <= 0 or end < start:
-        raise ValueError("need end >= start and step > 0")
+    if not 0 < step < np.inf or end < start:
+        raise ValueError(f"need end >= start and a positive finite step, got step {step}")
     n = int(round((end - start) / step)) + 1
     vals = start + step * np.arange(n)
     return vals[vals <= end + 1e-12]

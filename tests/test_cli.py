@@ -150,6 +150,22 @@ def test_branch_cli(tmp_path, mono_ckpt):
     assert "branch_ckpts/point0000.ckpt" in manifest
 
 
+def test_branch_rerun_lists_only_its_own_checkpoints(tmp_path, mono_ckpt):
+    # a shorter second trace into the same --out leaves the first trace's
+    # later checkpoints on disk, but its manifest names only its own points
+    for to in ("0.2", "0.1"):
+        code = cli.main(["branch", "--kappa", "1.0", "--driver", "mu", "--to", to,
+                         "--step", "0.05", "--mesh", "256",
+                         "--seed-ckpt", str(mono_ckpt), "--out", str(tmp_path)])
+        assert code == 0
+    _, rows = read_csv(tmp_path / "branch.csv")
+    listed = [ln.split()[1] for ln in (tmp_path / "manifest.txt").read_text().splitlines()
+              if ln.startswith("file branch_ckpts/")]
+    assert listed == [f"branch_ckpts/{continuation.point_file(i)}"
+                      for i in range(len(rows))]
+    assert len(rows) == 3 and len(list((tmp_path / "branch_ckpts").iterdir())) == 5
+
+
 def test_branch_manifest_counts_events(tmp_path, mono_ckpt):
     code = cli.main(["branch", "--kappa", "1.0", "--driver", "mu", "--to", "0.1",
                      "--step", "0.05", "--mesh", "256",
@@ -583,7 +599,11 @@ def test_stability_script_rejects_horizon_before_baseline(tmp_path, monkeypatch,
     (["simulate", "--ic", "ic.txt", "--m", "inf"], "--m"),
     (["simulate", "--ic", "ic.txt", "--m", "nan"], "--m"),
     (["simulate", "--ic", "ic.txt", "--mu", "nan"], "--mu"),
-    (["simulate", "--ic", "ic.txt", "--mu", "inf"], "--mu")])
+    (["simulate", "--ic", "ic.txt", "--mu", "inf"], "--mu"),
+    (["mono-scan", "--from", "2.0", "--to", "2.25", "--step", "inf"], "--step"),
+    (["mono-scan", "--from", "2.0", "--to", "2.25", "--step", "nan"], "--step"),
+    (["mono-scan", "--from", "2.0", "--to", "2.25", "--step", "0"], "--step"),
+    (["mono-scan", "--from", "2.0", "--to", "2.25", "--step=-0.25"], "--step")])
 def test_non_finite_options_are_usage_errors(tmp_path, monkeypatch, capsys,
                                              argv, flag):
     def no_solve(*args, **kwargs):
@@ -598,6 +618,21 @@ def test_non_finite_options_are_usage_errors(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "finite" in err
     assert not out.exists()
+
+
+def test_mono_scan_below_the_kappa_floor_leaves_no_out(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mono-scan", "--from", "0.1", "--to", "0.5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "at least 1/8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kappa_values_reject_a_non_finite_step():
+    for step in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="positive finite step"):
+            mono.kappa_values(2.0, 2.5, step)
 
 
 def test_kappa_ladder_names_a_non_finite_kappa():

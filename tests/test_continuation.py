@@ -6,8 +6,7 @@ from fputw import monatomic as mono
 from fputw.continuation import (Branch, BranchPoint, continue_branch,
                                 find_solitary)
 from fputw.cli import _wave_at_speed
-from fputw.errors import (BranchJumpWarning, NonConvergenceError,
-                          SingularJacobianError)
+from fputw.errors import NonConvergenceError, SingularJacobianError
 from fputw.mfde import FactorCache, solve_newton
 
 CFG = di.DiatomicConfig(solitary_intervals=256)
@@ -74,12 +73,6 @@ def test_stop_when(seed):
                              stop_when=lambda p: p.mu >= 0.1)
     assert branch.terminated_reason == "stop-condition"
     assert branch.points[-1].mu == pytest.approx(0.1, abs=1e-12)
-
-
-def test_jump_warning(seed):
-    branch = continue_branch(seed, "mu", 0.1, 0.05)
-    with pytest.warns(BranchJumpWarning):
-        di.solve_wave(1.0, "mu", 0.12, branch.waves[-1], jump_tol=1e-9)
 
 
 def test_factor_reuse_from_neighbouring_mu(seed):
@@ -165,7 +158,7 @@ def test_driver_switch_and_fold_marking(monkeypatch):
     increments reverse and the fold marker must be set."""
     import fputw.continuation as cont
 
-    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
+    def fake_solve(kappa, fix, value, guess, reuse=None):
         if fix == "sigma":
             if value > 1.5:             # past the fold tip: no solution
                 raise NonConvergenceError("past fold", 1.0, 25)
@@ -201,7 +194,7 @@ def test_switch_keeps_step_direction(monkeypatch):
     sign instead of turning the trace around."""
     import fputw.continuation as cont
 
-    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
+    def fake_solve(kappa, fix, value, guess, reuse=None):
         if fix == "sigma":
             if value > 1.5:
                 raise NonConvergenceError("past fold", 1.0, 25)
@@ -237,7 +230,7 @@ def test_s_shaped_branch_marks_both_folds(monkeypatch):
     of sigma is a fold."""
     import fputw.continuation as cont
 
-    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
+    def fake_solve(kappa, fix, value, guess, reuse=None):
         if fix == "sigma":
             roots = np.roots([1.0, 0.0, -1.0, -value])
             real = roots[np.abs(roots.imag) < 1e-12].real
@@ -299,7 +292,7 @@ def _recording_solve(calls, fails):
     value, guess)`` holds, otherwise returns a wave with mu = (kappa - 1)^2/2
     on a kappa trace (sigma fixed) and sigma = 1.5 - mu^2 on a mu trace."""
 
-    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
+    def fake_solve(kappa, fix, value, guess, reuse=None):
         calls.append((kappa, fix, value, guess.kappa, guess.sigma, guess.mu))
         if fails(kappa, fix, value, guess):
             raise NonConvergenceError("stub failure", 0.5, 25)
@@ -506,7 +499,7 @@ def _valley_solve(calls, mu_fails, mu_limit=np.inf):
     the fold or beyond |mu| > ``mu_limit``; a mu solve fails when
     ``mu_fails(value)``.  Every call is recorded."""
 
-    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
+    def fake_solve(kappa, fix, value, guess, reuse=None):
         calls.append((fix, value))
         if fix == "sigma":
             root = np.sqrt(max(value - 1.0, 0.0))
@@ -590,7 +583,7 @@ def test_stability_family_solves_each_mass_from_nearest_wave(monkeypatch):
 
     calls = []
 
-    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
+    def fake_solve(kappa, fix, value, guess, reuse=None):
         calls.append((kappa, fix, value, guess))
         return _stub_wave(kappa, 1.5, value, fix)
 
@@ -627,7 +620,7 @@ def _alpha_branch(monkeypatch, alpha, lo=0.0, hi=1.0):
 
     calls = []
 
-    def fake_solve(kappa, fix, value, guess, jump_tol=None, reuse=None):
+    def fake_solve(kappa, fix, value, guess, reuse=None):
         assert (kappa, fix) == (2.5, "mu")
         calls.append(value)
         return wave(value)

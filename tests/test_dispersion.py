@@ -94,13 +94,6 @@ def test_no_bracket_below_sound_speed():
         dsp.critical_frequency(0.9, 0.0)
 
 
-def test_eigenvector_reference_orientation():
-    mode = dsp.critical_frequency(1.3, -0.2)
-    flipped = dsp.critical_frequency(1.3, -0.2, reference=(-mode.nu1, -mode.nu2))
-    assert flipped.nu1 == pytest.approx(-mode.nu1)
-    assert flipped.nu2 == pytest.approx(-mode.nu2)
-
-
 def test_jost_frequency_anchor_and_limits():
     assert abs(dsp.jost_frequency(1.0) - 1.478170266) < 1e-6
     # sigma = sqrt(2): residual of the defining equation below 1e-12

@@ -376,12 +376,13 @@ def test_plans_shared_and_kept_across_parameter_columns(rng, monkeypatch):
     asm = mfde._Assembler(prob)
     x = asm.layout.pack([cand], [0.5])
     asm.residual(x)
-    # one plan per slot (shared by both components) and per probe point
-    assert len(made) == 2 + 2
-    asm.jacobian(x)     # the p[0] column shifts slot 1 once more
-    assert len(made) == 2 + 2 + 1
+    # one plan for the two slots on block 0 (shared by both components)
+    # and one for the probed block
+    assert len(made) == 1 + 1
+    asm.jacobian(x)     # the p[0] column shifts slot 1, so its group, once more
+    assert len(made) == 1 + 1 + 1
     asm.residual(x)     # the unperturbed plans survived that column
-    assert len(made) == 5
+    assert len(made) == 3
 
 
 def test_jost_affine_plan_picks_up_new_offsets():
@@ -598,7 +599,7 @@ def test_gathered_slot_values_equal_eval_bitwise(rng, make, moved):
     x2[moved] += 0.05          # omega_P moves the ripple slots, psi the offsets
     for y in (x, x2, x):
         seen.clear()
-        asm.residual(y)
+        r = asm.residual(y)
         sol_y, p = asm.layout.unpack(y)
         for eq, slots in zip(prob.equations, seen):
             tau = prob.blocks[eq.block].mesh.collocation_points
@@ -607,6 +608,18 @@ def test_gathered_slot_values_equal_eval_bitwise(rng, make, moved):
                 src = sol_y[spec.block]
                 ref = np.array([src.eval(pts, c) for c in range(src.ncomp)])
                 assert np.array_equal(vals.view(np.int64), ref.view(np.int64))
+        # every boundary row of value probes reads the probes' eval values
+        rows = 0
+        for q, bc in enumerate(prob.boundary_conditions):
+            if any(probe.kind != "value" for probe in bc.probes):
+                continue
+            v = np.array([sol_y[probe.block].eval(probe.tau, probe.comp)
+                          for probe in bc.probes])
+            ref = np.array([float(bc.func(v, p))])
+            got = r[asm.layout.bc_offset + q:][:1]
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            rows += 1
+        assert rows >= 4
 
 
 def test_diatomic_structural_jacobian_matches_fd_oracle(rng):
