@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import checkpoint, continuation, diatomic, lattice, monatomic
 from .errors import FputwError
+from .solution import Mesh
 
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
@@ -131,10 +133,12 @@ def _given(args, **options) -> dict:
             if getattr(args, opt) is not None}
 
 
-def _dia_config(args) -> diatomic.DiatomicConfig:
-    return diatomic.DiatomicConfig(**_given(
-        args, length="L", solitary_intervals="mesh",
-        ripple_intervals="ripple_mesh", gauss_order="gauss"))
+def _meshes(args) -> tuple[Mesh, Mesh]:
+    """The (solitary, ripple) meshes of the mesh options over their defaults."""
+    shared = _given(args, length="L", gauss_order="gauss")
+    return (replace(monatomic.MESH, **shared, **_given(args, intervals="mesh")),
+            replace(diatomic.RIPPLE_MESH, **shared,
+                    **_given(args, intervals="ripple_mesh")))
 
 
 def _step(text: str) -> float:
@@ -192,12 +196,14 @@ def _load_wave(ck: checkpoint.Checkpoint):
     raise ValueError(f"checkpoint kind {ck.kind!r} holds no traveling wave")
 
 
-def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
-    """Seed from a diatomic checkpoint, a monatomic checkpoint, or 'auto'.
-    A checkpoint seed must be at ``kappa`` and on the meshes of ``cfg``,
-    which every later solve takes from the seed."""
+def _load_seed_wave(args) -> diatomic.DiatomicWave:
+    """Seed from the ``--seed-ckpt`` diatomic or monatomic checkpoint, or
+    'auto'.  A checkpoint seed must be at ``--kappa`` and on the meshes of
+    the mesh options, which every later solve takes from the seed."""
+    path, kappa = args.seed_ckpt, args.kappa
+    solitary, ripple = _meshes(args)
     if path is None or path == "auto":
-        wave = monatomic.solve_profile(kappa, cfg.monatomic())
+        wave = monatomic.solve_profile(kappa, solitary)
     else:
         wave = _load_wave(checkpoint.read(path))
         # continuation leaves kappas a few ulps off the typed decimal
@@ -205,11 +211,11 @@ def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
             raise ValueError(f"seed checkpoint is at kappa={wave.kappa!r}, "
                              f"not --kappa {kappa!r}")
     if isinstance(wave, monatomic.MonatomicWave):
-        wave = diatomic.seed_from_monatomic(wave, cfg)
+        wave = diatomic.seed_from_monatomic(wave, ripple)
     meshes = (wave.solitary.mesh, wave.ripple.mesh)
-    if meshes != (cfg.solitary_mesh, cfg.ripple_mesh):
+    if meshes != (solitary, ripple):
         raise ValueError(f"seed checkpoint is on the meshes {meshes}, the mesh "
-                         f"options give {(cfg.solitary_mesh, cfg.ripple_mesh)}")
+                         f"options give {(solitary, ripple)}")
     return wave
 
 
@@ -218,8 +224,7 @@ def _load_seed_wave(path, kappa, cfg) -> diatomic.DiatomicWave:
 # ---------------------------------------------------------------------------
 
 def cmd_mono_scan(args) -> int:
-    cfg = _dia_config(args).monatomic()
-    res = monatomic.kappa_scan(args.from_, args.to, args.step, cfg,
+    res = monatomic.kappa_scan(args.from_, args.to, args.step, _meshes(args)[0],
                                n_quad=args.n_quad)
     out = _outdir(args)
     write_csv(out / "mono_scan.csv", monatomic.SCAN_COLUMNS,
@@ -242,7 +247,7 @@ def cmd_mono_scan(args) -> int:
 
 def cmd_jost(args) -> int:
     out = _outdir(args)
-    wave, jost = monatomic.solve_joint(args.kappa, _dia_config(args).monatomic())
+    wave, jost = monatomic.solve_joint(args.kappa, _meshes(args)[0])
     write_csv(out / "jost.csv",
               ("kappa", "sigma", "omega_ups", "theta_ups", "beta_ups",
                "resid", "newton_iters"),
@@ -256,7 +261,7 @@ def cmd_jost(args) -> int:
 
 def cmd_kc(args) -> int:
     out = _outdir(args)
-    wave, jost = monatomic.solve_joint(args.kappa, _dia_config(args).monatomic())
+    wave, jost = monatomic.solve_joint(args.kappa, _meshes(args)[0])
     coeff = monatomic.amplitude_coefficient(wave, jost, n_quad=args.n_quad)
     write_csv(out / "kc.csv", monatomic.SCAN_COLUMNS,
               [monatomic.ScanRow.of(wave, jost, coeff).values()])
@@ -269,11 +274,10 @@ def cmd_kc(args) -> int:
 
 def cmd_periodic(args) -> int:
     out = _outdir(args)
-    cfg = _dia_config(args)
     mu = _resolve_mu(args)
     if mu is None or args.sigma is None:
         raise ValueError("periodic needs --sigma and --mu/--m")
-    ripple = diatomic.solve_periodic(args.sigma, mu, args.beta_P or 0.0, cfg)
+    ripple = diatomic.solve_periodic(args.sigma, mu, args.beta_P or 0.0, _meshes(args)[1])
     write_csv(out / "periodic.csv",
               ("sigma", "mu", "beta_P", "omega_P", "omega_xi", "alpha_P",
                "orientation_ok", "resid", "newton_iters"),
@@ -295,7 +299,7 @@ def cmd_periodic(args) -> int:
 
 def cmd_wave(args) -> int:
     fix_name, fix_value = args.fix
-    seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
+    seed = _load_seed_wave(args)
     out = _outdir(args)
     gap = abs(fix_value - getattr(seed, fix_name))
     if gap > 0.05:
@@ -322,7 +326,7 @@ def cmd_wave(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
+    seed = _load_seed_wave(args)
     out = _outdir(args)
     ckpt_dir = out / "branch_ckpts"
     ckpt_dir.mkdir(exist_ok=True)
@@ -331,8 +335,11 @@ def cmd_branch(args) -> int:
         checkpoint_dir=ckpt_dir, keep_waves=False)
     write_csv(out / "branch.csv", continuation.BRANCH_COLUMNS,
               [p.values() for p in branch.points])
-    files = ["branch.csv"] + [f"branch_ckpts/{continuation.point_file(i)}"
-                              for i in range(len(branch.points))]
+    own = [continuation.point_file(i) for i in range(len(branch.points))]
+    for path in ckpt_dir.glob("point*.ckpt"):
+        if path.name not in own:
+            path.unlink()       # left by an earlier, longer trace
+    files = ["branch.csv"] + [f"branch_ckpts/{name}" for name in own]
     write_manifest(out, "branch",
                    {"kappa": args.kappa, "driver": args.driver, "to": args.to,
                     "step": args.step, "reason": branch.terminated_reason},
@@ -343,7 +350,7 @@ def cmd_branch(args) -> int:
 
 
 def cmd_solitary(args) -> int:
-    seed = _load_seed_wave(args.seed_ckpt, args.kappa, _dia_config(args))
+    seed = _load_seed_wave(args)
     out = _outdir(args)
     branch = continuation.continue_branch(
         seed, "mu", args.mu_to, args.step, stop_when=lambda p: p.sign_change)
@@ -372,13 +379,13 @@ def cmd_solitary(args) -> int:
 
 def cmd_cross_section(args) -> int:
     out = _outdir(args)
-    cfg = _dia_config(args)
+    solitary, ripple = _meshes(args)
     sigma = args.sigma
     # anchor where the iso-sigma curve crosses the equal-mass axis: the
     # monatomic wave whose speed equals sigma is an exact seed
-    mono_wave = _wave_at_speed(sigma, cfg.monatomic())
+    mono_wave = _wave_at_speed(sigma, solitary)
     kap = mono_wave.kappa
-    seed = diatomic.seed_from_monatomic(mono_wave, cfg)
+    seed = diatomic.seed_from_monatomic(mono_wave, ripple)
     seed = diatomic.solve_wave(kap, "sigma", sigma, seed)
     traces = []
     if args.from_ is not None and abs(args.from_ - kap) > 1e-9:
@@ -400,12 +407,11 @@ def cmd_cross_section(args) -> int:
     return 0
 
 
-def _wave_at_speed(sigma: float,
-                   mcfg: monatomic.MonatomicConfig) -> monatomic.MonatomicWave:
-    """Invert the monatomic speed law sigma(kappa) by secant iteration; the
-    last profile solved, whose speed is sigma after convergence."""
+def _wave_at_speed(sigma: float, mesh: Mesh) -> monatomic.MonatomicWave:
+    """Invert the monatomic speed law sigma(kappa) by secant iteration on
+    ``mesh``; the last profile solved, whose speed is sigma after convergence."""
     kap = max(0.25, np.sqrt(max(24.0 * (sigma - 1.0), 1e-4)))
-    w = monatomic.solve_profile(kap, mcfg)
+    w = monatomic.solve_profile(kap, mesh)
     f0, k0 = w.sigma - sigma, kap
     kap1 = kap * (1.0 + 0.05 * np.sign(-f0))
     for _ in range(20):

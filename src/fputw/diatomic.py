@@ -29,7 +29,7 @@ from .mfde import (FD_STEP, BoundaryCondition, BoundaryProbe, EquationBlock,
                    FactorCache, FunctionBlockSpec, MfdeProblem, SlotSpec,
                    assemble_residual, euler_predictor, integral_bc,
                    solve_newton, value_bc)
-from .monatomic import MonatomicConfig, MonatomicWave, solve_profile
+from .monatomic import MESH, MonatomicWave, solve_profile
 from .solution import Extension, Mesh, PiecewiseSolution
 
 SCALAR_NAMES = ("sigma", "mu", "beta_p")
@@ -47,24 +47,7 @@ RIPPLE_POLICIES = (Extension.periodic_even(), Extension.periodic_odd(),
 SOLITARY_POLICIES = (Extension.even_zero(), Extension.odd_zero(),
                      Extension.odd_zero(), Extension.even_zero())
 
-
-@dataclass(frozen=True)
-class DiatomicConfig:
-    length: float = MonatomicConfig.length
-    solitary_intervals: int = MonatomicConfig.intervals
-    ripple_intervals: int = 32
-    gauss_order: int = MonatomicConfig.gauss_order
-
-    @property
-    def solitary_mesh(self) -> Mesh:
-        return Mesh(self.length, self.solitary_intervals, self.gauss_order)
-
-    @property
-    def ripple_mesh(self) -> Mesh:
-        return Mesh(self.length, self.ripple_intervals, self.gauss_order)
-
-    def monatomic(self) -> MonatomicConfig:
-        return MonatomicConfig(self.length, self.solitary_intervals, self.gauss_order)
+RIPPLE_MESH = replace(MESH, intervals=32)  # a ripple built from nothing starts on this mesh
 
 
 def _d_rows(mu, g1_0, g1_p, g1_m, g2_0, g2_p, g2_m):
@@ -205,8 +188,7 @@ def ripple_mode_seed(sigma: float, mu: float,
     return sol, mode.omega * L / np.pi
 
 
-def solve_periodic(sigma: float, mu: float, beta_p: float,
-                   cfg: DiatomicConfig = DiatomicConfig(),
+def solve_periodic(sigma: float, mu: float, beta_p: float, mesh: Mesh = RIPPLE_MESH,
                    guess: PeriodicRipple | None = None) -> PeriodicRipple:
     """Solve the nonlinear periodic problem at fixed (sigma, mu, beta_P) with
     the computational frequency omega_P free; a ``guess`` fixes the mesh."""
@@ -216,7 +198,7 @@ def solve_periodic(sigma: float, mu: float, beta_p: float,
     if guess is not None:
         seed, omega_p0 = guess.profile, guess.omega_p
     else:
-        seed, omega_p0 = ripple_mode_seed(sigma, mu, cfg.ripple_mesh)
+        seed, omega_p0 = ripple_mode_seed(sigma, mu, mesh)
     blk, eq, bcs = _ripple_block(0, seed.mesh,
                                  lambda p: (sigma, mu, beta_p, float(p[0])), 0)
     prob = MfdeProblem((blk,), (eq,), 1, bcs)
@@ -432,32 +414,31 @@ def kappa_tangent_guess(wave: DiatomicWave, kappa: float, fix: str, value: float
 
 
 def seed_from_monatomic(mono: MonatomicWave,
-                        cfg: DiatomicConfig = DiatomicConfig()) -> DiatomicWave:
+                        ripple_mesh: Mesh = RIPPLE_MESH) -> DiatomicWave:
     """Exact diatomic wave at mu = 0, beta_P = 0 built from a monatomic
     profile (V2 = 0 on the profile's mesh; ripple = linearized mode at
-    (sigma, 0) on the ripple mesh of ``cfg``)."""
+    (sigma, 0) on ``ripple_mesh``)."""
     z = np.zeros_like(mono.profile.coeffs[0])
     coeffs = np.stack([mono.profile.coeffs[0], mono.profile.coeffs[1], z, z])
     solitary = PiecewiseSolution(mono.profile.mesh, coeffs, SOLITARY_POLICIES)
-    ripple, omega_p = ripple_mode_seed(mono.sigma, 0.0, cfg.ripple_mesh)
+    ripple, omega_p = ripple_mode_seed(mono.sigma, 0.0, ripple_mesh)
     return DiatomicWave(mono.kappa, mono.sigma, 0.0, 0.0, omega_p,
                         solitary, ripple, mono.residual_norm, 0, fixed_param="mu")
 
 
-def seed_from_small_mass(kappa: float, mu: float,
-                         cfg: DiatomicConfig = DiatomicConfig()) -> DiatomicWave:
+def seed_from_small_mass(kappa: float, mu: float, mesh: Mesh = MESH) -> DiatomicWave:
     """Nanopteron-side seed from the small-mass limit profiles.
 
     At m = 0 the diatomic wave reduces to the monatomic profile at speed
     sigma/sqrt(2) sampled on a doubled lattice; the center amplitude match
     s1(0) = kappa^2/8 fixes the monatomic amplitude parameter by a secant
-    iteration.
+    iteration.  The profiles and the solitary part are on ``mesh``, the
+    ripple on ``mesh`` with the intervals of ``RIPPLE_MESH``.
     """
-    mcfg = cfg.monatomic()
     target = kappa * kappa / 8.0
 
     def center_amp(km: float):
-        w = solve_profile(km, mcfg)
+        w = solve_profile(km, mesh)
         return w, w.kappa ** 2 * (w.phi(w.kappa / 2.0) + 0.125) / 2.0
 
     km = kappa
@@ -494,8 +475,9 @@ def seed_from_small_mass(kappa: float, mu: float,
         return f
 
     solitary = PiecewiseSolution.from_callables(
-        cfg.solitary_mesh, [v(0), v(1), v(2), v(3)], SOLITARY_POLICIES)
-    ripple, omega_p = ripple_mode_seed(sigma0, mu, cfg.ripple_mesh)
+        mesh, [v(0), v(1), v(2), v(3)], SOLITARY_POLICIES)
+    ripple, omega_p = ripple_mode_seed(sigma0, mu,
+                                       replace(mesh, intervals=RIPPLE_MESH.intervals))
     return DiatomicWave(kappa, sigma0, mu, 0.0, omega_p, solitary, ripple,
                         np.inf, 0, fixed_param="mu")
 

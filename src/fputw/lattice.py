@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,12 +72,12 @@ class SimConfig:
     dt: float = 1e-3
     horizon: float = 5000.0
     recenter_period: float = 60.0
-    drift_threshold: float = 1e-5
-    sample_stride: float = 1.0
-    baseline_time: float = 100.0
+    drift_threshold: ClassVar[float] = 1e-5
+    sample_stride: ClassVar[float] = 1.0
+    baseline_time: ClassVar[float] = 100.0
 
     def __post_init__(self):
-        for name in ("dt", "horizon", "recenter_period", "sample_stride"):
+        for name in ("dt", "horizon", "recenter_period"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")

@@ -41,16 +41,7 @@ _LADDER_START = 0.5
 _LADDER_STEP = 0.25
 _LADDER_SPACING = 0.5  # mesh spacing of the ladder; 1.0 loses positivity
 
-
-@dataclass(frozen=True)
-class MonatomicConfig:
-    length: float = 32.0
-    intervals: int = 512
-    gauss_order: int = 3
-
-    @property
-    def mesh(self) -> Mesh:
-        return Mesh(self.length, self.intervals, self.gauss_order)
+MESH = Mesh(32.0, 512)  # a profile built from nothing starts on this mesh
 
 
 @dataclass
@@ -164,16 +155,16 @@ def _kappa_ladder(target: float) -> list[float]:
     return [*np.arange(_LADDER_START, target, _LADDER_STEP), target]
 
 
-def solve_profile(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
+def solve_profile(kappa: float, mesh: Mesh = MESH,
                   guess: MonatomicWave | None = None) -> MonatomicWave:
     """Solve the kappa-parametrized wave with sigma free.
 
-    A guess fixes the mesh.  Without one, small kappa starts on ``cfg.mesh``
+    A guess fixes the mesh.  Without one, small kappa starts on ``mesh``
     from the KdV-limit seed Phi = sech^2(tau/2)/8, sigma = 1 + kappa^2/24;
     larger kappa walks an internal continuation ladder from kappa = 0.5.
     The ladder runs on a mesh of the same length and Gauss order with
-    spacing 0.5 (64 intervals at L = 32), or on ``cfg.mesh`` when that is
-    not finer, and one last solve at ``kappa`` starts on ``cfg.mesh`` from
+    spacing 0.5 (64 intervals at L = 32), or on ``mesh`` when that is
+    not finer, and one last solve at ``kappa`` starts on ``mesh`` from
     the ladder's wave; the returned ``iterations`` count that solve only.
     A spacing of 1.0 lets the ladder's profile dip below zero
     (:class:`NegativeProfileWarning`); at 0.5 it agrees with a ladder on the
@@ -184,15 +175,15 @@ def solve_profile(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
     if guess is not None:
         return _solve_profile_once(kappa, guess.profile, guess.sigma)
     k0, *ladder = _kappa_ladder(kappa)
-    mesh = cfg.mesh
+    start = mesh
     coarse = max(4, int(np.ceil(mesh.length / _LADDER_SPACING)))
     if ladder and coarse < mesh.intervals:
-        mesh = Mesh(mesh.length, coarse, mesh.gauss_order)
-    wave = _solve_profile_once(k0, _sech2_seed(mesh), 1.0 + k0 * k0 / 24.0)
+        start = replace(mesh, intervals=coarse)
+    wave = _solve_profile_once(k0, _sech2_seed(start), 1.0 + k0 * k0 / 24.0)
     for kap in ladder:
         wave = _solve_profile_once(kap, wave.profile, wave.sigma)
-    if mesh != cfg.mesh:
-        wave = _solve_profile_once(kappa, wave.profile.resample(cfg.mesh), wave.sigma)
+    if start != mesh:
+        wave = _solve_profile_once(kappa, wave.profile.resample(mesh), wave.sigma)
     return wave
 
 
@@ -315,14 +306,15 @@ def solve_jost(wave: MonatomicWave, guess: JostSolution | None = None):
                          rep.residual_norm, rep.iterations))
 
 
-def solve_joint(kappa: float, cfg: MonatomicConfig = MonatomicConfig(),
+def solve_joint(kappa: float, mesh: Mesh = MESH,
                 seed: tuple[MonatomicWave, JostSolution] | None = None):
     """Profile presolve followed by the joint solve; returns (wave, jost).
 
-    ``seed`` chains solutions along a continuation ladder.
+    ``seed`` chains solutions along a continuation ladder and fixes the
+    mesh; without one the profile is built from nothing on ``mesh``.
     """
     wave0, jost0 = seed or (None, None)
-    return solve_jost(solve_profile(kappa, cfg, guess=wave0), jost0)
+    return solve_jost(solve_profile(kappa, mesh, guess=wave0), jost0)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +473,11 @@ class ScanResult:
 def kappa_values(start: float, end: float, step: float) -> np.ndarray:
     if not 0 < step < np.inf or end < start:
         raise ValueError(f"need end >= start and a positive finite step, got step {step}")
-    n = int(round((end - start) / step)) + 1
-    vals = start + step * np.arange(n)
+    count = (end - start) / step
+    if not np.isfinite(count):
+        raise ValueError(f"the scan from {start} to {end} by {step} has no finite "
+                         "number of points")
+    vals = start + step * np.arange(int(round(count)) + 1)
     return vals[vals <= end + 1e-12]
 
 
@@ -537,7 +532,7 @@ def joint_from_checkpoint(ck: checkpoint.Checkpoint) -> tuple[MonatomicWave, Jos
 
 
 def kappa_scan(kappa_start: float, kappa_end: float, step: float = 0.25,
-               cfg: MonatomicConfig = MonatomicConfig(), n_quad: int = N_QUAD,
+               mesh: Mesh = MESH, n_quad: int = N_QUAD,
                seed: tuple[MonatomicWave, JostSolution] | None = None) -> ScanResult:
     """Continuation scan over kappa; each row reuses the previous solution
     as its guess.  Aborts at the first non-convergence, keeping the rows
@@ -548,7 +543,7 @@ def kappa_scan(kappa_start: float, kappa_end: float, step: float = 0.25,
     chain = seed
     for kap in kappa_values(kappa_start, kappa_end, step):
         try:
-            wave, jost = solve_joint(kap, cfg, seed=chain)
+            wave, jost = solve_joint(kap, mesh, seed=chain)
             coeff = amplitude_coefficient(wave, jost, n_quad=n_quad)
         except NonConvergenceError as exc:
             result.aborted_reason = f"non-convergence at kappa={kap:g}: {exc}"

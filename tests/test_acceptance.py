@@ -21,8 +21,8 @@ from fputw.mfde import (EquationBlock, FunctionBlockSpec, MfdeProblem,
                         SlotSpec, solve_newton, value_bc)
 from fputw.solution import Extension, Mesh, PiecewiseSolution
 
-CFG = di.DiatomicConfig()
-MCFG = CFG.monatomic()
+MESH = Mesh(32.0, 512)
+RIPPLE_MESH = Mesh(32.0, 32)
 
 SOLITARY_M = 0.32701849
 
@@ -38,7 +38,7 @@ def check(n, cond, text):
 
 @pytest.fixture(scope="module")
 def scan():
-    return mono.kappa_scan(0.5, 3.0, 0.25, MCFG, n_quad=10 ** 6)
+    return mono.kappa_scan(0.5, 3.0, 0.25, MESH, n_quad=10 ** 6)
 
 
 def scan_row(scan, kappa):
@@ -51,7 +51,7 @@ def scan_row(scan, kappa):
 @pytest.fixture(scope="module")
 def branch25(scan):
     _, wave, _ = scan_row(scan, 2.5)
-    seed = di.seed_from_monatomic(wave, CFG)
+    seed = di.seed_from_monatomic(wave, RIPPLE_MESH)
     branch = continue_branch(seed, "mu", 2.3, 0.1,
                              stop_when=lambda p: p.sign_change)
     assert branch.sign_changes, "kappa=2.5 branch must cross alpha_P = 0"
@@ -95,7 +95,7 @@ def test_criterion_02_speed_law():
     t0 = time.perf_counter()
     ratios = []
     for kap in (0.125, 0.25, 0.5):
-        w = mono.solve_profile(kap, MCFG)
+        w = mono.solve_profile(kap, MESH)
         ratios.append((w.sigma - 1.0) * 24.0 / kap ** 2)
     dt = time.perf_counter() - t0
     ok = all(0.9 <= r <= 1.1 for r in ratios)
@@ -106,7 +106,7 @@ def test_criterion_02_speed_law():
 
 def test_criterion_03_phase_shift_law():
     t0 = time.perf_counter()
-    _, jost = mono.solve_joint(0.3, MCFG)
+    _, jost = mono.solve_joint(0.3, MESH)
     dt = time.perf_counter() - t0
     measured = jost.omega * jost.theta / 0.3
     rel = abs(measured - mono.PHASE_SLOPE) / mono.PHASE_SLOPE
@@ -142,9 +142,9 @@ def test_criterion_05_amplitude_coefficient_fit(scan):
 def test_criterion_06_equal_mass_reduction(scan):
     t0 = time.perf_counter()
     _, mono_wave, _ = scan_row(scan, 1.0)
-    seed = di.seed_from_monatomic(mono_wave, CFG)
+    seed = di.seed_from_monatomic(mono_wave, RIPPLE_MESH)
     wave = di.solve_wave(1.0, "mu", 0.0, seed)
-    tau = np.linspace(0.0, CFG.length, 4001)
+    tau = np.linspace(0.0, MESH.length, 4001)
     v2 = np.max(np.abs(wave.solitary.eval(tau, 2)))
     dphi = np.max(np.abs(wave.solitary.eval(tau, 0) - mono_wave.phi(tau)))
     dt = time.perf_counter() - t0
@@ -170,7 +170,7 @@ def test_criterion_07_solitary_branch_anchor(solitary25):
 def test_criterion_08_micropteron_slope(scan):
     t0 = time.perf_counter()
     row, wave, _ = scan_row(scan, 2.5)
-    seed = di.seed_from_monatomic(wave, CFG)
+    seed = di.seed_from_monatomic(wave, RIPPLE_MESH)
     alphas = {}
     for target in (0.02, -0.02):
         br = continue_branch(seed, "mu", target, 0.01)
@@ -185,8 +185,8 @@ def test_criterion_08_micropteron_slope(scan):
 
 def test_criterion_09_connection_point():
     t0 = time.perf_counter()
-    mw = mono.solve_profile(2.0515, MCFG)
-    seed = di.seed_from_monatomic(mw, CFG)
+    mw = mono.solve_profile(2.0515, MESH)
+    seed = di.seed_from_monatomic(mw, RIPPLE_MESH)
     coarse = continue_branch(seed, "mu", 0.105, 0.02, step_in_m=True,
                              max_points=400)
     fine = continue_branch(coarse.waves[-1], "mu", 0.045, 0.004,
@@ -282,13 +282,13 @@ def test_criterion_12_property_suites():
                 for m in rng.uniform(0.05, 2.0, 20))
 
     # periodic ripple invariants
-    rip = di.solve_periodic(1.5, -0.3, 0.01, CFG)
+    rip = di.solve_periodic(1.5, -0.3, 0.01, RIPPLE_MESH)
     mean0 = abs(rip.profile.integral(0))
     norm1 = abs(rip.profile.eval(0.0, 0) ** 2 + rip.profile.eval(0.0, 3) ** 2 - 1.0)
 
     # symmetry involution and transformed residual
-    mw = mono.solve_profile(1.0, MCFG)
-    br = continue_branch(di.seed_from_monatomic(mw, CFG), "mu", 0.5, 0.1)
+    mw = mono.solve_profile(1.0, MESH)
+    br = continue_branch(di.seed_from_monatomic(mw, RIPPLE_MESH), "mu", 0.5, 0.1)
     w = br.waves[-1]
     w2 = di.symmetry_transform(di.symmetry_transform(w))
     invol = max(abs(w2.mu - w.mu), abs(w2.sigma - w.sigma),

@@ -91,7 +91,7 @@ def test_affine_placeholder_refuses_exterior(tmp_path):
 
 
 def test_monatomic_joint_roundtrip(tmp_path):
-    wave, jost = mono.solve_joint(0.5, mono.MonatomicConfig(intervals=128, length=16.0))
+    wave, jost = mono.solve_joint(0.5, Mesh(16.0, 128))
     p = tmp_path / "joint.ckpt"
     mono.save_joint(wave, jost, p)
     w2, j2 = mono.load_joint(p)

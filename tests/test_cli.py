@@ -1,14 +1,17 @@
 import inspect
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fputw import cli, continuation
+from fputw import checkpoint, cli, continuation
+from fputw import diatomic as di
 from fputw import lattice as lat
 from fputw import monatomic as mono
+from fputw.solution import Mesh
 
 
 def run_cli(args, env=None):
@@ -23,7 +26,7 @@ def run_cli(args, env=None):
 @pytest.fixture(scope="module")
 def mono_ckpt(tmp_path_factory):
     path = tmp_path_factory.mktemp("seed") / "mono.ckpt"
-    wave = mono.solve_profile(1.0, mono.MonatomicConfig(intervals=256))
+    wave = mono.solve_profile(1.0, Mesh(32.0, 256))
     mono.save_wave(wave, path)
     return path
 
@@ -151,8 +154,8 @@ def test_branch_cli(tmp_path, mono_ckpt):
 
 
 def test_branch_rerun_lists_only_its_own_checkpoints(tmp_path, mono_ckpt):
-    # a shorter second trace into the same --out leaves the first trace's
-    # later checkpoints on disk, but its manifest names only its own points
+    # a shorter second trace into the same --out removes the first trace's
+    # later checkpoints, and its manifest names only its own points
     for to in ("0.2", "0.1"):
         code = cli.main(["branch", "--kappa", "1.0", "--driver", "mu", "--to", to,
                          "--step", "0.05", "--mesh", "256",
@@ -163,7 +166,7 @@ def test_branch_rerun_lists_only_its_own_checkpoints(tmp_path, mono_ckpt):
               if ln.startswith("file branch_ckpts/")]
     assert listed == [f"branch_ckpts/{continuation.point_file(i)}"
                       for i in range(len(rows))]
-    assert len(rows) == 3 and len(list((tmp_path / "branch_ckpts").iterdir())) == 5
+    assert len(rows) == 3 and len(list((tmp_path / "branch_ckpts").iterdir())) == 3
 
 
 def test_branch_manifest_counts_events(tmp_path, mono_ckpt):
@@ -423,7 +426,7 @@ def test_manifests_record_the_default_n_quad(tmp_path):
 @pytest.fixture(scope="module")
 def joint_ckpt(tmp_path_factory):
     path = tmp_path_factory.mktemp("joint") / "joint.ckpt"
-    wave, jost = mono.solve_joint(1.0, mono.MonatomicConfig(intervals=256))
+    wave, jost = mono.solve_joint(1.0, Mesh(32.0, 256))
     mono.save_joint(wave, jost, path)
     return path
 
@@ -635,7 +638,42 @@ def test_kappa_values_reject_a_non_finite_step():
             mono.kappa_values(2.0, 2.5, step)
 
 
+def test_unbounded_mono_scan_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mono-scan", "--from", "2.0", "--to", "1e308", "--step", "1e-300",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "no finite number of points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kappa_values_reject_an_unbounded_count():
+    for end, step in ((np.inf, 0.25), (1e308, 1e-300)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"from 2.0 to {end} by {step} has no finite")):
+            mono.kappa_values(2.0, end, step)
+
+
 def test_kappa_ladder_names_a_non_finite_kappa():
     for kappa in (np.inf, np.nan):
         with pytest.raises(ValueError, match="kappa must be finite"):
             mono._kappa_ladder(kappa)
+
+
+def test_mesh_options_reach_the_meshes_they_name(tmp_path):
+    small = ["--L", "16", "--mesh", "64", "--gauss", "4"]
+    assert cli.main(["jost", "--kappa", "1.0", *small,
+                     "--out", str(tmp_path / "jost")]) == 0
+    wave, jost = mono.load_joint(tmp_path / "jost" / "joint.ckpt")
+    assert wave.profile.mesh == jost.remainder.mesh == Mesh(16.0, 64, 4)
+    assert cli.main(["periodic", "--sigma", "1.5", "--mu", "-0.3", "--beta-P", "0.01",
+                     "--L", "16", "--ripple-mesh", "16", "--gauss", "4",
+                     "--out", str(tmp_path / "periodic")]) == 0
+    ck = checkpoint.read(tmp_path / "periodic" / "periodic.ckpt")
+    assert checkpoint.block_to_solution(ck.blocks[0]).mesh == Mesh(16.0, 16, 4)
+    assert cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0.02", "--seed-ckpt", "auto",
+                     *small, "--ripple-mesh", "16", "--out", str(tmp_path / "wave")]) == 0
+    wave = di.load_wave(tmp_path / "wave" / "wave.ckpt")
+    assert wave.solitary.mesh == Mesh(16.0, 64, 4)
+    assert wave.ripple.mesh == Mesh(16.0, 16, 4)

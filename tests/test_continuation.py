@@ -8,14 +8,16 @@ from fputw.continuation import (Branch, BranchPoint, continue_branch,
 from fputw.cli import _wave_at_speed
 from fputw.errors import NonConvergenceError, SingularJacobianError
 from fputw.mfde import FactorCache, solve_newton
+from fputw.solution import Mesh
 
-CFG = di.DiatomicConfig(solitary_intervals=256)
+MESH = Mesh(32.0, 256)
+RIPPLE_MESH = Mesh(32.0, 32)
 
 
 @pytest.fixture(scope="module")
 def seed():
-    mono_wave = mono.solve_profile(1.0, CFG.monatomic())
-    return di.seed_from_monatomic(mono_wave, CFG)
+    mono_wave = mono.solve_profile(1.0, MESH)
+    return di.seed_from_monatomic(mono_wave, RIPPLE_MESH)
 
 
 def test_branch_records_and_target(seed):
@@ -81,7 +83,7 @@ def test_factor_reuse_from_neighbouring_mu(seed):
     near = di.solve_wave(1.0, "mu", 0.1001, base, reuse=factors)
     assert factors.lu is not None
     pm = di.ParamMap("mu", 0.1002)
-    prob = di.wave_problem(1.0, pm, CFG.solitary_mesh, CFG.ripple_mesh)
+    prob = di.wave_problem(1.0, pm, MESH, RIPPLE_MESH)
     p0 = pm.pack(near.sigma, near.mu, near.beta_p, near.omega_p)
     fresh = solve_newton(prob, [near.solitary, near.ripple], p0)
     reused = solve_newton(prob, [near.solitary, near.ripple], p0,
@@ -441,15 +443,15 @@ def test_tangent_guess_on_singular_system_is_typed():
 # Euler tangent predictor on the equal-mass seed of an iso-sigma trace
 # ---------------------------------------------------------------------------
 
-XSEC_CFG = di.DiatomicConfig(solitary_intervals=128)
+XSEC_MESH = Mesh(32.0, 128)
 
 
 @pytest.fixture(scope="module")
 def xsec_seed():
     """The sigma = 1.1 wave on the equal-mass axis, built as
     ``cross-section`` builds it."""
-    mono_wave = _wave_at_speed(1.1, XSEC_CFG.monatomic())
-    seed = di.seed_from_monatomic(mono_wave, XSEC_CFG)
+    mono_wave = _wave_at_speed(1.1, XSEC_MESH)
+    seed = di.seed_from_monatomic(mono_wave, RIPPLE_MESH)
     return di.solve_wave(mono_wave.kappa, "sigma", 1.1, seed)
 
 

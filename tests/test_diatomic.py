@@ -7,18 +7,20 @@ from fputw import diatomic as di
 from fputw import dispersion as dsp
 from fputw import monatomic as mono
 from fputw.errors import NoBracketError, ProblemSizeError
+from fputw.solution import Mesh
 
-CFG = di.DiatomicConfig(solitary_intervals=256)
+MESH = Mesh(32.0, 256)
+RIPPLE_MESH = Mesh(32.0, 32)
 
 
 @pytest.fixture(scope="module")
 def mono_k1():
-    return mono.solve_profile(1.0, CFG.monatomic())
+    return mono.solve_profile(1.0, MESH)
 
 
 @pytest.fixture(scope="module")
 def equal_mass_wave(mono_k1):
-    seed = di.seed_from_monatomic(mono_k1, CFG)
+    seed = di.seed_from_monatomic(mono_k1, RIPPLE_MESH)
     return di.solve_wave(1.0, "mu", 0.0, seed)
 
 
@@ -26,7 +28,7 @@ def equal_mass_wave(mono_k1):
 def wave_mu1(mono_k1):
     # m = 0.5 (mu = 1) reached by continuation with secant prediction
     from fputw.continuation import continue_branch
-    seed = di.seed_from_monatomic(mono_k1, CFG)
+    seed = di.seed_from_monatomic(mono_k1, RIPPLE_MESH)
     branch = continue_branch(seed, "mu", 1.0, 0.1)
     assert branch.terminated_reason == "target-reached"
     return branch.waves[-1]
@@ -37,12 +39,12 @@ def wave_mu1(mono_k1):
 # ---------------------------------------------------------------------------
 
 def test_periodic_invariants():
-    rip = di.solve_periodic(1.5, -0.3, 0.01, CFG)
+    rip = di.solve_periodic(1.5, -0.3, 0.01, RIPPLE_MESH)
     assert abs(rip.profile.integral(0)) < 1e-10
     norm = rip.profile.eval(0.0, 0) ** 2 + rip.profile.eval(0.0, 3) ** 2
     assert abs(norm - 1.0) < 1e-10
     assert abs(rip.profile.eval(0.0, 2)) < 1e-10
-    assert abs(rip.profile.eval(CFG.length, 2)) < 1e-10
+    assert abs(rip.profile.eval(RIPPLE_MESH.length, 2)) < 1e-10
     assert rip.orientation_ok
 
 
@@ -52,7 +54,7 @@ def test_periodic_frequency_recovery():
     errs = []
     guess = None
     for beta in (0.02, 0.01, 0.005):
-        rip = di.solve_periodic(1.5, -0.3, beta, CFG, guess=guess)
+        rip = di.solve_periodic(1.5, -0.3, beta, RIPPLE_MESH, guess=guess)
         guess = rip
         errs.append(abs(rip.omega_xi - mode.omega))
     assert errs[0] < 0.05 * mode.omega
@@ -63,7 +65,7 @@ def test_periodic_frequency_recovery():
 def test_periodic_equal_mass_mode_shape():
     # at mu=0 the eigenvector is (0, 1): P1 is O(beta) relative to P2
     beta = 0.004
-    rip = di.solve_periodic(1.3, 0.0, beta, CFG)
+    rip = di.solve_periodic(1.3, 0.0, beta, RIPPLE_MESH)
     ratio = rip.profile.sup_norm(0) / rip.profile.sup_norm(2)
     assert ratio < 10.0 * beta
 
@@ -78,7 +80,7 @@ def test_periodic_linearization_slope():
     errs, amps = [], []
     guess = None
     for beta in (0.02, 0.01, 0.005):
-        rip = di.solve_periodic(sigma, mu, beta, CFG, guess=guess)
+        rip = di.solve_periodic(sigma, mu, beta, RIPPLE_MESH, guess=guess)
         guess = rip
         a = rip.alpha_p
         amps.append(a)
@@ -94,7 +96,7 @@ def test_periodic_linearization_slope():
 
 def test_periodic_rejects_subsonic():
     with pytest.raises(NoBracketError):
-        di.solve_periodic(0.5, 0.0, 0.01, CFG)
+        di.solve_periodic(0.5, 0.0, 0.01, RIPPLE_MESH)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +104,7 @@ def test_periodic_rejects_subsonic():
 # ---------------------------------------------------------------------------
 
 def test_problem_has_eleven_boundary_conditions():
-    prob = di.wave_problem(1.0, di.ParamMap("mu", 0.0), CFG.solitary_mesh,
-                          CFG.ripple_mesh)
+    prob = di.wave_problem(1.0, di.ParamMap("mu", 0.0), MESH, RIPPLE_MESH)
     prob.validate()
     assert len(prob.boundary_conditions) == 11
     assert sum(b.ncomp for b in prob.blocks) + prob.nparams == 11
@@ -111,7 +112,7 @@ def test_problem_has_eleven_boundary_conditions():
 
 def test_equal_mass_reduction(mono_k1, equal_mass_wave):
     w = equal_mass_wave
-    tau = np.linspace(0.0, CFG.length, 2001)
+    tau = np.linspace(0.0, MESH.length, 2001)
     assert np.max(np.abs(w.solitary.eval(tau, 2))) < 1e-8
     assert np.max(np.abs(w.solitary.eval(tau, 0) - mono_k1.phi(tau))) < 1e-6
     assert abs(w.sigma - mono_k1.sigma) < 1e-6
@@ -121,7 +122,7 @@ def test_equal_mass_reduction(mono_k1, equal_mass_wave):
 
 def test_wave_boundary_conditions(wave_mu1):
     w = wave_mu1
-    L = CFG.length
+    L = MESH.length
     assert w.solitary.eval(0.0, 0) == pytest.approx(0.125, abs=1e-10)
     assert abs(w.solitary.eval(0.0, 1)) < 1e-10
     assert abs(w.solitary.eval(0.0, 2)) < 1e-10
@@ -200,10 +201,10 @@ def test_reconstruct_parity(wave_mu1):
 
 def test_small_mass_component_does_not_vanish():
     mu = 1.0 / 0.05 - 1.0
-    seed = di.seed_from_small_mass(2.0, mu, CFG)
+    seed = di.seed_from_small_mass(2.0, mu, MESH)
     w = di.solve_wave(2.0, "mu", mu, seed)
     s1, s2 = w.s_components()
-    xi = np.linspace(0.0, CFG.length / 2.0, 1601)
+    xi = np.linspace(0.0, MESH.length / 2.0, 1601)
     assert np.max(np.abs(s2(xi))) > 0.1 * np.max(np.abs(s1(xi)))
     assert w.sigma > np.sqrt(2.0)
 
@@ -212,12 +213,12 @@ def test_small_mass_seed_solves_each_kappa_once(monkeypatch):
     # the secant loop's last profile solve is the seed's profile
     solved = []
 
-    def counting_solve_profile(kappa, cfg=None, guess=None):
+    def counting_solve_profile(kappa, mesh=None, guess=None):
         solved.append(kappa)
-        return mono.solve_profile(kappa, cfg, guess)
+        return mono.solve_profile(kappa, mesh, guess)
 
     monkeypatch.setattr(di, "solve_profile", counting_solve_profile)
-    di.seed_from_small_mass(2.0, 19.0, CFG)
+    di.seed_from_small_mass(2.0, 19.0, MESH)
     assert len(solved) == len(set(solved))
 
 
@@ -244,26 +245,25 @@ def test_wave_checkpoint_roundtrip(wave_mu1, tmp_path):
 
 
 def test_size_cap_enforced(mono_k1):
-    big = di.DiatomicConfig(solitary_intervals=2048, ripple_intervals=256)
-    seed = di.seed_from_monatomic(mono_k1, CFG)
-    seed = dataclasses.replace(seed, solitary=seed.solitary.resample(big.solitary_mesh),
-                               ripple=seed.ripple.resample(big.ripple_mesh))
+    seed = di.seed_from_monatomic(mono_k1, RIPPLE_MESH)
+    seed = dataclasses.replace(seed, solitary=seed.solitary.resample(Mesh(32.0, 2048)),
+                               ripple=seed.ripple.resample(Mesh(32.0, 256)))
     with pytest.raises(ProblemSizeError):
         di.solve_wave(1.0, "mu", 0.0, seed)
 
 
 def test_refresh_ripple_guess(mono_k1):
-    seed = di.seed_from_monatomic(mono_k1, CFG)
+    seed = di.seed_from_monatomic(mono_k1, RIPPLE_MESH)
     rippled = dataclasses.replace(seed, beta_p=0.01)
     assert di.refresh_ripple_guess(rippled, "mu", 0.1) is rippled
     # a ripple-free wave gets the mode at the fixed mu, or at its own mu
     got = di.refresh_ripple_guess(seed, "mu", 0.1)
-    rip, omega_p = di.ripple_mode_seed(seed.sigma, 0.1, CFG.ripple_mesh)
+    rip, omega_p = di.ripple_mode_seed(seed.sigma, 0.1, RIPPLE_MESH)
     assert np.array_equal(got.ripple.coeffs, rip.coeffs)
     assert got.omega_p == omega_p
     moved = dataclasses.replace(seed, mu=0.05)
     got = di.refresh_ripple_guess(moved, "sigma", moved.sigma)
-    rip, omega_p = di.ripple_mode_seed(moved.sigma, 0.05, CFG.ripple_mesh)
+    rip, omega_p = di.ripple_mode_seed(moved.sigma, 0.05, RIPPLE_MESH)
     assert np.array_equal(got.ripple.coeffs, rip.coeffs)
     assert got.omega_p == omega_p
     # below the sound speed no mode exists at either mass

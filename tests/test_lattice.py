@@ -4,6 +4,7 @@ import pytest
 from fputw import lattice as lat
 from fputw import monatomic as mono
 from fputw.errors import EnergyDriftWarning, NonFiniteStateError
+from fputw.solution import Mesh
 
 
 def make_state(n=400, m=1.0):
@@ -169,7 +170,7 @@ def test_time_reversal_smoke():
 
 
 def test_diagnostics_baseline_and_gamma():
-    cfg = lat.SimConfig(horizon=1.0, baseline_time=100.0)
+    cfg = lat.SimConfig(horizon=1.0)
     series = lat.DiagnosticSeries()
     st = make_state(400)
     st.r[199] = 0.5
@@ -300,7 +301,7 @@ def test_run_simulation_nonfinite_aborts():
 
 @pytest.fixture(scope="module")
 def mono_wave():
-    return mono.solve_profile(2.5, mono.MonatomicConfig())
+    return mono.solve_profile(2.5, Mesh(32.0, 512))
 
 
 def test_initial_condition_momentum_residual(mono_wave):
@@ -327,10 +328,11 @@ def test_initial_condition_momentum_residual(mono_wave):
     assert max(series.a_out) < 1e-5
 
 
-def test_energy_drift_alarm_logged():
+def test_energy_drift_alarm_logged(monkeypatch):
+    monkeypatch.setattr(lat.SimConfig, "drift_threshold", 1e-30)
     st = make_state(40)
     st.r[19] = 0.4
-    cfg = lat.SimConfig(horizon=2.0, recenter_period=1.0, drift_threshold=1e-30)
+    cfg = lat.SimConfig(horizon=2.0, recenter_period=1.0)
     with pytest.warns(EnergyDriftWarning):
         series = lat.run_simulation(st, cfg)
     assert any(series.alarms)
@@ -352,8 +354,7 @@ def test_simconfig_rejects_fractional_counts(kwargs):
         lat.SimConfig(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["dt", "horizon", "recenter_period",
-                                  "sample_stride"])
+@pytest.mark.parametrize("name", ["dt", "horizon", "recenter_period"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_simconfig_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):

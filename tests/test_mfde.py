@@ -388,9 +388,8 @@ def test_plans_shared_and_kept_across_parameter_columns(rng, monkeypatch):
 def test_jost_affine_plan_picks_up_new_offsets():
     from fputw import monatomic as mono
     from fputw.mfde import _Assembler
-    cfg = mono.MonatomicConfig(length=8.0, intervals=32)
-    prob = mono.joint_problem(1.0, cfg.mesh)
-    mesh = cfg.mesh
+    mesh = Mesh(8.0, 32)
+    prob = mono.joint_problem(1.0, mesh)
     sol = PiecewiseSolution.from_callables(
         mesh, [lambda t: 0.125 / np.cosh(t) ** 2, lambda t: -0.25 * np.tanh(t) / np.cosh(t) ** 2,
                lambda t: t * np.exp(-t), lambda t: (1.0 - t) * np.exp(-t)],
@@ -416,13 +415,13 @@ def _joint_seed(kappa):
     """The joint wave + Jost problem at mesh 128 and the seed solve_jost
     starts from: the solved profile plus the default Jost guess."""
     from fputw import monatomic as mono
-    cfg = mono.MonatomicConfig(intervals=128)
-    wave = mono.solve_profile(kappa, cfg)
-    ups, psi0, theta0 = mono._default_jost_seed(cfg.mesh, kappa, wave.sigma)
-    seed = PiecewiseSolution(cfg.mesh,
+    mesh = Mesh(32.0, 128)
+    wave = mono.solve_profile(kappa, mesh)
+    ups, psi0, theta0 = mono._default_jost_seed(mesh, kappa, wave.sigma)
+    seed = PiecewiseSolution(mesh,
                              np.concatenate([wave.profile.coeffs, ups.coeffs]),
                              (Extension.even_zero(),) * 4)
-    return mono.joint_problem(kappa, cfg.mesh), seed, [wave.sigma, psi0, theta0]
+    return mono.joint_problem(kappa, mesh), seed, [wave.sigma, psi0, theta0]
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0])
@@ -496,9 +495,9 @@ def test_unit_split_is_found_once_per_structure(monkeypatch):
 
 def test_profile_jacobian_factors_whole():
     from fputw import monatomic as mono
-    cfg = mono.MonatomicConfig(intervals=128)
-    asm = _fresh(mono._profile_problem(1.0, cfg.mesh))
-    _, lu = asm.factor(asm.layout.pack([mono._sech2_seed(cfg.mesh)], [1.05]))
+    mesh = Mesh(32.0, 128)
+    asm = _fresh(mono._profile_problem(1.0, mesh))
+    _, lu = asm.factor(asm.layout.pack([mono._sech2_seed(mesh)], [1.05]))
     assert isinstance(lu, spla.SuperLU)
 
 

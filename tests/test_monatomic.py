@@ -7,22 +7,22 @@ from fputw.mfde import assemble_residual, refined_collocation_norm
 from fputw.solution import Extension, Mesh, PiecewiseSolution
 
 
-CFG = mono.MonatomicConfig()
+MESH = Mesh(32.0, 512)
 
 
 @pytest.fixture(scope="module")
 def small_waves():
-    return {k: mono.solve_profile(k, CFG) for k in (0.125, 0.25, 0.5)}
+    return {k: mono.solve_profile(k, MESH) for k in (0.125, 0.25, 0.5)}
 
 
 @pytest.fixture(scope="module")
 def joint_k03():
-    return mono.solve_joint(0.3, CFG)
+    return mono.solve_joint(0.3, MESH)
 
 
 @pytest.fixture(scope="module")
 def joint_k1():
-    return mono.solve_joint(1.0, CFG)
+    return mono.solve_joint(1.0, MESH)
 
 
 def test_speed_law(small_waves):
@@ -44,11 +44,11 @@ def test_joint_wave_is_the_joint_solution(fixture, request):
     # steps polish the presolved profile; pairing the presolved Phi with the
     # joint sigma would leave a larger profile residual than the presolve's
     wave, jost = request.getfixturevalue(fixture)
-    presolve = mono.solve_profile(wave.kappa, CFG)
+    presolve = mono.solve_profile(wave.kappa, MESH)
     assert wave.sigma == jost.sigma
     assert wave.residual_norm == jost.residual_norm
     assert wave.iterations == presolve.iterations + jost.iterations
-    r = assemble_residual(mono._profile_problem(wave.kappa, CFG.mesh),
+    r = assemble_residual(mono._profile_problem(wave.kappa, MESH),
                           [wave.profile], [wave.sigma])
     assert np.max(np.abs(r)) <= min(presolve.residual_norm, wave.residual_norm)
 
@@ -68,22 +68,22 @@ def test_profile_refinement_residual(small_waves):
     # Gauss-collocation defect between nodes is O(h^3); at the default mesh
     # the measured level is ~1.5e-7 and drops ~8x per mesh doubling
     w = small_waves[0.5]
-    prob = mono._profile_problem(0.5, CFG.mesh)
+    prob = mono._profile_problem(0.5, MESH)
     coarse = refined_collocation_norm(prob, [w.profile], [w.sigma])
     assert coarse < 5e-7
-    cfg2 = mono.MonatomicConfig(intervals=1024)
-    w2 = mono.solve_profile(0.5, cfg2, guess=None)
-    prob2 = mono._profile_problem(0.5, cfg2.mesh)
+    mesh2 = Mesh(32.0, 1024)
+    w2 = mono.solve_profile(0.5, mesh2, guess=None)
+    prob2 = mono._profile_problem(0.5, mesh2)
     fine = refined_collocation_norm(prob2, [w2.profile], [w2.sigma])
     assert coarse / fine > 5.0
 
 
 def test_joint_refinement_residual(joint_k1):
     wave, jost = joint_k1
-    prob = mono.joint_problem(1.0, CFG.mesh)
+    prob = mono.joint_problem(1.0, MESH)
     coeffs = np.concatenate([wave.profile.coeffs, jost.remainder.coeffs])
     from fputw.solution import PiecewiseSolution
-    cand = PiecewiseSolution(CFG.mesh, coeffs,
+    cand = PiecewiseSolution(MESH, coeffs,
                              wave.profile.policies + jost.remainder.policies)
     params = [jost.sigma, 1.0 / jost.beta, jost.theta]
     # the oscillatory Jost component dominates the defect scale
@@ -91,7 +91,7 @@ def test_joint_refinement_residual(joint_k1):
 
 
 def test_boundary_count_is_seven():
-    prob = mono.joint_problem(1.0, CFG.mesh)
+    prob = mono.joint_problem(1.0, MESH)
     assert len(prob.boundary_conditions) == 7
     assert sum(b.ncomp for b in prob.blocks) + prob.nparams == 7
 
@@ -104,14 +104,14 @@ def test_phase_shift_anchor(joint_k03):
 
 def test_jost_tail_conditions(joint_k03):
     _, jost = joint_k03
-    L = CFG.length
+    L = MESH.length
     assert abs(jost.remainder.eval(L, 0)) < 1e-9
     assert abs(jost.remainder.eval(L, 1)) < 1e-9
 
 
 def test_gamma_decays(joint_k1):
     wave, jost = joint_k1
-    xi = np.linspace(0.0, CFG.length / wave.kappa, 3000)
+    xi = np.linspace(0.0, MESH.length / wave.kappa, 3000)
     local = jost.beta * jost.remainder.eval(wave.kappa * xi, 0)
     assert abs(local[-1]) < 0.01 * np.max(np.abs(local))
 
@@ -157,7 +157,7 @@ def test_quadrature_stability(joint_k1):
 def test_default_cross_check_agrees_with_gauss():
     # the default midpoint count is fine enough and not commensurate with the
     # knots: kappa = 0.5 is its worst case on the default mesh (7e-14)
-    wave, jost = mono.solve_joint(0.5, CFG)
+    wave, jost = mono.solve_joint(0.5, MESH)
     coeff = mono.amplitude_coefficient(wave, jost)
     assert coeff.n_quad == mono.N_QUAD
     assert abs(coeff.i_chi_refined - coeff.i_chi) <= 1e-9 * abs(coeff.i_chi)
@@ -172,13 +172,13 @@ def test_amplitude_requires_enough_points(joint_k1):
 
 def test_unreliable_quadrature_below_cutoff():
     # kappa < 0.3 is flagged unreliable
-    wave, jost = mono.solve_joint(0.25, CFG)
+    wave, jost = mono.solve_joint(0.25, MESH)
     coeff = mono.amplitude_coefficient(wave, jost, n_quad=10 ** 4)
     assert not coeff.reliable
 
 
 def test_kc_fit_anchor():
-    wave, jost = mono.solve_joint(2.5, CFG)
+    wave, jost = mono.solve_joint(2.5, MESH)
     coeff = mono.amplitude_coefficient(wave, jost, n_quad=10 ** 5)
     fit = mono.KC_FIT[0] * np.exp(-mono.KC_FIT[1] / 2.5)
     assert abs(-coeff.coefficient / fit - 1.0) < 0.15
@@ -191,7 +191,7 @@ OFF_GRID_KAPPA = 1.1    # 17.6 mesh steps: knots +- kappa fall between knots
 
 @pytest.fixture(scope="module")
 def joint_off_grid():
-    return mono.solve_joint(OFF_GRID_KAPPA, CFG)
+    return mono.solve_joint(OFF_GRID_KAPPA, MESH)
 
 
 def _antiderivative(sol, x):
@@ -209,17 +209,17 @@ def test_breakpoint_gauss_is_exact_on_shifted_kinks():
     # beyond L, shifted by +-kappa: exact on the breakpoints with 2 nodes
     kap = OFF_GRID_KAPPA
     p = PiecewiseSolution.from_callables(
-        CFG.mesh, [lambda t: np.exp(-0.3 * t) * np.cos(t)], (Extension.even_zero(),))
+        MESH, [lambda t: np.exp(-0.3 * t) * np.cos(t)], (Extension.even_zero(),))
     wave = mono.MonatomicWave(kap, 1.0, p, 0.0, 0)
     jost = mono.JostSolution(kap, 1.0, 1.0, 0.0, 1.0, p, 0.0, 0)
     breaks = mono._breakpoints(wave, jost)
-    assert breaks[0] == 0.0 and breaks[-1] == CFG.length
+    assert breaks[0] == 0.0 and breaks[-1] == MESH.length
     assert np.all(np.diff(breaks) > 0.0)
 
     def f(tau):
         return p.eval(tau + kap, 0) + 2.0 * p.eval(tau, 0) + p.eval(tau - kap, 0)
 
-    L = CFG.length
+    L = MESH.length
     exact = 3.0 * _antiderivative(p, L) + _antiderivative(p, L - kap)
     assert mono._piecewise_gauss(f, breaks, 2) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
@@ -246,7 +246,7 @@ def test_amplitude_coefficient_is_deterministic(joint_off_grid):
 
 @pytest.fixture(scope="module")
 def scan_small():
-    return mono.kappa_scan(0.5, 1.0, 0.25, CFG, n_quad=2 * 10 ** 4)
+    return mono.kappa_scan(0.5, 1.0, 0.25, MESH, n_quad=2 * 10 ** 4)
 
 
 def test_scan_rows_and_monotone_sigma(scan_small):
@@ -258,8 +258,8 @@ def test_scan_rows_and_monotone_sigma(scan_small):
 
 
 def test_single_point_scan_equals_direct(scan_small):
-    res = mono.kappa_scan(0.5, 0.5, 0.25, CFG, n_quad=2 * 10 ** 4)
-    wave, jost = mono.solve_joint(0.5, CFG)
+    res = mono.kappa_scan(0.5, 0.5, 0.25, MESH, n_quad=2 * 10 ** 4)
+    wave, jost = mono.solve_joint(0.5, MESH)
     assert res.rows[0].sigma == wave.sigma
     assert res.rows[0].beta_ups == jost.beta
 
@@ -269,7 +269,7 @@ def test_scan_restart_reproduces_rows(scan_small, tmp_path):
     p = tmp_path / "row0.ckpt"
     mono.save_joint(res.waves[0], res.josts[0], p)
     seed = mono.load_joint(p)
-    resumed = mono.kappa_scan(0.75, 1.0, 0.25, CFG, n_quad=2 * 10 ** 4, seed=seed)
+    resumed = mono.kappa_scan(0.75, 1.0, 0.25, MESH, n_quad=2 * 10 ** 4, seed=seed)
     assert len(resumed.rows) == 2
     for a, b in zip(resumed.rows, res.rows[1:]):
         assert a.values() == b.values()
@@ -277,10 +277,10 @@ def test_scan_restart_reproduces_rows(scan_small, tmp_path):
 
 def test_kappa_scan_validates_range():
     with pytest.raises(ValueError):
-        mono.kappa_scan(0.1, 1.0, 0.25, CFG)
+        mono.kappa_scan(0.1, 1.0, 0.25, MESH)
 
 
-SMALL = mono.MonatomicConfig(length=16.0, intervals=128)
+SMALL = Mesh(16.0, 128)
 
 
 def test_solve_joint_goes_through_solve_jost(monkeypatch):
@@ -300,7 +300,7 @@ def test_solve_joint_goes_through_solve_jost(monkeypatch):
 
 def test_solve_jost_solves_on_the_wave_mesh():
     wave, jost = mono.solve_jost(mono.solve_profile(0.5, SMALL))
-    assert jost.remainder.mesh == wave.profile.mesh == SMALL.mesh
+    assert jost.remainder.mesh == wave.profile.mesh == SMALL
     joint_wave, joint_jost = mono.solve_joint(0.5, SMALL)
     assert np.array_equal(jost.remainder.coeffs, joint_jost.remainder.coeffs)
     assert np.array_equal(wave.profile.coeffs, joint_wave.profile.coeffs)
@@ -312,13 +312,13 @@ def test_scan_aborts_persisting_rows(monkeypatch):
     from fputw.errors import NonConvergenceError
     real = mono.solve_joint
 
-    def failing(kappa, cfg=None, seed=None):
+    def failing(kappa, mesh=None, seed=None):
         if kappa > 0.6:
             raise NonConvergenceError("synthetic failure", 1.0, 25)
-        return real(kappa, cfg, seed=seed)
+        return real(kappa, mesh, seed=seed)
 
     monkeypatch.setattr(mono, "solve_joint", failing)
-    res = mono.kappa_scan(0.5, 1.0, 0.25, CFG, n_quad=2 * 10 ** 4)
+    res = mono.kappa_scan(0.5, 1.0, 0.25, MESH, n_quad=2 * 10 ** 4)
     assert res.completed == 1
     assert res.rows[0].kappa == 0.5
     assert "kappa=0.75" in res.aborted_reason
@@ -338,35 +338,35 @@ def newton_meshes(monkeypatch):
     return meshes
 
 
-LADDER_MESH = Mesh(CFG.length, 64, CFG.gauss_order)
+LADDER_MESH = Mesh(MESH.length, 64, MESH.gauss_order)
 
 
 def test_ladder_runs_on_the_ladder_mesh(newton_meshes):
-    wave = mono.solve_profile(2.5, CFG)
+    wave = mono.solve_profile(2.5, MESH)
     rungs = len(mono._kappa_ladder(2.5))
-    assert newton_meshes == [LADDER_MESH] * rungs + [CFG.mesh]
-    assert wave.profile.mesh == CFG.mesh
+    assert newton_meshes == [LADDER_MESH] * rungs + [MESH]
+    assert wave.profile.mesh == MESH
 
 
 def test_no_ladder_solves_once_on_the_config_mesh(newton_meshes):
-    wave = mono.solve_profile(0.5, CFG)
-    assert newton_meshes == [CFG.mesh]
-    assert wave.profile.mesh == CFG.mesh
+    wave = mono.solve_profile(0.5, MESH)
+    assert newton_meshes == [MESH]
+    assert wave.profile.mesh == MESH
 
 
 def test_config_mesh_as_coarse_as_the_ladder_walks_it(newton_meshes):
-    cfg = mono.MonatomicConfig(intervals=64)
-    mono.solve_profile(1.0, cfg)
-    assert newton_meshes == [cfg.mesh] * 3
+    mesh = Mesh(32.0, 64)
+    mono.solve_profile(1.0, mesh)
+    assert newton_meshes == [mesh] * 3
 
 
 def test_ladder_mesh_wave_agrees_with_the_full_mesh_ladder():
     kappa = 2.5
-    ref = mono._solve_profile_once(0.5, mono._sech2_seed(CFG.mesh),
+    ref = mono._solve_profile_once(0.5, mono._sech2_seed(MESH),
                                    1.0 + 0.5 ** 2 / 24.0)
     for kap in np.arange(0.75, kappa + 1e-12, 0.25):
         ref = mono._solve_profile_once(kap, ref.profile, ref.sigma)
     assert ref.kappa == kappa
-    wave = mono.solve_profile(kappa, CFG)
+    wave = mono.solve_profile(kappa, MESH)
     assert abs(wave.sigma - ref.sigma) <= 1e-9
     assert np.max(np.abs(wave.profile.coeffs - ref.profile.coeffs)) <= 1e-9
