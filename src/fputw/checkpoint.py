@@ -11,16 +11,17 @@ Layout (line-oriented, self-describing, exact float round-trip via repr):
     ...
     end
 
-Affine extension policies serialize as ``affine<sign>:<label>`` tokens; their
-offset closures cannot travel through text, so loading yields a placeholder
-policy that refuses exterior evaluation until the owning module replaces it
-with policies rebuilt from the meta entries.
+The extension policies of a kind are fixed by the module that owns it, which
+passes them to :func:`block_to_solution`; a block's ``policy`` lines (affine
+rules as ``affine<sign>:<label>``) are only checked against them.
 
 A wrong version line raises :class:`CheckpointVersionError`; anything
-truncated or malformed (a policy or coefficient row that is missing, repeated
-or out of (comp, interval) order too) raises :class:`CheckpointCorruptError`
-without building a partial object.  Loading and re-serializing reproduces
-the file byte for byte.  Files are written atomically (:func:`atomic_writer`),
+truncated or malformed raises :class:`CheckpointCorruptError` without
+building a partial object: a policy or coefficient row that is missing,
+repeated or out of (comp, interval) order, a kind, block list or meta entry
+other than its owner's :meth:`Checkpoint.expect` names, or policy lines
+other than the owner's policies.  Loading and re-serializing reproduces the
+file byte for byte.  Files are written atomically (:func:`atomic_writer`),
 so an interrupted write leaves the previous file in place.
 """
 
@@ -53,6 +54,24 @@ class Checkpoint:
     kind: str
     meta: dict = field(default_factory=dict)
     blocks: list[CheckpointBlock] = field(default_factory=list)
+
+    def expect(self, kind: str, block_names, **meta_types) -> dict:
+        """The meta entries of this checkpoint after checking that it is a
+        ``kind`` checkpoint with the blocks ``block_names`` in order and a
+        meta entry of each type in ``meta_types`` (an int passes for a
+        float); CheckpointCorruptError otherwise."""
+        if self.kind != kind:
+            raise CheckpointCorruptError(f"expected a {kind} checkpoint, got {self.kind!r}")
+        names = [blk.name for blk in self.blocks]
+        if names != list(block_names):
+            raise CheckpointCorruptError(
+                f"a {kind} checkpoint holds the blocks {list(block_names)}, not {names}")
+        for key, typ in meta_types.items():
+            v = self.meta.get(key)
+            if type(v) is not typ and not (typ is float and type(v) is int):
+                raise CheckpointCorruptError(
+                    f"a {kind} checkpoint needs a {typ.__name__} meta {key!r}, got {v!r}")
+        return self.meta
 
 
 def _fmt(v: float) -> str:
@@ -189,18 +208,16 @@ def read(path) -> Checkpoint:
 # solution <-> block conversion
 # ---------------------------------------------------------------------------
 
-# (rule, sign) of each policy token but the affine ``affine<sign>:<label>``
-_LEFT_TOKENS = {"even": ("reflect", 1.0), "odd": ("reflect", -1.0),
-                "none": ("none", 1.0)}
-_RIGHT_TOKENS = {"zero": ("zero", 1.0), "none": ("none", 1.0),
-                 "reflect+": ("reflect", 1.0), "reflect-": ("reflect", -1.0)}
-_LEFT_NAMES = {rule: token for token, rule in _LEFT_TOKENS.items()}
-_RIGHT_NAMES = {rule: token for token, rule in _RIGHT_TOKENS.items()}
+# policy token of each (rule, sign) but the affine ``affine<sign>:<label>``
+_LEFT_NAMES = {("reflect", 1.0): "even", ("reflect", -1.0): "odd",
+               ("none", 1.0): "none"}
+_RIGHT_NAMES = {("zero", 1.0): "zero", ("none", 1.0): "none",
+                ("reflect", 1.0): "reflect+", ("reflect", -1.0): "reflect-"}
 
 
 def _policy_tokens(ext: Extension) -> tuple[str, str]:
-    """The (left, right) tokens of a policy; :func:`_policy_from_tokens`
-    reads them back.  A policy no token describes raises ValueError."""
+    """The (left, right) tokens of a policy.  A policy no token describes
+    raises ValueError."""
     if ext.left == "affine":
         lt = f"affine{ext.left_sign:+g}:{ext.label or 'anon'}"
     else:
@@ -217,21 +234,12 @@ def solution_to_block(name: str, sol: PiecewiseSolution) -> CheckpointBlock:
                            sol.coeffs.copy())
 
 
-def _policy_from_tokens(lt: str, rt: str) -> Extension:
-    if rt not in _RIGHT_TOKENS:
-        raise CheckpointCorruptError(f"unknown right policy token {rt!r}")
-    right, rsign = _RIGHT_TOKENS[rt]
-    if lt.startswith("affine"):
-        sig, label = lt[len("affine"):].split(":", 1)
-        # placeholder: exterior evaluation fails until rebound
-        return Extension(left="affine", left_sign=float(sig), left_offset=None,
-                         right=right, right_sign=rsign, label=label)
-    if lt not in _LEFT_TOKENS:
-        raise CheckpointCorruptError(f"unknown left policy token {lt!r}")
-    left, lsign = _LEFT_TOKENS[lt]
-    return Extension(left=left, left_sign=lsign, right=right, right_sign=rsign)
-
-
-def block_to_solution(blk: CheckpointBlock) -> PiecewiseSolution:
-    policies = tuple(_policy_from_tokens(lt, rt) for lt, rt in blk.policy_tokens)
-    return PiecewiseSolution(blk.mesh, blk.coeffs.copy(), policies)
+def block_to_solution(blk: CheckpointBlock, policies) -> PiecewiseSolution:
+    """The solution of ``blk`` with the ``policies`` of its owning module,
+    which the block's policy lines must name."""
+    tokens = [_policy_tokens(ext) for ext in policies]
+    if blk.policy_tokens != tokens:
+        raise CheckpointCorruptError(
+            f"block {blk.name!r} has the policies {blk.policy_tokens}, "
+            f"expected {tokens}")
+    return PiecewiseSolution(blk.mesh, blk.coeffs.copy(), tuple(policies))

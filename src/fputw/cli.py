@@ -34,9 +34,6 @@ from .solution import Mesh
 
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
-N_QUAD_HELP = ("points of the midpoint sum that cross-checks I_chi for the reliable "
-               f"flag (default %(default)s, at least {monatomic.N_QUAD_MIN}); I_eta, "
-               "I_chi and K come from Gauss quadrature on the integrand's breakpoints")
 
 
 def fmt(v) -> str:
@@ -165,14 +162,6 @@ def _positive(text: str) -> float:
     return _finite(text, positive=True)
 
 
-def _n_quad(text: str) -> int:
-    """argparse type of --n-quad: an integer of at least monatomic.N_QUAD_MIN."""
-    if (n := int(text)) < monatomic.N_QUAD_MIN:
-        raise argparse.ArgumentTypeError(
-            f"n_quad must be at least {monatomic.N_QUAD_MIN}, got {text}")
-    return n
-
-
 def _parse_fix(text: str) -> tuple[str, float]:
     """argparse type of --fix: ``name=value`` with a finite value."""
     name, _, val = text.partition("=")
@@ -224,8 +213,7 @@ def _load_seed_wave(args) -> diatomic.DiatomicWave:
 # ---------------------------------------------------------------------------
 
 def cmd_mono_scan(args) -> int:
-    res = monatomic.kappa_scan(args.from_, args.to, args.step, _meshes(args)[0],
-                               n_quad=args.n_quad)
+    res = monatomic.kappa_scan(args.from_, args.to, args.step, _meshes(args)[0])
     out = _outdir(args)
     write_csv(out / "mono_scan.csv", monatomic.SCAN_COLUMNS,
               [r.values() for r in res.rows])
@@ -235,7 +223,7 @@ def cmd_mono_scan(args) -> int:
         monatomic.save_joint(wave, jost, out / files[-1])
     write_manifest(out, "mono-scan",
                    {"from": args.from_, "to": args.to, "step": args.step,
-                    "n_quad": args.n_quad, "aborted": res.aborted_reason or "no"},
+                    "aborted": res.aborted_reason or "no"},
                    files)
     if res.aborted_reason:
         print(f"FPUTW-ERROR kind=NonConvergence message={res.aborted_reason}",
@@ -262,11 +250,10 @@ def cmd_jost(args) -> int:
 def cmd_kc(args) -> int:
     out = _outdir(args)
     wave, jost = monatomic.solve_joint(args.kappa, _meshes(args)[0])
-    coeff = monatomic.amplitude_coefficient(wave, jost, n_quad=args.n_quad)
+    coeff = monatomic.amplitude_coefficient(wave, jost)
     write_csv(out / "kc.csv", monatomic.SCAN_COLUMNS,
               [monatomic.ScanRow.of(wave, jost, coeff).values()])
-    write_manifest(out, "kc", {"kappa": args.kappa, "n_quad": args.n_quad},
-                   ["kc.csv"])
+    write_manifest(out, "kc", {"kappa": args.kappa}, ["kc.csv"])
     print(f"K_sigma({args.kappa}) = {coeff.coefficient:.10g} "
           f"(monitor {coeff.monitor_residual:.3e}, reliable={coeff.reliable})")
     return 0
@@ -513,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_", type=_finite, required=True)
     p.add_argument("--to", type=_finite, required=True)
     p.add_argument("--step", type=_positive, default=0.25)
-    p.add_argument("--n-quad", type=_n_quad, default=monatomic.N_QUAD,
-                   help=N_QUAD_HELP)
     p.set_defaults(func=cmd_mono_scan)
 
     p = sub.add_parser("jost", help="solve the joint wave + Jost system")
@@ -525,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kc", help="ripple-amplitude coefficient K_sigma")
     common(p)
     p.add_argument("--kappa", type=_positive, required=True)
-    p.add_argument("--n-quad", type=_n_quad, default=monatomic.N_QUAD,
-                   help=N_QUAD_HELP)
     p.set_defaults(func=cmd_kc)
 
     p = sub.add_parser("periodic", help="nonlinear periodic ripple")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checkpoint, dispersion
-from .errors import CheckpointCorruptError, FputwError, OrientationFlipWarning
+from .errors import FputwError, OrientationFlipWarning
 from .mfde import (FD_STEP, BoundaryCondition, BoundaryProbe, EquationBlock,
                    FactorCache, FunctionBlockSpec, MfdeProblem, SlotSpec,
                    assemble_residual, euler_predictor, integral_bc,
@@ -536,12 +536,13 @@ def load_wave(path) -> DiatomicWave:
 
 
 def wave_from_checkpoint(ck: checkpoint.Checkpoint) -> DiatomicWave:
-    if ck.kind != "diatomic-wave":
-        raise CheckpointCorruptError(f"expected a diatomic-wave checkpoint, got {ck.kind!r}")
-    fixed = ck.meta["fixed_param"]
-    return DiatomicWave(ck.meta["kappa"], ck.meta["sigma"], ck.meta["mu"],
-                        ck.meta["beta_p"], ck.meta["omega_p"],
-                        checkpoint.block_to_solution(ck.blocks[0]),
-                        checkpoint.block_to_solution(ck.blocks[1]),
-                        ck.meta["residual_norm"], ck.meta["iterations"],
+    meta = ck.expect("diatomic-wave", ["solitary", "ripple"], kappa=float,
+                     sigma=float, mu=float, beta_p=float, omega_p=float,
+                     residual_norm=float, iterations=int, fixed_param=str)
+    fixed = meta["fixed_param"]
+    return DiatomicWave(meta["kappa"], meta["sigma"], meta["mu"],
+                        meta["beta_p"], meta["omega_p"],
+                        checkpoint.block_to_solution(ck.blocks[0], SOLITARY_POLICIES),
+                        checkpoint.block_to_solution(ck.blocks[1], RIPPLE_POLICIES),
+                        meta["residual_norm"], meta["iterations"],
                         fixed_param="" if fixed == "none" else fixed)

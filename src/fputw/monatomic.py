@@ -27,15 +27,15 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from . import checkpoint, dispersion
-from .errors import (CheckpointCorruptError, DegenerateNormalizationError,
-                     NegativeProfileWarning, NonConvergenceError)
+from .errors import (DegenerateNormalizationError, NegativeProfileWarning,
+                     NonConvergenceError)
 from .mfde import (EquationBlock, FunctionBlockSpec, MfdeProblem, SlotSpec,
                    BoundaryCondition, BoundaryProbe, solve_newton, value_bc)
 from .solution import Extension, Mesh, PiecewiseSolution
 
 PHASE_SLOPE = 0.2208053960  # leading-order omega*theta / kappa
 KC_FIT = (1.93756, 4.06704)  # I_chi/I_eta ~ a * exp(-b / kappa)
-N_QUAD, N_QUAD_MIN = 10 ** 5, 10 ** 4  # midpoints of the I_chi cross-check, floor
+N_QUAD = 10 ** 5  # midpoints of the I_chi cross-check
 
 _LADDER_START = 0.5
 _LADDER_STEP = 0.25
@@ -393,8 +393,6 @@ def amplitude_coefficient(wave: MonatomicWave, jost: JostSolution,
     I_chi within 0.1% with an independent midpoint sum over ``n_quad``
     points (``i_chi_refined``).
     """
-    if n_quad < N_QUAD_MIN:
-        raise ValueError(f"n_quad must be at least {N_QUAD_MIN}, got {n_quad}")
     kappa, L = wave.kappa, wave.length
     om, th, beta = jost.omega, jost.theta, jost.beta
 
@@ -491,11 +489,11 @@ def save_wave(wave: MonatomicWave, path) -> None:
 
 
 def wave_from_checkpoint(ck: checkpoint.Checkpoint) -> MonatomicWave:
-    if ck.kind != "monatomic-wave":
-        raise CheckpointCorruptError(f"expected a monatomic-wave checkpoint, got {ck.kind!r}")
-    sol = checkpoint.block_to_solution(ck.blocks[0])
-    return MonatomicWave(ck.meta["kappa"], ck.meta["sigma"], sol,
-                         ck.meta["residual_norm"], ck.meta["iterations"])
+    meta = ck.expect("monatomic-wave", ["profile"], kappa=float, sigma=float,
+                     residual_norm=float, iterations=int)
+    sol = checkpoint.block_to_solution(ck.blocks[0], _phi_policies(None))
+    return MonatomicWave(meta["kappa"], meta["sigma"], sol,
+                         meta["residual_norm"], meta["iterations"])
 
 
 def save_joint(wave: MonatomicWave, jost: JostSolution, path) -> None:
@@ -516,35 +514,34 @@ def load_joint(path) -> tuple[MonatomicWave, JostSolution]:
 
 def joint_from_checkpoint(ck: checkpoint.Checkpoint) -> tuple[MonatomicWave, JostSolution]:
     """The (wave, jost) pair of a monatomic-joint checkpoint, with the Jost
-    extension policies rebuilt from the stored scalars."""
-    if ck.kind != "monatomic-joint":
-        raise CheckpointCorruptError(f"expected a monatomic-joint checkpoint, got {ck.kind!r}")
-    kappa, sigma = ck.meta["kappa"], ck.meta["sigma"]
-    theta, beta = ck.meta["theta"], ck.meta["beta"]
-    profile = checkpoint.block_to_solution(ck.blocks[0])
-    remainder = replace(checkpoint.block_to_solution(ck.blocks[1]),
-                        policies=jost_policies(kappa, sigma, 1.0 / beta, theta))
-    wave = MonatomicWave(kappa, sigma, profile, ck.meta["wave_resid"],
-                         ck.meta["wave_iters"])
-    jost = JostSolution(kappa, sigma, ck.meta["omega"], theta, beta, remainder,
-                        ck.meta["jost_resid"], ck.meta["jost_iters"])
+    extension policies built from the stored scalars."""
+    meta = ck.expect("monatomic-joint", ["profile", "jost"], kappa=float,
+                     sigma=float, omega=float, theta=float, beta=float,
+                     wave_resid=float, wave_iters=int, jost_resid=float,
+                     jost_iters=int)
+    kappa, sigma, theta, beta = meta["kappa"], meta["sigma"], meta["theta"], meta["beta"]
+    profile = checkpoint.block_to_solution(ck.blocks[0], _phi_policies(None))
+    remainder = checkpoint.block_to_solution(
+        ck.blocks[1], jost_policies(kappa, sigma, 1.0 / beta, theta))
+    wave = MonatomicWave(kappa, sigma, profile, meta["wave_resid"], meta["wave_iters"])
+    jost = JostSolution(kappa, sigma, meta["omega"], theta, beta, remainder,
+                        meta["jost_resid"], meta["jost_iters"])
     return wave, jost
 
 
 def kappa_scan(kappa_start: float, kappa_end: float, step: float = 0.25,
-               mesh: Mesh = MESH, n_quad: int = N_QUAD,
-               seed: tuple[MonatomicWave, JostSolution] | None = None) -> ScanResult:
+               mesh: Mesh = MESH) -> ScanResult:
     """Continuation scan over kappa; each row reuses the previous solution
     as its guess.  Aborts at the first non-convergence, keeping the rows
     already computed."""
     if kappa_start < 0.125:
         raise ValueError("kappa_start must be at least 1/8")
     result = ScanResult([], [], [])
-    chain = seed
+    chain = None
     for kap in kappa_values(kappa_start, kappa_end, step):
         try:
             wave, jost = solve_joint(kap, mesh, seed=chain)
-            coeff = amplitude_coefficient(wave, jost, n_quad=n_quad)
+            coeff = amplitude_coefficient(wave, jost)
         except NonConvergenceError as exc:
             result.aborted_reason = f"non-convergence at kappa={kap:g}: {exc}"
             break

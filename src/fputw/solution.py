@@ -88,7 +88,7 @@ class Extension:
 
     ``left_sign = +1/-1`` with no offset gives the even/odd reflections;
     ``left_sign = 0`` with an offset prescribes an explicit history function.
-    ``label`` names affine rules for checkpoint round-trips.
+    ``label`` names affine rules in checkpoint policy lines.
     """
 
     left: str = "none"          # "none" | "reflect" | "affine"
@@ -165,10 +165,6 @@ def fold_offset(ext: Extension, terms, shape) -> np.ndarray:
     the ``terms`` of :meth:`PiecewiseSolution.fold`, with policy ``ext``."""
     off = np.zeros(shape)
     for where, x, sign in terms:
-        if ext.left_offset is None:
-            raise ExtensionCoverageError(
-                f"affine policy {ext.label!r} needs its offset rebound "
-                "before exterior evaluation")
         off[where] += sign * ext.left_offset(x)
     return off
 

@@ -38,7 +38,7 @@ def check(n, cond, text):
 
 @pytest.fixture(scope="module")
 def scan():
-    return mono.kappa_scan(0.5, 3.0, 0.25, MESH, n_quad=10 ** 6)
+    return mono.kappa_scan(0.5, 3.0, 0.25, MESH)
 
 
 def scan_row(scan, kappa):

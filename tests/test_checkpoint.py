@@ -3,8 +3,7 @@ import pytest
 
 from fputw import checkpoint as ck
 from fputw import monatomic as mono
-from fputw.errors import (CheckpointCorruptError, CheckpointVersionError,
-                          ExtensionCoverageError)
+from fputw.errors import CheckpointCorruptError, CheckpointVersionError
 from fputw.solution import Extension, Mesh, PiecewiseSolution
 
 
@@ -55,20 +54,33 @@ def test_garbage_is_corrupt(tmp_path):
         ck.read(p)
 
 
+POLICIES = (Extension.even_zero(), Extension.odd_zero())
+
+
 def test_policy_tokens_roundtrip(sample, tmp_path):
     p = tmp_path / "p.ckpt"
     ck.write(sample, p)
     loaded = ck.read(p)
-    sol = ck.block_to_solution(loaded.blocks[0])
-    assert sol.policies[0].left_sign == 1.0
-    assert sol.policies[1].left_sign == -1.0
-    assert sol.policies[0].right == "zero"
+    sol = ck.block_to_solution(loaded.blocks[0], POLICIES)
+    assert sol.policies == POLICIES
+    assert np.array_equal(sol.coeffs, sample.blocks[0].coeffs)
+    # the file names the policies; a reader that expects others refuses it
+    with pytest.raises(CheckpointCorruptError, match="'main'"):
+        ck.block_to_solution(loaded.blocks[0], POLICIES[::-1])
 
 
 def test_every_tokenized_policy_roundtrips_and_others_are_refused():
-    for ext in (Extension.even_zero(), Extension.odd_zero(), Extension.periodic_even(),
-                Extension.periodic_odd(), Extension.interior_only()):
-        assert ck._policy_from_tokens(*ck._policy_tokens(ext)) == ext
+    mesh = Mesh(4.0, 4, 3)
+    tokenized = (Extension.even_zero(), Extension.odd_zero(), Extension.periodic_even(),
+                 Extension.periodic_odd(), Extension.interior_only(),
+                 Extension.affine(-1.0, np.cos, label="custom"))
+    for ext in tokenized:
+        blk = ck.solution_to_block("b", PiecewiseSolution.zeros(mesh, (ext,)))
+        assert ck.block_to_solution(blk, (ext,)).policies == (ext,)
+        for other in tokenized:
+            if ck._policy_tokens(other) != ck._policy_tokens(ext):
+                with pytest.raises(CheckpointCorruptError, match="expected"):
+                    ck.block_to_solution(blk, (other,))
     # no token describes these; they used to be written as "even"/"reflect+"
     for ext in (Extension(left="reflect", left_sign=0.5, right="zero"),
                 Extension(left="reflect", right="reflect", right_sign=2.0)):
@@ -76,18 +88,19 @@ def test_every_tokenized_policy_roundtrips_and_others_are_refused():
             ck._policy_tokens(ext)
 
 
-def test_affine_placeholder_refuses_exterior(tmp_path):
-    mesh = Mesh(4.0, 8, 3)
-    sol = PiecewiseSolution.from_callables(
-        mesh, [lambda t: t],
-        (Extension.affine(-1.0, lambda x: 0 * x, label="custom"),))
-    c = ck.Checkpoint("k", {}, [ck.solution_to_block("b", sol)])
-    p = tmp_path / "a.ckpt"
-    ck.write(c, p)
-    restored = ck.block_to_solution(ck.read(p).blocks[0])
-    assert restored.eval(1.0, 0) == pytest.approx(1.0)
-    with pytest.raises(ExtensionCoverageError):
-        restored.eval(-1.0, 0)
+def test_expect_checks_kind_blocks_and_meta_types(sample):
+    assert sample.expect("test-kind", ["main"], kappa=float, iters=int,
+                         ok=bool, tag=str) is sample.meta
+    assert sample.expect("test-kind", ["main"], iters=float)    # an int passes for a float
+    for args, meta_types in ((("other-kind", ["main"]), {}),
+                             (("test-kind", ["main", "extra"]), {}),
+                             (("test-kind", []), {}),
+                             (("test-kind", ["main"]), {"sigma": float}),
+                             (("test-kind", ["main"]), {"kappa": int}),
+                             (("test-kind", ["main"]), {"tag": float}),
+                             (("test-kind", ["main"]), {"ok": int})):
+        with pytest.raises(CheckpointCorruptError):
+            sample.expect(*args, **meta_types)
 
 
 def test_monatomic_joint_roundtrip(tmp_path):
@@ -97,7 +110,7 @@ def test_monatomic_joint_roundtrip(tmp_path):
     w2, j2 = mono.load_joint(p)
     assert w2.sigma == wave.sigma
     assert j2.beta == jost.beta
-    # the rebound affine policy reproduces the odd gamma extension
+    # the Jost policies built from the meta reproduce the odd gamma extension
     xi = np.array([0.3, 1.7, 4.0])
     assert np.max(np.abs(j2.gamma(xi) + j2.gamma(-xi))) < 1e-10
     # writing the loaded object again is byte-identical

@@ -60,7 +60,7 @@ def test_mu_m_exclusive(tmp_path):
 
 def test_mono_scan_csv_schema(tmp_path):
     res = run_cli(["mono-scan", "--from", "0.5", "--to", "0.75", "--step", "0.25",
-                   "--n-quad", "20000", "--mesh", "256", "--out", str(tmp_path)])
+                   "--mesh", "256", "--out", str(tmp_path)])
     assert res.returncode == 0, res.stderr
     header, rows = read_csv(tmp_path / "mono_scan.csv")
     assert header == list(mono.SCAN_COLUMNS)
@@ -258,12 +258,12 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_config_file_sets_options_with_parser_defaults(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("[kc]\nn-quad = 20000\n")
-    code = cli.main(["kc", "--kappa", "0.5", "--mesh", "64",
-                     "--config", str(cfgfile), "--out", str(tmp_path / "kc")])
+    cfgfile.write_text("[mono-scan]\nstep = 0.5\n")
+    code = cli.main(["mono-scan", "--from", "0.5", "--to", "0.5", "--mesh", "64",
+                     "--config", str(cfgfile), "--out", str(tmp_path / "scan")])
     assert code == 0
-    manifest = (tmp_path / "kc" / "manifest.txt").read_text().splitlines()
-    assert "param n_quad=20000" in manifest
+    manifest = (tmp_path / "scan" / "manifest.txt").read_text().splitlines()
+    assert "param step=0.5" in manifest
 
 
 def test_config_entries_become_flags(tmp_path):
@@ -390,37 +390,14 @@ def test_solitary_zero_scan_step_fails_before_solving(tmp_path, mono_ckpt,
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["kc", "--kappa", "2.0", "--mesh", "128"],
-    ["mono-scan", "--from", "2.0", "--to", "2.5"]])
-def test_small_n_quad_fails_before_solving(tmp_path, monkeypatch, argv):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before checking --n-quad")
-
-    monkeypatch.setattr(mono, "solve_joint", no_solve)
-    monkeypatch.setattr(mono, "solve_profile", no_solve)
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--n-quad", "100", "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert not (tmp_path / "out").exists()
-
-
 def test_n_quad_defaults_have_one_home():
-    for func in (mono.amplitude_coefficient, mono.kappa_scan):
-        assert inspect.signature(func).parameters["n_quad"].default == mono.N_QUAD
+    # the midpoint count is the constant N_QUAD: no scan or CLI option sets it
+    assert (inspect.signature(mono.amplitude_coefficient).parameters["n_quad"].default
+            == mono.N_QUAD)
+    assert not {"n_quad", "seed"} & set(inspect.signature(mono.kappa_scan).parameters)
     parser = cli.build_parser()
     for argv in (["kc", "--kappa", "1"], ["mono-scan", "--from", "1", "--to", "2"]):
-        assert parser.parse_args(argv).n_quad == mono.N_QUAD
-
-
-def test_manifests_record_the_default_n_quad(tmp_path):
-    assert cli.main(["kc", "--kappa", "0.5", "--mesh", "64",
-                     "--out", str(tmp_path / "kc")]) == 0
-    assert cli.main(["mono-scan", "--from", "0.5", "--to", "0.5", "--mesh", "64",
-                     "--out", str(tmp_path / "scan")]) == 0
-    for sub in ("kc", "scan"):
-        manifest = (tmp_path / sub / "manifest.txt").read_text().splitlines()
-        assert "param n_quad=100000" in manifest
+        assert not hasattr(parser.parse_args(argv), "n_quad")
 
 
 @pytest.fixture(scope="module")
@@ -509,17 +486,47 @@ def test_checkpoint_inputs_are_read_once(tmp_path, mono_ckpt, monkeypatch):
     assert len(reads) == 1
 
 
-@pytest.mark.parametrize("edit, kind", [
-    (lambda text: text[:len(text) // 2], "CheckpointCorruptError"),
-    (lambda text: text.replace(" v1\n", " v2\n", 1), "CheckpointVersionError")],
-    ids=["truncated", "v2"])
-def test_simulate_reports_checkpoint_errors(tmp_path, mono_ckpt, capsys,
+@pytest.fixture(scope="module")
+def dia_ckpt(tmp_path_factory, mono_ckpt):
+    path = tmp_path_factory.mktemp("dia") / "dia.ckpt"
+    wave = mono.wave_from_checkpoint(checkpoint.read(mono_ckpt))
+    di.save_wave(di.seed_from_monatomic(wave), path)
+    return path
+
+
+def _blocks_swapped(text):
+    head, rest = text.split("\nblock ", 1)
+    first, second = rest.removesuffix("end\n").split("\nblock ")
+    return f"{head}\nblock {second}block {first}\nend\n"
+
+
+@pytest.mark.parametrize("ckpt, edit, kind", [
+    ("mono_ckpt", lambda text: text[:len(text) // 2], "CheckpointCorruptError"),
+    ("mono_ckpt", lambda text: text.replace(" v1\n", " v2\n", 1),
+     "CheckpointVersionError"),
+    ("mono_ckpt", lambda text: text.replace("policy 0 even zero", "policy 0 odd zero"),
+     "CheckpointCorruptError"),
+    ("joint_ckpt", lambda text: text[:text.index("block jost")] + "end\n",
+     "CheckpointCorruptError"),
+    ("joint_ckpt", lambda text: re.sub(r"meta sigma f \S+\n", "", text),
+     "CheckpointCorruptError"),
+    ("joint_ckpt", lambda text: re.sub(r"meta kappa f \S+", "meta kappa s x", text),
+     "CheckpointCorruptError"),
+    ("dia_ckpt", _blocks_swapped, "CheckpointCorruptError")],
+    ids=["truncated", "v2", "policy", "missing-block", "missing-meta",
+         "meta-type", "blocks-swapped"])
+def test_simulate_reports_checkpoint_errors(tmp_path, request, capsys, ckpt,
                                             edit, kind):
+    # each edit but the truncation keeps a file that reads; the owning
+    # module refuses what its kind does not hold
+    text = request.getfixturevalue(ckpt).read_text()
     bad = tmp_path / "bad.ckpt"
-    bad.write_text(edit(mono_ckpt.read_text()))
+    bad.write_text(edit(text))
+    assert bad.read_text() != text
     assert cli.main(["simulate", "--ic", str(bad), "--T", "1",
                      "--out", str(tmp_path / "sim")]) == 1
     assert f"kind={kind}" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_missing_input_file_is_usage_error(tmp_path, capsys):
@@ -671,7 +678,8 @@ def test_mesh_options_reach_the_meshes_they_name(tmp_path):
                      "--L", "16", "--ripple-mesh", "16", "--gauss", "4",
                      "--out", str(tmp_path / "periodic")]) == 0
     ck = checkpoint.read(tmp_path / "periodic" / "periodic.ckpt")
-    assert checkpoint.block_to_solution(ck.blocks[0]).mesh == Mesh(16.0, 16, 4)
+    assert (checkpoint.block_to_solution(ck.blocks[0], di.RIPPLE_POLICIES).mesh
+            == Mesh(16.0, 16, 4))
     assert cli.main(["wave", "--kappa", "1.0", "--fix", "mu=0.02", "--seed-ckpt", "auto",
                      *small, "--ripple-mesh", "16", "--out", str(tmp_path / "wave")]) == 0
     wave = di.load_wave(tmp_path / "wave" / "wave.ckpt")

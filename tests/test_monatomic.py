@@ -155,19 +155,15 @@ def test_quadrature_stability(joint_k1):
 
 
 def test_default_cross_check_agrees_with_gauss():
-    # the default midpoint count is fine enough and not commensurate with the
-    # knots: kappa = 0.5 is its worst case on the default mesh (7e-14)
-    wave, jost = mono.solve_joint(0.5, MESH)
-    coeff = mono.amplitude_coefficient(wave, jost)
-    assert coeff.n_quad == mono.N_QUAD
-    assert abs(coeff.i_chi_refined - coeff.i_chi) <= 1e-9 * abs(coeff.i_chi)
-    assert coeff.reliable
-
-
-def test_amplitude_requires_enough_points(joint_k1):
-    wave, jost = joint_k1
-    with pytest.raises(ValueError):
-        mono.amplitude_coefficient(wave, jost, n_quad=100)
+    # the midpoint count is fine enough and not commensurate with the knots:
+    # kappa = 0.5 is its worst case on the default mesh (7e-14), and kappa =
+    # 0.3 on a 64-interval mesh of L = 32 its worst case overall (2.2e-6)
+    for kappa, mesh, bound in ((0.5, MESH, 1e-9), (0.3, Mesh(32.0, 64), 1e-5)):
+        wave, jost = mono.solve_joint(kappa, mesh)
+        coeff = mono.amplitude_coefficient(wave, jost)
+        assert coeff.n_quad == mono.N_QUAD
+        assert abs(coeff.i_chi_refined - coeff.i_chi) <= bound * abs(coeff.i_chi)
+        assert coeff.reliable
 
 
 def test_unreliable_quadrature_below_cutoff():
@@ -246,7 +242,7 @@ def test_amplitude_coefficient_is_deterministic(joint_off_grid):
 
 @pytest.fixture(scope="module")
 def scan_small():
-    return mono.kappa_scan(0.5, 1.0, 0.25, MESH, n_quad=2 * 10 ** 4)
+    return mono.kappa_scan(0.5, 1.0, 0.25, MESH)
 
 
 def test_scan_rows_and_monotone_sigma(scan_small):
@@ -258,21 +254,20 @@ def test_scan_rows_and_monotone_sigma(scan_small):
 
 
 def test_single_point_scan_equals_direct(scan_small):
-    res = mono.kappa_scan(0.5, 0.5, 0.25, MESH, n_quad=2 * 10 ** 4)
+    res = mono.kappa_scan(0.5, 0.5, 0.25, MESH)
     wave, jost = mono.solve_joint(0.5, MESH)
     assert res.rows[0].sigma == wave.sigma
     assert res.rows[0].beta_ups == jost.beta
 
 
 def test_scan_restart_reproduces_rows(scan_small, tmp_path):
+    # a scan row's checkpoint seeds the next row exactly
     res = scan_small
     p = tmp_path / "row0.ckpt"
     mono.save_joint(res.waves[0], res.josts[0], p)
-    seed = mono.load_joint(p)
-    resumed = mono.kappa_scan(0.75, 1.0, 0.25, MESH, n_quad=2 * 10 ** 4, seed=seed)
-    assert len(resumed.rows) == 2
-    for a, b in zip(resumed.rows, res.rows[1:]):
-        assert a.values() == b.values()
+    wave, jost = mono.solve_joint(0.75, MESH, seed=mono.load_joint(p))
+    row = mono.ScanRow.of(wave, jost, mono.amplitude_coefficient(wave, jost))
+    assert row.values() == res.rows[1].values()
 
 
 def test_kappa_scan_validates_range():
@@ -294,7 +289,7 @@ def test_solve_joint_goes_through_solve_jost(monkeypatch):
     monkeypatch.setattr(mono, "solve_jost", counting)
     mono.solve_joint(0.5, SMALL)
     assert calls == [0.5]
-    mono.kappa_scan(0.5, 0.75, 0.25, SMALL, n_quad=2 * 10 ** 4)
+    mono.kappa_scan(0.5, 0.75, 0.25, SMALL)
     assert calls == [0.5, 0.5, 0.75]
 
 
@@ -318,7 +313,7 @@ def test_scan_aborts_persisting_rows(monkeypatch):
         return real(kappa, mesh, seed=seed)
 
     monkeypatch.setattr(mono, "solve_joint", failing)
-    res = mono.kappa_scan(0.5, 1.0, 0.25, MESH, n_quad=2 * 10 ** 4)
+    res = mono.kappa_scan(0.5, 1.0, 0.25, MESH)
     assert res.completed == 1
     assert res.rows[0].kappa == 0.5
     assert "kappa=0.75" in res.aborted_reason
