@@ -460,7 +460,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    wave = diatomic.load_wave(args.ckpt)
+    ck = checkpoint.read(args.ckpt)
+    if ck.kind != "diatomic-wave":
+        raise ValueError(f"transform needs a diatomic-wave checkpoint, "
+                         f"got kind {ck.kind!r}")
+    wave = diatomic.wave_from_checkpoint(ck)
     out = _outdir(args)
     mirrored = diatomic.symmetry_transform(wave)
     diatomic.save_wave(mirrored, out / "transformed.ckpt")

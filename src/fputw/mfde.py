@@ -259,8 +259,10 @@ class Layout:
             col_units.append(np.repeat(np.tile(comps, m), k + 1))
         row_units.append(bc_unit + np.arange(len(problem.boundary_conditions)))
         col_units.append(param_unit + np.arange(problem.nparams))
-        self.row_unit = np.concatenate(row_units)
-        self.col_unit = np.concatenate(col_units)
+        # narrow enough to hold the flat index u * nunits + v of a unit pair
+        unit_type = np.min_scalar_type(self.nunits ** 2)
+        self.row_unit = np.concatenate(row_units).astype(unit_type)
+        self.col_unit = np.concatenate(col_units).astype(unit_type)
 
     def coeff_index(self, b: int, i, c: int, j):
         blk = self.problem.blocks[b]
@@ -439,9 +441,10 @@ class _Assembler:
 
         rows, cols, data = (np.concatenate([np.ravel(e[i]) for e in entries]) for i in range(3))
         J = sp.coo_matrix((data, (rows, cols)), shape=(lay.size, lay.size)).tocsc()
-        reads = np.zeros((lay.nunits, lay.nunits), dtype=bool)
-        reads[lay.row_unit[rows], lay.col_unit[cols]] = True
-        return r, J, reads
+        nu = lay.nunits
+        reads = np.zeros(nu * nu, dtype=bool)
+        reads[lay.row_unit[rows] * nu + lay.col_unit[cols]] = True
+        return r, J, reads.reshape(nu, nu)
 
     def _table(self, key, b: int, policies, pts: np.ndarray) -> _Gather:
         """The gather table of every component of block b at ``pts``, cached

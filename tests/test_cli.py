@@ -466,6 +466,18 @@ def test_non_wave_checkpoint_is_usage_error(tmp_path):
         assert "periodic-ripple" in res.stderr
 
 
+def test_transform_of_another_kind_is_usage_error(tmp_path, joint_ckpt, capsys):
+    # a readable checkpoint of another kind is a usage error that names the
+    # kind, as for simulate --ic and --seed-ckpt, not a corrupt file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", "--ckpt", str(joint_ckpt),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'monatomic-joint'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_checkpoint_inputs_are_read_once(tmp_path, mono_ckpt, monkeypatch):
     from fputw import checkpoint
     reads = []

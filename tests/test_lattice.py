@@ -264,12 +264,15 @@ def assert_bitwise(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize("edge", ["moving", "signed_zeros"])
+@pytest.mark.parametrize("edge, mass_ratio", [
+    pytest.param(edge, m, id=edge + tag)
+    for m, tag in ((0.37, ""), (1.0, "-uniform"))   # 1.0 skips the 1/m product
+    for edge in ("moving", "signed_zeros")])
 @pytest.mark.parametrize("n", [1, 2, 5, 400])
-def test_kernel_matches_reference_bitwise(n, edge, monkeypatch):
+def test_kernel_matches_reference_bitwise(n, edge, mass_ratio, monkeypatch):
     rng = np.random.default_rng(n)
     st = lat.LatticeState(0.2 * rng.standard_normal(n),
-                          0.2 * rng.standard_normal(n), mass_ratio=0.37)
+                          0.2 * rng.standard_normal(n), mass_ratio=mass_ratio)
     if edge == "moving":
         st.p[-1] = 0.15
     else:                   # what the window leaves at the right edge
